@@ -173,8 +173,13 @@ class AdbDevice(Device):
         return "unknown"
 
     def _poll_crash(self) -> CrashInfo | None:
+        """First crash logged since the log was last cleared, if any."""
         out = self._adb(["logcat", "-d", "-v", "brief", "*:E"])
-        return parse_crash_from_logcat(out)
+        crash = parse_crash_from_logcat(out)
+        if crash is not None:
+            # Clear the log so that later commands do not report this crash again.
+            self._adb(["logcat", "-c"])
+        return crash
 
     # -- execution -----------------------------------------------------------
 

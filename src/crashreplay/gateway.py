@@ -7,6 +7,7 @@ prose); a scriptable mock makes the whole pipeline deterministic offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -52,6 +53,7 @@ ENV_MODEL = "CRASHREPLAY_LLM_MODEL"
 ENV_API_KEY = "CRASHREPLAY_LLM_API_KEY"
 
 
+@functools.cache
 def load_template(name: str) -> str:
     return resources.files("crashreplay").joinpath("templates", name).read_text(encoding="utf-8")
 

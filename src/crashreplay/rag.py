@@ -1,12 +1,13 @@
 """Vector store of labeled bug-report sentences.
 
 Labeled reports are segmented into sentences, embedded, and kept in an
-immutable exact-scan index.  At extraction time the most similar corpus
-sentences (cosine similarity) are retrieved to ground the language model.
+immutable index.  At extraction time the most similar corpus sentences
+(cosine similarity) are retrieved to ground the language model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ import numpy as np
 from .grammar import S2REntity, S2RScript, ScriptStep
 
 NORM_TOLERANCE = 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class RagError(Exception):
@@ -209,6 +211,8 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ProviderUnavailable(f"provider {provider.provider_id} returned a zero vector")
+    if not math.isfinite(norm):
+        raise ProviderUnavailable(f"provider {provider.provider_id} returned a non-finite vector")
     return vec / norm
 
 
@@ -302,12 +306,19 @@ class RetrievalHit:
 
 
 class RagIndex:
-    """Immutable exact-scan index over embedded corpus sentences."""
+    """Immutable index over embedded corpus sentences.
+
+    The embeddings live in one contiguous, read-only float64 matrix with one
+    row per record; each record's ``embedding`` is a view of its row.
+    """
 
     def __init__(self, provider_id: str, dimension: int, records: tuple[RagRecord, ...]):
         self.provider_id = provider_id
         self.dimension = dimension
-        self.records = records
+        matrix = np.array([r.embedding for r in records], dtype=np.float64).reshape(len(records), dimension)
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.records = tuple(dataclasses.replace(r, embedding=row) for r, row in zip(records, matrix))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -336,6 +347,37 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
     return RagIndex(provider.provider_id, provider.dimension, tuple(records))
 
 
+def _score_margin(dimension: int) -> float:
+    """How far below the k-th fast score a top-k record's fast score can lie.
+
+    Let u = 2^-53 and gamma_n = n*u / (1 - n*u).  A record row e is
+    unit-norm within NORM_TOLERANCE (``embed`` normalizes it and
+    ``load_index`` checks it) and the query q within a few ulps, so
+    |e|*|q| <= (1+tol)^2.  For each record:
+
+    * the fast score fl(e.q) from the matrix product, in any summation order
+      and with or without fused multiply-add, is within gamma_D*|e|*|q| of
+      the real dot product (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., section 3.1, and Cauchy-Schwarz);
+    * the exact score fsum(fl(e_j*q_j)) rounds each product once and the sum
+      once, so it is within (2u + u^2)*|e|*|q| of the real dot product;
+    * so the two differ by at most
+      delta = (gamma_D + gamma_2)*(1+tol)^2 <= gamma_(D+2)*(1+tol)^2
+      (Higham, Lemma 3.3).
+
+    If t is the k-th largest fast score, at least k records have exact
+    scores >= t - delta.  A record whose exact score is below t - delta is
+    strictly outranked by all of them and cannot be in the top k, so every
+    top-k record has a fast score >= t - 2*delta.  One more 2u absorbs the
+    rounding of t - margin (|t - margin| < 1.01).  Underflow adds at most
+    D*2^-1022 per score, far below that slack.  For D = 384 the margin is
+    about 9e-14.
+    """
+    n = dimension + 2
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return 2.0 * (gamma * (1.0 + NORM_TOLERANCE) ** 2 + _UNIT_ROUNDOFF)
+
+
 def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingProvider) -> list[RetrievalHit]:
     """Return the ``k`` most similar records, scores descending.
 
@@ -349,34 +391,42 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
         raise ValueError("k must be >= 1")
     if not index.records:
         raise EmptyIndex("index has no records")
-    query = embed(query_sentence, provider).tolist()
-    # Correctly-rounded exact dot products (fsum): the score of a record is a
-    # unique, summation-order-independent double, so rankings and the
-    # record-id tie rule are reproducible by any independent implementation.
-    scores = [
-        math.fsum(e * q for e, q in zip(record.embedding.tolist(), query))
-        for record in index.records
-    ]
-    order = sorted(range(len(index.records)), key=lambda i: (-scores[i], index.records[i].record_id))
-    return [RetrievalHit(index.records[i], scores[i]) for i in order[:k]]
+    query = embed(query_sentence, provider)
+    # Pre-select with one matrix product: every record that can be in the
+    # top k has a fast score within _score_margin of the k-th fast score.
+    fast = index.matrix @ query
+    kth = len(fast) - min(k, len(fast))
+    threshold = np.partition(fast, kth)[kth] - _score_margin(index.dimension)
+    # Correctly-rounded exact dot products (fsum) of the candidates only: a
+    # score is a unique, summation-order-independent double, so rankings
+    # and the record-id tie rule are reproducible by any independent
+    # implementation.
+    q = query.tolist()
+    hits = []
+    for row in np.flatnonzero(fast >= threshold):
+        record = index.records[row]
+        hits.append(RetrievalHit(record, math.fsum(e * x for e, x in zip(record.embedding.tolist(), q))))
+    hits.sort(key=lambda hit: (-hit.score, hit.record.record_id))
+    return hits[:k]
 
 
 def save_index(index: RagIndex, path: str | Path) -> None:
-    payload = {
-        "provider_id": index.provider_id,
-        "dimension": index.dimension,
-        "records": [
+    """Write the index as JSON: the header fields, then one record per line."""
+    header = json.dumps({"provider_id": index.provider_id, "dimension": index.dimension}, ensure_ascii=False)
+    records = ",\n".join(
+        json.dumps(
             {
                 "record_id": r.record_id,
                 "sentence": r.sentence,
-                "embedding": [float(x) for x in r.embedding],
+                "embedding": r.embedding.tolist(),
                 "labels": [e.to_label() for e in r.labels],
                 "source_report": r.source_report,
-            }
-            for r in index.records
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+            },
+            ensure_ascii=False,
+        )
+        for r in index.records
+    )
+    Path(path).write_text(f'{header[:-1]}, "records": [\n{records}\n]}}\n', encoding="utf-8")
 
 
 def load_index(path: str | Path) -> RagIndex:
@@ -403,7 +453,10 @@ def load_index(path: str | Path) -> RagIndex:
             raise IndexFormatError(f"{path}: record {i}: {exc}") from exc
         if vec.shape != (dimension,):
             raise IndexFormatError(f"{path}: record {record.record_id} has dimension {vec.shape[0]}")
-        if abs(float(np.linalg.norm(vec)) - 1.0) > NORM_TOLERANCE:
-            raise IndexFormatError(f"{path}: record {record.record_id} is not unit-norm")
         records.append(record)
-    return RagIndex(provider_id, dimension, tuple(records))
+    index = RagIndex(provider_id, dimension, tuple(records))
+    # Written as "not within" so that a NaN norm fails too.
+    off_norm = np.flatnonzero(~(np.abs(np.linalg.norm(index.matrix, axis=1) - 1.0) <= NORM_TOLERANCE))
+    if off_norm.size:
+        raise IndexFormatError(f"{path}: record {index.records[off_norm[0]].record_id} is not unit-norm")
+    return index

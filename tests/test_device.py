@@ -210,12 +210,24 @@ def test_logcat_without_crash():
     assert parse_crash_from_logcat("W/foo(1): nothing to see\nE/bar(2): minor error") is None
 
 
-class FakeRunner:
-    """Scripted adb runner: records every command, answers from a table."""
+FATAL_LOG = """E/AndroidRuntime(12345): FATAL EXCEPTION: main
+E/AndroidRuntime(12345): Process: io.github.librenews, PID: 12345
+E/AndroidRuntime(12345): java.lang.IllegalStateException: refresh failed
+"""
 
-    def __init__(self, dump_xml: str):
+
+class FakeRunner:
+    """Scripted adb runner: records every command, answers from a table.
+
+    A tap at ``crash_tap`` appends a FATAL block to the log, which keeps it
+    until ``logcat -c`` clears the log, as a device's log buffer does.
+    """
+
+    def __init__(self, dump_xml: str, crash_tap: tuple[str, str] | None = None):
         self.calls: list[list[str]] = []
         self.dump_xml = dump_xml
+        self.crash_tap = crash_tap
+        self.log = ""
 
     def __call__(self, args, timeout):
         self.calls.append(list(args))
@@ -225,9 +237,13 @@ class FakeRunner:
         if "dumpsys activity" in joined:
             return "mResumedActivity: ActivityRecord{x u0 io.github.librenews/.MainFlashActivity t1}"
         if "logcat" in joined:
-            return ""
+            if "-c" in args:
+                self.log = ""
+            return self.log
         if "wm size" in joined:
             return "Physical size: 1080x1920"
+        if "tap" in args and tuple(args[-2:]) == self.crash_tap:
+            self.log += FATAL_LOG
         return ""
 
 
@@ -285,3 +301,14 @@ def test_adb_rotate_sets_user_rotation(fake_adb):
     joined = [" ".join(c) for c in runner.calls]
     assert any("settings put system accelerometer_rotation 0" in c for c in joined)
     assert any("settings put system user_rotation 1" in c for c in joined)
+
+
+def test_adb_reports_each_crash_once():
+    # REFRESH crashes the app; Settings is harmless.
+    runner = FakeRunner(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"), crash_tap=("280", "1797"))
+    device = AdbDevice("emulator-5554", "io.github.librenews", ".MainFlashActivity", runner=runner)
+    crashed = device.execute(ActionCommand(action="click", feature="REFRESH"))
+    assert crashed.crash is not None
+    assert crashed.crash.exception_type == "java.lang.IllegalStateException"
+    device.restart_app()
+    assert device.execute(ActionCommand(action="click", feature="Settings")).crash is None

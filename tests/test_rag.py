@@ -9,10 +9,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crashreplay.grammar import ActionType
 from crashreplay.rag import (
     DimensionMismatch,
+    EmbeddingProvider,
     EmptyCorpus,
     EmptyIndex,
     EmptyText,
@@ -66,6 +70,20 @@ def random_corpus(rng: random.Random, reports: int, sentences_per_report: int) -
         texts.extend(batch)
         corpus.append(make_report(f"r{i}", batch))
     return corpus
+
+
+class StubProvider(EmbeddingProvider):
+    """Embeds each text as the vector it is mapped to."""
+
+    provider_id = "stub"
+
+    def __init__(self, vectors: dict[str, np.ndarray]):
+        self.vectors = vectors
+        self.dimension = len(vectors["query"])
+
+    def embed_raw(self, text: str) -> np.ndarray:
+        return self.vectors[text]
+
 
 
 # -- segmentation -------------------------------------------------------------
@@ -124,6 +142,11 @@ def test_embed_deterministic(provider):
 def test_embed_rejects_empty(provider):
     with pytest.raises(EmptyText):
         embed("   ", provider)
+
+
+def test_embed_rejects_non_finite_vector():
+    with pytest.raises(ProviderUnavailable):
+        embed("query", StubProvider({"query": np.array([1.0, np.nan])}))
 
 
 def test_embed_similarity_ordering(provider):
@@ -205,6 +228,49 @@ def test_retrieve_matches_brute_force_on_random_corpora(provider):
         assert got == expected
 
 
+@st.composite
+def near_tie_vectors(draw):
+    """Vectors with exact duplicates and copies a few ulps apart, plus a query."""
+    dimension = draw(st.sampled_from([2, 5, 384]))
+    component = st.integers(-2, 2).map(float) | st.floats(-1.0, 1.0, allow_subnormal=False)
+    vector = arrays(np.float64, dimension, elements=component, fill=st.just(0.0))
+    # A vector of only tiny components has a norm that underflows to zero.
+    vector = vector.filter(lambda v: np.max(np.abs(v)) > 1e-100)
+    vectors = []
+    for base in draw(st.lists(vector, min_size=1, max_size=4)):
+        vectors.append(base)
+        for _ in range(draw(st.integers(0, 3))):
+            copy = base.copy()
+            if draw(st.booleans()):
+                j = draw(st.integers(0, dimension - 1))
+                toward = draw(st.sampled_from([-np.inf, np.inf]))
+                for _ in range(draw(st.integers(1, 4))):
+                    copy[j] = np.nextafter(copy[j], toward)
+            vectors.append(copy)
+    query = draw(st.sampled_from(vectors) | vector)
+    return vectors, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tie_vectors(), st.randoms())
+def test_retrieve_matches_brute_force_on_near_ties(case, rng):
+    vectors, raw_query = case
+    provider = StubProvider({"query": raw_query, **{f"v{i}": v for i, v in enumerate(vectors)}})
+    # Report ids are shuffled so that the record-id tie rule differs from row order.
+    report_ids = rng.sample(range(len(vectors)), len(vectors))
+    corpus = [make_report(f"r{report_ids[i]:02d}", [f"v{i}"]) for i in range(len(vectors))]
+    index = build_index(corpus, provider)
+    assert not index.matrix.flags.writeable
+    assert all(np.shares_memory(r.embedding, index.matrix) for r in index.records)
+    query = embed("query", provider)
+    expected = brute_force_ranking(index, query)
+    for k in (1, 2, len(index)):
+        hits = retrieve(index, "query", k, provider)
+        assert [h.record.record_id for h in hits] == expected[:k]
+        for hit in hits:
+            assert hit.score == math.fsum(float(q) * float(e) for q, e in zip(query, hit.record.embedding))
+
+
 def test_retrieve_breaks_exact_ties_by_record_id(provider):
     corpus = [make_report("a", ["Tap OK."]), make_report("b", ["Tap OK."])]
     index = build_index(corpus, provider)
@@ -276,6 +342,18 @@ def test_load_rejects_non_unit_norm(tmp_path, provider, mini_corpus):
     payload["records"][0]["embedding"][0] += 0.5
     path.write_text(json.dumps(payload))
     with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+def test_load_names_first_record_off_unit_norm(tmp_path, provider, mini_corpus):
+    index = build_index(mini_corpus, provider)
+    path = tmp_path / "index.json"
+    save_index(index, path)
+    payload = json.loads(path.read_text())
+    payload["records"][3]["embedding"][0] = float("nan")
+    payload["records"][7]["embedding"][0] += 0.5
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IndexFormatError, match=f"record {index.records[3].record_id} is not unit-norm"):
         load_index(path)
 
 
