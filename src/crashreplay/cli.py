@@ -98,6 +98,16 @@ def _load_config_file(path: str | None) -> dict:
         raise AssertionError
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def _write_replay_artifacts(out_dir: Path, result: replay.ReplayResult) -> None:
+    """``trace.jsonl`` and ``result.json``: the reproducible record of one replay."""
+    (out_dir / "trace.jsonl").write_text(result.trace_text(), encoding="utf-8")
+    _write_json(out_dir / "result.json", result.summary_dict())
+
+
 def _pick(flag, config: dict, key: str, default):
     """Flag wins over config file; config wins over the built-in default."""
     if flag is not None:
@@ -226,19 +236,12 @@ def cmd_extract(ctx, report_path, index_path, gateway_mode, mock_script, k, out_
     try:
         index = load_index(index_path)
         script, log = run_extraction(report_text, index, gateway, k)
-    except NoEntitiesFound as exc:
-        _fail(EXIT_DOMAIN, str(exc))
-        raise AssertionError
-    except (RagError, GatewayError) as exc:
+    except (NoEntitiesFound, RagError, GatewayError) as exc:
         _fail(EXIT_DOMAIN, str(exc))
         raise AssertionError
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "script.json").write_text(
-        json.dumps(script.to_dict(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (out_dir / "extraction_log.json").write_text(
-        json.dumps(log, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "script.json", script.to_dict())
+    _write_json(out_dir / "extraction_log.json", log)
     click.echo(f"{len(script.steps)} steps -> {out_dir / 'script.json'}")
 
 
@@ -321,10 +324,7 @@ def cmd_replay(ctx, report_path, script_path, sim_spec, device_serial, app_packa
     )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.jsonl").write_text(result.trace_text(), encoding="utf-8")
-    (out / "result.json").write_text(
-        json.dumps(result.summary_dict(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_replay_artifacts(out, result)
     click.echo(
         f"{result.outcome.value} after {result.steps_executed} commands "
         f"in {result.elapsed:.2f}s (llm {result.llm_time:.2f}s)"
@@ -344,9 +344,7 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
     if raw.get("extract_mock"):
         gateway = MockGateway.from_script_file(scenario_dir / raw["extract_mock"])
         script, log = run_extraction(report_text, index, gateway, raw.get("k", DEFAULT_RETRIEVAL_K))
-        (out_dir / "script.json").write_text(
-            json.dumps(script.to_dict(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        _write_json(out_dir / "script.json", script.to_dict())
         if raw.get("gold_script"):
             gold = S2RScript.from_dict(
                 json.loads((scenario_dir / raw["gold_script"]).read_text(encoding="utf-8"))
@@ -365,10 +363,7 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
         explore_action_budget=int(raw.get("explore_actions", DEFAULT_EXPLORE_ACTIONS)),
         max_iterations=raw.get("max_iterations"),
     )
-    (out_dir / "trace.jsonl").write_text(result.trace_text(), encoding="utf-8")
-    (out_dir / "result.json").write_text(
-        json.dumps(result.summary_dict(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_replay_artifacts(out_dir, result)
     return score, result
 
 
@@ -420,9 +415,7 @@ def cmd_eval(ctx, scenarios_dir, corpus_path, out_dir):
     ).hexdigest()
     payload = evaluator.report_payload(merged, aggregate, config_fingerprint=fingerprint, input_hashes=hashes)
     (out / "report.txt").write_text(text, encoding="utf-8")
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", payload)
     click.echo(text, nl=False)
     sys.exit(EXIT_OK)
 

@@ -10,7 +10,6 @@ script as denominator.  Dimensions absent from gold report as n/a, never 0.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -83,35 +82,6 @@ def _same_sentence(script: S2RScript, index: int) -> bool | None:
     if a is None or b is None:
         return None
     return a == b
-
-
-def lcs_alignment(gold: S2RScript, predicted: S2RScript) -> list[tuple[int, int]]:
-    """Order-preserving alignment (LCS) over (action, normalized component) pairs."""
-
-    def key(script: S2RScript, i: int):
-        step = script.steps[i]
-        return (step.entity.action, normalize_component(step.entity.component))
-
-    n, m = len(gold.steps), len(predicted.steps)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if key(gold, i) == key(predicted, j):
-                table[i][j] = 1 + table[i + 1][j + 1]
-            else:
-                table[i][j] = max(table[i + 1][j], table[i][j + 1])
-    pairs: list[tuple[int, int]] = []
-    i = j = 0
-    while i < n and j < m:
-        if key(gold, i) == key(predicted, j):
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif table[i + 1][j] >= table[i][j + 1]:
-            i += 1
-        else:
-            j += 1
-    return pairs
 
 
 def score_extraction(predicted: S2RScript, gold: S2RScript) -> ExtractionScore:
@@ -234,7 +204,7 @@ def report_payload(
     config_fingerprint: str = "",
     input_hashes: dict[str, str] | None = None,
 ) -> dict:
-    """Machine-readable report; ``parse_report_payload`` inverts it."""
+    """Machine-readable report."""
     payload: dict = {
         "schema": "crashreplay-report@1",
         "config_fingerprint": config_fingerprint,
@@ -252,23 +222,3 @@ def report_payload(
             "avg_llm_time_s": aggregate.avg_llm_time,
         }
     return payload
-
-
-def parse_report_payload(payload: dict | str) -> tuple[ExtractionScore | None, ReplayAggregate | None]:
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    scores = None
-    if payload.get("scores") is not None:
-        scores = ExtractionScore(
-            counts={dim: tuple(payload["scores"][dim]) for dim in DIMENSIONS}  # type: ignore[misc]
-        )
-    aggregate = None
-    if payload.get("aggregate") is not None:
-        raw = payload["aggregate"]
-        aggregate = ReplayAggregate(
-            nsr=raw["nsr"],
-            attempted=raw["attempted"],
-            avg_time=raw["avg_time_s"],
-            avg_llm_time=raw["avg_llm_time_s"],
-        )
-    return scores, aggregate

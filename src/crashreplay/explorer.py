@@ -10,8 +10,6 @@ does; those tables re-ground the replay prompts.
 from __future__ import annotations
 
 import json
-import random
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +44,15 @@ class UtgEdge:
 
 
 @dataclass
+class GraphSearch:
+    """BFS result: visit order, each node's parent edge (None at the origin), distances."""
+
+    order: list[str]
+    parents: dict[str, UtgEdge | None]
+    distances: dict[str, int]
+
+
+@dataclass
 class UtgGraph:
     """Directed graph of screen fingerprints connected by executed actions."""
 
@@ -61,54 +68,45 @@ class UtgGraph:
     def validate(self) -> None:
         if self.origin not in self.nodes:
             raise ExplorerError("origin missing from nodes")
-        seen_actions: set[tuple[str, str]] = set()
+        seen_actions: set[tuple[str, ActionCommand]] = set()
         for edge in self.edges:
             if edge.from_state not in self.nodes or edge.to_state not in self.nodes:
                 raise ExplorerError(f"edge {edge} has an endpoint outside the node set")
-            key = (edge.from_state, json.dumps(edge.action.to_dict(), sort_keys=True))
+            key = (edge.from_state, edge.action)
             if key in seen_actions:
                 raise ExplorerError(f"parallel edges from {edge.from_state} share action {edge.action}")
             seen_actions.add(key)
 
-    def bfs_order(self) -> list[str]:
-        """Node ids in breadth-first order from the origin, ties by state id."""
-        order = [self.origin]
-        seen = {self.origin}
-        queue = deque([self.origin])
-        while queue:
-            current = queue.popleft()
-            neighbours = sorted({e.to_state for e in self.out_edges(current)} - seen)
-            for n in neighbours:
-                seen.add(n)
-                order.append(n)
-                queue.append(n)
-        return order
+    def bfs(self) -> GraphSearch:
+        """One breadth-first search from the origin.
 
-    def bfs_parents(self) -> dict[str, tuple[str, ActionCommand] | None]:
-        """Parent pointers of the BFS tree; used to reconstruct paths from the origin."""
-        parents: dict[str, tuple[str, ActionCommand] | None] = {self.origin: None}
-        queue = deque([self.origin])
-        while queue:
-            current = queue.popleft()
-            for edge in self.out_edges(current):
-                if edge.to_state not in parents:
-                    parents[edge.to_state] = (current, edge.action)
-                    queue.append(edge.to_state)
-        return parents
+        Neighbours are visited in state-id order.  A node's parent is the
+        node that discovers it, through that node's first edge to it.
+        """
+        adjacency: dict[str, dict[str, UtgEdge]] = {}
+        for edge in self.edges:
+            adjacency.setdefault(edge.from_state, {}).setdefault(edge.to_state, edge)
+        search = GraphSearch(order=[self.origin], parents={self.origin: None}, distances={self.origin: 0})
+        for current in search.order:  # the list grows while it is walked
+            for to_state, edge in sorted(adjacency.get(current, {}).items()):
+                if to_state not in search.parents:
+                    search.order.append(to_state)
+                    search.parents[to_state] = edge
+                    search.distances[to_state] = search.distances[current] + 1
+        return search
 
     def path_from_origin(self, state_id: str) -> tuple[list[str], list[str]]:
         """(state ids, clicked features) along the BFS path origin -> state."""
-        parents = self.bfs_parents()
+        parents = self.bfs().parents
         if state_id not in parents:
             raise ExplorerError(f"state {state_id} not reachable from origin")
         states: list[str] = [state_id]
         features: list[str] = []
-        current = state_id
-        while parents[current] is not None:
-            parent, action = parents[current]  # type: ignore[misc]
-            features.append(action.feature or action.action)
-            states.append(parent)
-            current = parent
+        edge = parents[state_id]
+        while edge is not None:
+            features.append(edge.action.feature or edge.action.action)
+            states.append(edge.from_state)
+            edge = parents[edge.from_state]
         states.reverse()
         features.reverse()
         return states, features
@@ -127,11 +125,19 @@ class UtgGraph:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "UtgGraph":
-        from .gateway import parse_action_sequence
-
         edges = []
         for entry in raw["edges"]:
-            (action,) = parse_action_sequence(json.dumps([entry["action"]]))
+            body = entry["action"]
+            action = ActionCommand(
+                action=body.get("action"),
+                feature=body.get("feature"),
+                input_text=body.get("input_text"),
+                direction=body.get("direction"),
+                duration_ms=body.get("duration"),
+            )
+            problems = action.problems()
+            if problems:
+                raise ExplorerError(f"bad edge action {body!r}: {'; '.join(problems)}")
             edges.append(UtgEdge(entry["from"], action, entry["to"]))
         graph = cls(
             origin=raw["origin"],
@@ -180,7 +186,6 @@ def explore(
     depth: int = 1,
     action_budget: int = 60,
     origin_path: tuple[ActionCommand, ...] = (),
-    shuffle_seed: int | None = None,
 ) -> UtgGraph:
     """Build the transition graph around the device's current screen.
 
@@ -189,17 +194,16 @@ def explore(
     each probe that left the page.  Never issues more than ``action_budget``
     device commands; a graph cut short by the budget is flagged truncated.
 
-    Probing is systematic (element position order) so runs are reproducible;
-    ``shuffle_seed`` switches to a seeded random probe order instead.
+    Probing is systematic (element position order) so runs are reproducible.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if action_budget < 1:
         raise ValueError("action_budget must be >= 1")
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
     origin = device.capture_state()
     graph = UtgGraph(origin=origin.state_id, nodes={origin.state_id: origin}, edges=[])
+    seen_edges: set[UtgEdge] = set()
     used = 0
     current_id: str | None = origin.state_id
 
@@ -232,10 +236,7 @@ def explore(
                     continue
                 probed.add(state_id)
                 state = graph.nodes[state_id]
-                probes = _probe_commands(state)
-                if rng is not None:
-                    rng.shuffle(probes)
-                for probe in probes:
+                for probe in _probe_commands(state):
                     if current_id != state_id:
                         restore_to(rel_path)
                         current_id = state_id
@@ -251,7 +252,8 @@ def explore(
                     current_id = dest.state_id
                     graph.nodes.setdefault(dest.state_id, dest)
                     edge = UtgEdge(state_id, probe, dest.state_id)
-                    if edge not in graph.edges:
+                    if edge not in seen_edges:
+                        seen_edges.add(edge)
                         graph.edges.append(edge)
                     if level + 1 < depth and dest.state_id not in probed:
                         next_frontier.append((dest.state_id, rel_path + (probe,)))
@@ -259,9 +261,7 @@ def explore(
         if current_id != origin.state_id:
             restore_to(())
             current_id = origin.state_id
-    except _BudgetDone:
-        graph.truncated = True
-    except ExplorerError:
+    except (_BudgetDone, ExplorerError):
         graph.truncated = True
     graph.actions_used = used
     return graph
@@ -278,18 +278,6 @@ def _nodes_containing(graph: UtgGraph, feature: str) -> list[str]:
     return hits
 
 
-def bfs_distances(graph: UtgGraph) -> dict[str, int]:
-    distances = {graph.origin: 0}
-    queue = deque([graph.origin])
-    while queue:
-        current = queue.popleft()
-        for edge in graph.out_edges(current):
-            if edge.to_state not in distances:
-                distances[edge.to_state] = distances[current] + 1
-                queue.append(edge.to_state)
-    return distances
-
-
 def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
     """The state containing the element at minimal BFS distance from the origin.
 
@@ -298,7 +286,7 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
     hits = _nodes_containing(graph, element_feature)
     if not hits:
         raise ElementAbsent(f"element {element_feature!r} appears in no node")
-    distances = bfs_distances(graph)
+    distances = graph.bfs().distances
     reachable = [h for h in hits if h in distances]
     if not reachable:
         raise ElementAbsent(f"element {element_feature!r} appears only in unreachable nodes")
@@ -428,7 +416,7 @@ def synthesize_ui_functions(
         raise ExplorerError("graph is empty")
     template = load_template("state_summary.txt")
     table = UiFunctionTable()
-    for state_id in graph.bfs_order():
+    for state_id in graph.bfs().order:
         prompt = template.format(state=encode_state_text(graph.nodes[state_id]))
         try:
             table.descriptions[state_id] = gateway.complete(prompt, deadline).strip()

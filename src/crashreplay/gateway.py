@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .grammar import ACTION_NAMES, VERB_SPECS, VOCABULARY, normalize_verb
+
 
 class GatewayError(Exception):
     """Base error for gateway failures."""
@@ -91,23 +93,6 @@ class LlmConfig:
         )
 
 
-#: Device verbs accepted in action commands.
-DEVICE_VERBS = frozenset(
-    {"click", "set_text", "scroll", "swipe", "rotate", "long_click", "double_click", "back", "restart"}
-)
-
-#: Fixed verb normalization table; grammar names map onto device verbs.
-VERB_ALIASES = {
-    "tap": "click",
-    "input": "set_text",
-    "long tap": "long_click",
-    "double tap": "double_click",
-}
-
-_SCROLL_DIRECTIONS = frozenset({"up", "down", "left", "right"})
-_ROTATE_DIRECTIONS = frozenset({"landscape", "portrait"})
-
-
 @dataclass(frozen=True)
 class ActionCommand:
     """One executable device action in the JSON protocol."""
@@ -131,21 +116,20 @@ class ActionCommand:
         return out
 
     def problems(self) -> list[str]:
+        """What this command's verb requires and lacks; other fields pass unchecked."""
+        spec = VERB_SPECS.get(self.action)
+        if spec is None:
+            return [f"unknown action {self.action!r}"]
         issues = []
-        if self.action not in DEVICE_VERBS:
-            issues.append(f"unknown action {self.action!r}")
-            return issues
-        if self.action in ("click", "long_click", "double_click", "set_text") and not self.feature:
+        if spec.component and not self.feature:
             issues.append(f"{self.action} requires a feature")
-        if self.action == "set_text" and self.input_text is None:
-            issues.append("set_text requires input_text")
-        if self.action in ("scroll", "swipe"):
-            if self.direction is None:
-                issues.append(f"{self.action} requires a direction")
-            elif self.direction not in _SCROLL_DIRECTIONS:
-                issues.append(f"bad {self.action} direction {self.direction!r}")
-        if self.action == "rotate" and self.direction is not None and self.direction not in _ROTATE_DIRECTIONS:
-            issues.append(f"bad rotate direction {self.direction!r}")
+        if spec.value_required and self.input_text is None:
+            issues.append(f"{self.action} requires input_text")
+        if self.direction is None and spec.direction_required:
+            issues.append(f"{self.action} requires a direction")
+        allowed = {d.value for d in spec.directions}
+        if self.direction is not None and allowed and self.direction not in allowed:
+            issues.append(f"bad {self.action} direction {self.direction!r}")
         return issues
 
 
@@ -195,7 +179,7 @@ def filter_json_payload(text: str) -> str | None:
             candidate = text[i : end + 1]
             try:
                 value = json.loads(candidate)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # too deep to decode is no candidate
                 value = None
             if isinstance(value, list) and all(isinstance(o, dict) and "action" in o for o in value):
                 commands.extend(value)
@@ -211,9 +195,9 @@ def filter_json_payload(text: str) -> str | None:
 def parse_action_sequence(json_text: str) -> list[ActionCommand]:
     """Map a JSON action array onto validated commands.
 
-    Unknown keys are ignored; verbs and the ``target_direction`` key are
-    normalized through the alias tables.  Invariant violations are rejected
-    with per-command errors.
+    Unknown keys are ignored; grammar action names map onto their device
+    verbs, and ``target_direction`` stands for ``direction``.  Invariant
+    violations are rejected with per-command errors.
     """
     value = json.loads(json_text)
     if not isinstance(value, list):
@@ -224,9 +208,9 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
         if not isinstance(raw, dict):
             issues.append((index, "not an object"))
             continue
-        verb = str(raw.get("action", "")).strip().lower().replace("-", " ").replace("_", " ")
-        verb = " ".join(verb.split())
-        verb = VERB_ALIASES.get(verb, verb.replace(" ", "_"))
+        name = normalize_verb(raw.get("action", ""))
+        action = ACTION_NAMES.get(name)
+        verb = (action and VOCABULARY[action].device_verb) or name.replace(" ", "_")
         direction = raw.get("direction", raw.get("target_direction"))
         duration = raw.get("duration")
         if duration is not None:

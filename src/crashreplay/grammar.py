@@ -38,21 +38,6 @@ class ActionType(str, Enum):
     BACK = "back"
 
 
-#: The seven core actions; the rest are extensions used during replay.
-STANDARD_ACTIONS = frozenset(
-    {
-        ActionType.TAP,
-        ActionType.INPUT,
-        ActionType.SCROLL,
-        ActionType.ROTATE,
-        ActionType.DELETE,
-        ActionType.DOUBLE_TAP,
-        ActionType.LONG_TAP,
-    }
-)
-EXTENDED_ACTIONS = frozenset({ActionType.SWIPE, ActionType.RESTART, ActionType.BACK})
-
-
 class Direction(str, Enum):
     UP = "up"
     DOWN = "down"
@@ -62,29 +47,49 @@ class Direction(str, Enum):
     PORTRAIT = "portrait"
 
 
-SCROLL_DIRECTIONS = frozenset({Direction.UP, Direction.DOWN, Direction.LEFT, Direction.RIGHT})
-ROTATE_DIRECTIONS = frozenset({Direction.LANDSCAPE, Direction.PORTRAIT})
+@dataclass(frozen=True)
+class ActionSpec:
+    """How one action is written as a step, executed on a device, and argued.
 
-#: Actions whose first bracket argument is a target component.
-COMPONENT_ACTIONS = frozenset(
-    {ActionType.TAP, ActionType.DOUBLE_TAP, ActionType.LONG_TAP, ActionType.INPUT, ActionType.DELETE}
-)
+    ``value_required`` means an input value must be given; a step may leave
+    it to the replay loop instead (``generate_on_replay``).
+    """
 
-_ACTION_DISPLAY = {
-    ActionType.TAP: "Tap",
-    ActionType.INPUT: "Input",
-    ActionType.SCROLL: "Scroll",
-    ActionType.SWIPE: "Swipe",
-    ActionType.ROTATE: "Rotate",
-    ActionType.DELETE: "Delete",
-    ActionType.DOUBLE_TAP: "Double-tap",
-    ActionType.LONG_TAP: "Long-tap",
-    ActionType.RESTART: "Restart",
-    ActionType.BACK: "Back",
+    display: str
+    device_verb: str | None
+    component: bool = False
+    value: bool = False
+    value_required: bool = False
+    directions: frozenset[Direction] = frozenset()
+    direction_required: bool = False
+
+
+_MOVES = frozenset({Direction.UP, Direction.DOWN, Direction.LEFT, Direction.RIGHT})
+_TURNS = frozenset({Direction.LANDSCAPE, Direction.PORTRAIT})
+
+#: The one action vocabulary: bracket name, device verb and argument shape.
+VOCABULARY: dict[ActionType, ActionSpec] = {
+    ActionType.TAP: ActionSpec("Tap", "click", component=True),
+    ActionType.INPUT: ActionSpec("Input", "set_text", component=True, value=True, value_required=True),
+    ActionType.SCROLL: ActionSpec("Scroll", "scroll", directions=_MOVES, direction_required=True),
+    ActionType.SWIPE: ActionSpec("Swipe", "swipe", directions=_MOVES, direction_required=True),
+    ActionType.ROTATE: ActionSpec("Rotate", "rotate", directions=_TURNS),
+    ActionType.DELETE: ActionSpec("Delete", None, component=True, value=True),
+    ActionType.DOUBLE_TAP: ActionSpec("Double-tap", "double_click", component=True),
+    ActionType.LONG_TAP: ActionSpec("Long-tap", "long_click", component=True),
+    ActionType.RESTART: ActionSpec("Restart", "restart"),
+    ActionType.BACK: ActionSpec("Back", "back"),
 }
 
-# Accepts "Long Tap", "long-tap", "LONG_TAP", ... for every action name.
-_ACTION_LOOKUP = {name.value.replace("_", " "): name for name in ActionType}
+
+def normalize_verb(text: str) -> str:
+    """Case-fold a verb and unify its separators: "Long_Tap" -> "long tap"."""
+    return " ".join(str(text).strip().lower().replace("-", " ").replace("_", " ").split())
+
+
+#: Actions by normalized name, and action specs by device verb.
+ACTION_NAMES = {normalize_verb(a.value): a for a in ActionType}
+VERB_SPECS = {spec.device_verb: spec for spec in VOCABULARY.values() if spec.device_verb}
 
 AVAILABLE_ACTIONS_TEXT = (
     "[tap(click), input(set_text), scroll, swipe, rotate, delete, "
@@ -115,26 +120,19 @@ class S2REntity:
     generate_on_replay: bool = False
 
     def validate(self) -> None:
-        a = self.action
-        if a in COMPONENT_ACTIONS and not self.component:
-            raise InvariantViolation(f"{a.value} requires a component")
-        if a == ActionType.INPUT and self.value is None and not self.generate_on_replay:
-            raise InvariantViolation("input requires a value unless generate_on_replay is set")
-        if a in (ActionType.SCROLL, ActionType.SWIPE):
-            if self.direction is None or self.direction not in SCROLL_DIRECTIONS:
-                raise InvariantViolation(f"{a.value} requires a direction in up/down/left/right")
-            if self.component is not None or self.value is not None:
-                raise InvariantViolation(f"{a.value} carries only a direction")
-        if a == ActionType.ROTATE:
-            if self.direction is not None and self.direction not in ROTATE_DIRECTIONS:
-                raise InvariantViolation("rotate direction must be landscape or portrait")
-            if self.component is not None or self.value is not None:
-                raise InvariantViolation("rotate carries at most a direction")
-        if a in (ActionType.RESTART, ActionType.BACK):
-            if self.component is not None or self.value is not None or self.direction is not None:
-                raise InvariantViolation(f"{a.value} carries no arguments")
-        if a in (ActionType.TAP, ActionType.DOUBLE_TAP, ActionType.LONG_TAP) and self.value is not None:
-            raise InvariantViolation(f"{a.value} carries no value")
+        a, spec = self.action.value, VOCABULARY[self.action]
+        if spec.component and not self.component:
+            raise InvariantViolation(f"{a} requires a component")
+        if not spec.component and self.component is not None:
+            raise InvariantViolation(f"{a} takes no component")
+        if not spec.value and self.value is not None:
+            raise InvariantViolation(f"{a} takes no value")
+        if spec.value_required and self.value is None and not self.generate_on_replay:
+            raise InvariantViolation(f"{a} requires a value unless generate_on_replay is set")
+        if self.direction is None and spec.direction_required:
+            raise InvariantViolation(f"{a} requires a direction")
+        if self.direction is not None and self.direction not in spec.directions:
+            raise InvariantViolation(f"{a} does not take direction {self.direction.value!r}")
 
     def to_label(self) -> dict:
         """Serialize to the corpus label schema (absent fields omitted)."""
@@ -165,7 +163,7 @@ class S2REntity:
             component=raw.get("component"),
             value=value,
             direction=direction,
-            generate_on_replay=action == ActionType.INPUT and value is None,
+            generate_on_replay=VOCABULARY[action].value_required and value is None,
         )
         entity.validate()
         return entity
@@ -174,7 +172,7 @@ class S2REntity:
 def format_entity(entity: S2REntity) -> str:
     """Render an entity in canonical bracket notation, e.g. ``[Tap] [search]``."""
     entity.validate()
-    parts = [_ACTION_DISPLAY[entity.action]]
+    parts = [VOCABULARY[entity.action].display]
     if entity.component is not None:
         parts.append(entity.component)
     if entity.value is not None:
@@ -201,56 +199,31 @@ _BRACKET_GROUP = re.compile(r"\[([^\[\]]*)\]")
 _LINE_NUMBERING = re.compile(r"^\s*\d+[.)]\s*")
 
 
-def _parse_direction(text: str, allowed: frozenset) -> Direction:
-    try:
-        d = Direction(text.strip().lower())
-    except ValueError:
-        raise ValueError(f"unknown direction {text!r}")
-    if d not in allowed:
-        raise ValueError(f"direction {text!r} not valid here")
-    return d
-
-
 def _entity_from_groups(groups: list[str]) -> S2REntity:
-    action_text = groups[0].strip().lower().replace("-", " ").replace("_", " ")
-    action_text = " ".join(action_text.split())
-    action = _ACTION_LOOKUP.get(action_text)
+    """Assign bracket arguments by the action's shape; ``validate`` checks the rest."""
+    action = ACTION_NAMES.get(normalize_verb(groups[0]))
     if action is None:
         raise ValueError(f"unknown action {groups[0]!r}")
+    spec = VOCABULARY[action]
     args = [g.strip() for g in groups[1:]]
     if any(not a for a in args):
         raise ValueError("empty bracket argument")
-
-    if action in (ActionType.TAP, ActionType.DOUBLE_TAP, ActionType.LONG_TAP):
-        if len(args) != 1:
-            raise ValueError(f"{action.value} takes exactly one component")
-        return S2REntity(action, component=args[0])
-    if action == ActionType.INPUT:
-        if len(args) == 1:
-            return S2REntity(action, component=args[0], generate_on_replay=True)
-        if len(args) == 2:
-            return S2REntity(action, component=args[0], value=args[1])
-        raise ValueError("input takes a component and an optional value")
-    if action == ActionType.DELETE:
-        if len(args) == 1:
-            return S2REntity(action, component=args[0])
-        if len(args) == 2:
-            return S2REntity(action, component=args[0], value=args[1])
-        raise ValueError("delete takes a component and an optional value")
-    if action in (ActionType.SCROLL, ActionType.SWIPE):
-        if len(args) != 1:
-            raise ValueError(f"{action.value} takes exactly one direction")
-        return S2REntity(action, direction=_parse_direction(args[0], SCROLL_DIRECTIONS))
-    if action == ActionType.ROTATE:
-        if len(args) == 0:
-            return S2REntity(action)
-        if len(args) == 1:
-            return S2REntity(action, direction=_parse_direction(args[0], ROTATE_DIRECTIONS))
-        raise ValueError("rotate takes at most one direction")
-    # restart / back
+    component = value = direction = None
+    if spec.component and args:
+        component = args.pop(0)
+        if spec.value and args:
+            value = args.pop(0)
+    elif spec.directions and args:
+        text = args.pop(0)
+        try:
+            direction = Direction(text.lower())
+        except ValueError:
+            raise ValueError(f"unknown direction {text!r}")
     if args:
-        raise ValueError(f"{action.value} takes no arguments")
-    return S2REntity(action)
+        raise ValueError(f"{action.value} takes too many arguments")
+    return S2REntity(
+        action, component, value, direction, generate_on_replay=spec.value_required and value is None
+    )
 
 
 def parse_entity_notation(text: str) -> ParsedEntities:

@@ -216,14 +216,6 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     return vec / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
-
-
 # ---------------------------------------------------------------------------
 # Corpus
 

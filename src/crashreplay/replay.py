@@ -92,19 +92,6 @@ class Knowledge:
 
 
 @dataclass
-class ReplaySession:
-    """The loop's memory: inputs, append-only history, attached knowledge."""
-
-    report: str
-    script: S2RScript
-    budget: float
-    started_at: float
-    history: list[HistoryRecord] = field(default_factory=list)
-    knowledge: Knowledge | None = None
-    explored_states: set[str] = field(default_factory=set)
-
-
-@dataclass
 class ReplayResult:
     outcome: Outcome
     crash: CrashInfo | None
@@ -112,7 +99,6 @@ class ReplayResult:
     llm_time: float
     steps_executed: int
     iterations: int
-    trace: tuple[HistoryRecord, ...]
     trace_records: tuple[dict, ...]
 
     def summary_dict(self) -> dict:
@@ -260,6 +246,34 @@ def _status_dict(status: ExecStatus) -> dict:
     }
 
 
+@dataclass
+class _RunState:
+    """One run's memory: append-only history and trace, attached knowledge, counters."""
+
+    gateway: LlmGateway
+    started_at: float
+    llm_base: float
+    history: list[HistoryRecord] = field(default_factory=list)
+    trace_records: list[dict] = field(default_factory=list)
+    knowledge: Knowledge | None = None
+    explored_states: set[str] = field(default_factory=set)
+    path_from_start: list[ActionCommand] = field(default_factory=list)
+    steps_executed: int = 0
+    iterations: int = 0
+    no_actionable_streak: int = 0
+
+    def result(self, outcome: Outcome, crash: CrashInfo | None = None) -> ReplayResult:
+        return ReplayResult(
+            outcome=outcome,
+            crash=crash,
+            elapsed=time.monotonic() - self.started_at,
+            llm_time=self.gateway.total_llm_time - self.llm_base,
+            steps_executed=self.steps_executed,
+            iterations=self.iterations,
+            trace_records=tuple(self.trace_records),
+        )
+
+
 def run(
     report: str,
     script: S2RScript,
@@ -280,35 +294,24 @@ def run(
     device command; ``max_iterations`` optionally caps loop iterations so a
     run that cannot succeed ends deterministically.
     """
-    session = ReplaySession(report=report, script=script, budget=budget, started_at=time.monotonic())
-    deadline = session.started_at + budget
-    llm_base = gateway.total_llm_time
+    started_at = time.monotonic()
+    deadline = started_at + budget
+    loop = _RunState(gateway=gateway, started_at=started_at, llm_base=gateway.total_llm_time)
 
-    trace_records: list[dict] = []
-    consecutive_no_actionable = 0
-    steps_executed = 0
-    path_from_start: list[ActionCommand] = []
-    feedback: str | None = None
-    outcome: Outcome | None = None
-    crash: CrashInfo | None = None
-    iteration = 0
+    def handle_stuck(record: dict) -> UiState | None:
+        """Flag a stuck loop in ``record``; explore a newly stuck page once.
 
-    def result() -> ReplayResult:
-        assert outcome is not None
-        return ReplayResult(
-            outcome=outcome,
-            crash=crash,
-            elapsed=time.monotonic() - session.started_at,
-            llm_time=gateway.total_llm_time - llm_base,
-            steps_executed=steps_executed,
-            iterations=iteration,
-            trace=tuple(session.history),
-            trace_records=tuple(trace_records),
-        )
-
-    def maybe_explore(signal: StuckSignal, state: UiState) -> UiState:
-        """Explore the stuck page once, attach knowledge, restore the device."""
-        session.explored_states.add(signal.state)
+        Returns the screen after exploration, or None when nothing was
+        explored.  The device ends on the explored page: after a truncated
+        exploration it is restored by restart plus the recorded path.
+        """
+        signal = detect_stuck(loop.history, stuck_config)
+        if signal is None:
+            return None
+        record["stuck"] = signal.reason.value
+        if not explore_enabled or signal.state in loop.explored_states:
+            return None
+        loop.explored_states.add(signal.state)
         cache_path = None
         if utg_cache_dir is not None:
             Path(utg_cache_dir).mkdir(parents=True, exist_ok=True)
@@ -320,121 +323,102 @@ def run(
                 device,
                 depth=explore_depth,
                 action_budget=explore_action_budget,
-                origin_path=tuple(path_from_start),
+                origin_path=tuple(loop.path_from_start),
             )
+            if device.capture_state().state_id != graph.origin:
+                device.restart_app()
+                for cmd in loop.path_from_start:
+                    device.execute(cmd)
             functionality = synthesize_functionality(graph, gateway, deadline)
             ui_functions = synthesize_ui_functions(graph, gateway, deadline)
             if cache_path is not None:
                 save_knowledge(cache_path, graph, functionality, ui_functions)
-        session.knowledge = Knowledge(graph, functionality, ui_functions)
+        loop.knowledge = Knowledge(graph, functionality, ui_functions)
+        record["explored"] = True
         return device.capture_state()
 
+    feedback: str | None = None
     try:
         state = device.capture_state()
-    except DeviceUnavailable:
-        outcome = Outcome.DEVICE_FAILURE
-        return result()
+        while True:
+            if time.monotonic() >= deadline or (max_iterations is not None and loop.iterations >= max_iterations):
+                return loop.result(Outcome.BUDGET_EXHAUSTED)
+            loop.iterations += 1
+            prompt = build_replay_prompt(report, script, encode_state_text(state), loop.knowledge, feedback)
+            record: dict = {
+                "iteration": loop.iterations,
+                "state": state.state_id,
+                "activity": state.activity_name,
+                "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+                "responses": [],
+                "commands": [],
+                "statuses": [],
+                "no_actionable": False,
+                "stuck": None,
+                "explored": False,
+            }
+            loop.trace_records.append(record)
 
-    while True:
-        if time.monotonic() >= deadline or (max_iterations is not None and iteration >= max_iterations):
-            outcome = Outcome.BUDGET_EXHAUSTED
-            return result()
-        iteration += 1
-        prompt = build_replay_prompt(report, script, encode_state_text(state), session.knowledge, feedback)
-        record: dict = {
-            "iteration": iteration,
-            "state": state.state_id,
-            "activity": state.activity_name,
-            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
-            "responses": [],
-            "commands": [],
-            "statuses": [],
-            "no_actionable": False,
-            "stuck": None,
-            "explored": False,
-        }
-        trace_records.append(record)
+            exchanges_before = len(gateway.exchanges)
+            commands: list[ActionCommand] | None
+            try:
+                commands = gateway.request_actions(prompt, deadline=deadline)
+            except BudgetExceeded:
+                return loop.result(Outcome.BUDGET_EXHAUSTED)
+            except (NoActionableOutput, GatewayError):
+                commands = None
+            record["responses"] = [ex.raw_response for ex in gateway.exchanges[exchanges_before:]]
+            record["llm_latency_s"] = round(
+                sum(ex.latency for ex in gateway.exchanges[exchanges_before:]), 6
+            )
 
-        exchanges_before = len(gateway.exchanges)
-        commands: list[ActionCommand] | None
-        try:
-            commands = gateway.request_actions(prompt, deadline=deadline)
-        except BudgetExceeded:
-            outcome = Outcome.BUDGET_EXHAUSTED
-            return result()
-        except (NoActionableOutput, GatewayError):
-            commands = None
-        record["responses"] = [ex.raw_response for ex in gateway.exchanges[exchanges_before:]]
-        record["llm_latency_s"] = round(
-            sum(ex.latency for ex in gateway.exchanges[exchanges_before:]), 6
-        )
-
-        if not commands:
-            record["no_actionable"] = True
-            session.history.append(HistoryRecord(state.state_id, None, None, no_actionable=True))
-            consecutive_no_actionable += 1
-            signal = detect_stuck(session.history, stuck_config)
-            if signal is not None:
-                record["stuck"] = signal.reason.value
-                if explore_enabled and signal.state not in session.explored_states:
-                    try:
-                        state = maybe_explore(signal, state)
-                    except DeviceUnavailable:
-                        outcome = Outcome.DEVICE_FAILURE
-                        return result()
-                    record["explored"] = True
-                    consecutive_no_actionable = 0
+            if not commands:
+                record["no_actionable"] = True
+                loop.history.append(HistoryRecord(state.state_id, None, None, no_actionable=True))
+                loop.no_actionable_streak += 1
+                explored = handle_stuck(record)
+                if explored is not None:
+                    state = explored
+                    loop.no_actionable_streak = 0
                     feedback = None
                     continue
-            if consecutive_no_actionable >= 2:
-                outcome = Outcome.NO_ACTIONABLE_OUTPUT
-                return result()
-            feedback = "Your previous reply contained no executable JSON action array."
-            continue
+                if loop.no_actionable_streak >= 2:
+                    return loop.result(Outcome.NO_ACTIONABLE_OUTPUT)
+                feedback = "Your previous reply contained no executable JSON action array."
+                continue
 
-        consecutive_no_actionable = 0
-        record["commands"] = [cmd.to_dict() for cmd in commands]
-        feedback_parts: list[str] = []
-        for index, cmd in enumerate(commands):
-            if time.monotonic() >= deadline:
-                outcome = Outcome.BUDGET_EXHAUSTED
-                return result()
-            previous_id = state.state_id
-            try:
-                status = device.execute(cmd)
-            except DeviceUnavailable:
-                outcome = Outcome.DEVICE_FAILURE
-                return result()
-            except AlreadyCrashed:
-                break
-            steps_executed += 1
-            session.history.append(HistoryRecord(previous_id, cmd, status))
-            record["statuses"].append(_status_dict(status))
-            state = status.new_state
-            if cmd.action == "restart":
-                path_from_start = []
-            elif status.ok and state.state_id != previous_id:
-                path_from_start.append(cmd)
-            if status.crash is not None:
-                crash = status.crash
-                outcome = Outcome.REPRODUCED
-                return result()
-            feedback_parts.append(render_feedback(status, previous_id))
-            if not status.ok:
-                remaining = len(commands) - index - 1
-                if remaining:
-                    feedback_parts.append(f"The remaining {remaining} queued actions were discarded.")
-                break
-        feedback = " ".join(feedback_parts)
-
-        signal = detect_stuck(session.history, stuck_config)
-        if signal is not None:
-            record["stuck"] = signal.reason.value
-            if explore_enabled and signal.state not in session.explored_states:
+            loop.no_actionable_streak = 0
+            record["commands"] = [cmd.to_dict() for cmd in commands]
+            feedback_parts: list[str] = []
+            for index, cmd in enumerate(commands):
+                if time.monotonic() >= deadline:
+                    return loop.result(Outcome.BUDGET_EXHAUSTED)
+                previous_id = state.state_id
                 try:
-                    state = maybe_explore(signal, state)
-                except DeviceUnavailable:
-                    outcome = Outcome.DEVICE_FAILURE
-                    return result()
-                record["explored"] = True
+                    status = device.execute(cmd)
+                except AlreadyCrashed:
+                    break
+                loop.steps_executed += 1
+                loop.history.append(HistoryRecord(previous_id, cmd, status))
+                record["statuses"].append(_status_dict(status))
+                state = status.new_state
+                if cmd.action == "restart":
+                    loop.path_from_start = []
+                elif status.ok and state.state_id != previous_id:
+                    loop.path_from_start.append(cmd)
+                if status.crash is not None:
+                    return loop.result(Outcome.REPRODUCED, status.crash)
+                feedback_parts.append(render_feedback(status, previous_id))
+                if not status.ok:
+                    remaining = len(commands) - index - 1
+                    if remaining:
+                        feedback_parts.append(f"The remaining {remaining} queued actions were discarded.")
+                    break
+            feedback = " ".join(feedback_parts)
+
+            explored = handle_stuck(record)
+            if explored is not None:
+                state = explored
                 feedback = None
+    except DeviceUnavailable:
+        return loop.result(Outcome.DEVICE_FAILURE)

@@ -24,6 +24,7 @@ from .device import (
     resolve_feature,
 )
 from .gateway import ActionCommand
+from .grammar import VERB_SPECS
 
 
 class SpecInvalid(Exception):
@@ -320,7 +321,7 @@ class SimSession:
                 return ExecStatus(
                     ok=False, detail=str(exc), new_state=state, no_match_feature=cmd.feature
                 )
-        elif cmd.action in ("click", "long_click", "double_click", "set_text"):
+        elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)
 
         self.action_log.append(cmd)

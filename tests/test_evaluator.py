@@ -5,13 +5,12 @@ import json
 import pytest
 
 from crashreplay.evaluator import (
+    DIMENSIONS,
     ExtractionScore,
     ReplayAggregate,
     aggregate_replays,
     emit_report,
-    lcs_alignment,
     merge_scores,
-    parse_report_payload,
     report_payload,
     score_extraction,
 )
@@ -60,7 +59,6 @@ def replay_result(outcome: str, elapsed: float = 1.0, llm: float = 0.5) -> Repla
         llm_time=llm,
         steps_executed=3,
         iterations=2,
-        trace=(),
         trace_records=(),
     )
 
@@ -172,16 +170,6 @@ def test_monotonicity_adding_correct_step_never_reduces_matches():
     assert more >= fewer
 
 
-def test_lcs_alignment_skips_insertions():
-    gold = script(("tap", "A", None, None, None), ("tap", "B", None, None, None))
-    noisy = script(
-        ("rotate", None, None, None, None),
-        ("tap", "A", None, None, None),
-        ("tap", "B", None, None, None),
-    )
-    assert lcs_alignment(gold, noisy) == [(0, 1), (1, 2)]
-
-
 def test_merge_scores_pools_counts():
     a = score_extraction(CATEGORY_TWO_STEP, CATEGORY_GOLD)
     b = score_extraction(CATEGORY_GOLD, CATEGORY_GOLD)
@@ -255,11 +243,11 @@ def test_payload_round_trip():
     scores = score_extraction(CATEGORY_TWO_STEP, CATEGORY_GOLD)
     aggregate = ReplayAggregate(nsr=1, attempted=2, avg_time=3.5, avg_llm_time=None)
     payload = report_payload(scores, aggregate, config_fingerprint="abc")
-    parsed_scores, parsed_aggregate = parse_report_payload(json.dumps(payload))
-    assert parsed_scores.counts == scores.counts
-    assert parsed_aggregate == aggregate
+    assert payload["config_fingerprint"] == "abc"
+    assert payload["scores"] == {dim: list(scores.counts[dim]) for dim in DIMENSIONS}
+    assert payload["aggregate"] == {"nsr": 1, "attempted": 2, "avg_time_s": 3.5, "avg_llm_time_s": None}
 
 
 def test_payload_round_trip_empty():
     payload = report_payload(None, None)
-    assert parse_report_payload(payload) == (None, None)
+    assert payload["scores"] is None and payload["aggregate"] is None

@@ -17,6 +17,7 @@ from crashreplay.device import (
 from crashreplay.explorer import (
     EXPLORE_FILL_TEXT,
     ElementAbsent,
+    ExplorerError,
     FunctionalityTable,
     UtgEdge,
     UtgGraph,
@@ -142,21 +143,6 @@ def test_exploration_deterministic():
     assert once() == once()
 
 
-def test_seeded_random_probe_order_finds_same_graph():
-    def once(seed):
-        device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
-        graph = explore(device, depth=1, action_budget=60, shuffle_seed=seed)
-        return set(graph.nodes), edge_set(graph)
-
-    base = explore(SimulatorDevice(load_spec(APPS / "hidden_about.json")), depth=1, action_budget=60)
-    for seed in (0, 1, 99):
-        assert once(seed) == (set(base.nodes), edge_set(base))
-    # identical seed, identical probe order
-    first = explore(SimulatorDevice(load_spec(APPS / "hidden_about.json")), shuffle_seed=5)
-    second = explore(SimulatorDevice(load_spec(APPS / "hidden_about.json")), shuffle_seed=5)
-    assert [e.action for e in first.edges] == [e.action for e in second.edges]
-
-
 def test_exploration_respects_action_budget():
     for budget in (1, 2, 3, 5):
         device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
@@ -228,6 +214,19 @@ def test_closest_state_absent_element():
     graph = synthetic_graph({"s0": ["feat00"]}, [], "s0")
     with pytest.raises(ElementAbsent):
         closest_state_for_element(graph, "feat99")
+
+
+def test_bfs_parent_is_the_discoverer_with_the_smaller_state_id():
+    # s3 sits at depth 2 under both s1 and s2; s2's edges are inserted first
+    graph = synthetic_graph(
+        {"s0": [], "s1": [], "s2": [], "s3": []},
+        [("s0", "s2"), ("s0", "s1"), ("s2", "s3"), ("s1", "s3")],
+        "s0",
+    )
+    assert graph.path_from_origin("s3") == (["s0", "s1", "s3"], ["to s1", "to s3"])
+    search = graph.bfs()
+    assert search.order == ["s0", "s1", "s2", "s3"]
+    assert search.distances == {"s0": 0, "s1": 1, "s2": 1, "s3": 2}
 
 
 def test_closest_state_matches_networkx_oracle():
@@ -334,7 +333,7 @@ def test_ui_function_table_covers_every_node_in_bfs_order():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "described"}])
     table = synthesize_ui_functions(graph, gateway)
-    assert list(table.descriptions) == graph.bfs_order()
+    assert list(table.descriptions) == graph.bfs().order
     assert set(table.descriptions) == set(graph.nodes)
     assert all(v == "described" for v in table.descriptions.values())
 
@@ -378,3 +377,15 @@ def test_knowledge_save_load_round_trip(tmp_path):
     assert edge_set(graph2) == edge_set(graph)
     assert functionality2.to_dict() == functionality.to_dict()
     assert ui2.to_dict() == ui.to_dict()
+
+
+def test_knowledge_load_rejects_a_bad_edge_action(tmp_path):
+    graph = explored_hidden_about()
+    gateway = MockGateway.from_script([{"response": "x"}])
+    path = tmp_path / "knowledge.json"
+    save_knowledge(path, graph, synthesize_functionality(graph, gateway), synthesize_ui_functions(graph, gateway))
+    payload = json.loads(path.read_text())
+    payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ExplorerError, match="input_text"):
+        load_knowledge(path)

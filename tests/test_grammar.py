@@ -9,10 +9,8 @@ from crashreplay.grammar import (
     AVAILABLE_ACTIONS_TEXT,
     ActionType,
     Direction,
-    EXTENDED_ACTIONS,
     NoEntitiesFound,
     S2REntity,
-    STANDARD_ACTIONS,
     build_extraction_prompt,
     format_entity,
     parse_entity_notation,
@@ -46,11 +44,6 @@ def random_entity(rng: random.Random) -> S2REntity:
             return S2REntity(action)
         return S2REntity(action, direction=rng.choice([Direction.LANDSCAPE, Direction.PORTRAIT]))
     return S2REntity(action)  # restart / back
-
-
-def test_action_vocabulary_split():
-    assert len(STANDARD_ACTIONS) == 7
-    assert EXTENDED_ACTIONS == {ActionType.SWIPE, ActionType.RESTART, ActionType.BACK}
 
 
 def test_format_tap():
@@ -258,3 +251,12 @@ def test_entity_from_label_rejects_unknown_action():
 
     with pytest.raises(InvariantViolation):
         S2REntity.from_label({"action": "mash"})
+
+
+@pytest.mark.parametrize("action", [ActionType.TAP, ActionType.INPUT, ActionType.DELETE])
+def test_component_action_rejects_direction(action):
+    from crashreplay.grammar import InvariantViolation
+
+    with pytest.raises(InvariantViolation):
+        S2REntity(action, component="x", value="v" if action == ActionType.INPUT else None,
+                  direction=Direction.UP).validate()

@@ -228,7 +228,7 @@ def test_run_reproduces_url_crash_in_three_commands():
     assert result.outcome == Outcome.REPRODUCED
     assert result.crash is not None
     assert result.steps_executed <= 3
-    assert result.trace[-1].status.crash is not None
+    assert result.trace_records[-1]["statuses"][-1]["crash"] is not None
 
 
 def test_run_zero_budget_executes_nothing():
@@ -396,3 +396,35 @@ def test_run_uses_utg_cache(tmp_path):
     assert second.outcome == Outcome.REPRODUCED
     summary_calls = [e for e in gateway.exchanges if "Summarize" in e.prompt]
     assert summary_calls == []
+
+
+@pytest.mark.parametrize("action_budget", [1, 3, 5])
+def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action_budget):
+    from crashreplay import replay
+
+    graphs = []
+
+    def recording_explore(*args, **kwargs):
+        graphs.append(explore(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(replay, "explore", recording_explore)
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    result = run(
+        report, gold, device, gateway, 10.0,
+        explore_depth=2, explore_action_budget=action_budget, max_iterations=12,
+    )
+    (graph,) = graphs
+    assert graph.truncated
+    records = result.trace_records
+    explored = next(i for i, rec in enumerate(records) if rec["explored"])
+    assert records[explored + 1]["state"] == graph.origin
+
+
+def test_run_survives_a_reply_nested_too_deep_to_decode():
+    report, gold, device, _, _ = load_scenario("url_crash")
+    nested = "[" + '{"action": ' * 1500 + "1" + "}" * 1500 + "]"
+    gateway = MockGateway.from_script([{"response": nested, "times": None}])
+    result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
+    assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
+    assert [json.loads(line)["no_actionable"] for line in result.trace_text().splitlines()] == [True, True]
