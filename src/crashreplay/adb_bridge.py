@@ -39,6 +39,9 @@ SWIPE_FRACTION = 0.6
 SWIPE_DURATION_MS = 300
 LONG_PRESS_MS = 600
 
+#: Seconds one adb invocation may take before the device counts as unavailable.
+COMMAND_TIMEOUT_S = 30.0
+
 
 def _subprocess_runner(args: Sequence[str], timeout: float) -> str:
     try:
@@ -121,12 +124,10 @@ class AdbDevice(Device):
         package: str,
         launch_activity: str | None = None,
         runner: Runner | None = None,
-        command_timeout: float = 30.0,
     ):
         self.serial = serial
         self.package = package
         self.launch_activity = launch_activity
-        self.command_timeout = command_timeout
         self._runner = runner or _subprocess_runner
         self.command_log: list[list[str]] = []
         self._screen: tuple[int, int] | None = None
@@ -142,7 +143,7 @@ class AdbDevice(Device):
     def _adb(self, args: Sequence[str]) -> str:
         full = ["adb", "-s", self.serial, *args]
         self.command_log.append(full)
-        return self._runner(full, self.command_timeout)
+        return self._runner(full, COMMAND_TIMEOUT_S)
 
     def _shell(self, *args: str) -> str:
         return self._adb(["shell", *args])

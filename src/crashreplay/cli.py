@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -50,31 +49,6 @@ def fixtures_path() -> Path:
     return Path(str(resources.files("crashreplay").joinpath("fixtures")))
 
 
-@dataclass
-class RunConfig:
-    corpus_path: str | None = None
-    index_path: str | None = None
-    sim_spec_path: str | None = None
-    device_serial: str | None = None
-    app_package: str | None = None
-    app_activity: str | None = None
-    gateway_mode: str = "mock"
-    mock_script_path: str | None = None
-    budget_s: float = DEFAULT_BUDGET_S
-    depth: int = DEFAULT_DEPTH
-    retrieval_k: int = DEFAULT_RETRIEVAL_K
-    exploration: bool = True
-    explore_actions: int = DEFAULT_EXPLORE_ACTIONS
-    max_iterations: int | None = None
-    output_dir: str = "out"
-
-    def validate(self) -> None:
-        if bool(self.sim_spec_path) == bool(self.device_serial):
-            raise click.UsageError("exactly one of --sim-spec / --device-serial is required")
-        if self.gateway_mode == "mock" and not self.mock_script_path:
-            raise click.UsageError("mock gateway mode requires --mock-script")
-
-
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -92,10 +66,13 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         _fail(EXIT_ENVIRONMENT, f"cannot read config {path}: {exc}")
         raise AssertionError
+    if not isinstance(config, dict):
+        _fail(EXIT_ENVIRONMENT, f"config {path} is not a JSON object")
+    return config
 
 
 def _write_json(path: Path, payload) -> None:
@@ -108,24 +85,13 @@ def _write_replay_artifacts(out_dir: Path, result: replay.ReplayResult) -> None:
     _write_json(out_dir / "result.json", result.summary_dict())
 
 
-def _pick(flag, config: dict, key: str, default):
-    """Flag wins over config file; config wins over the built-in default."""
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def provider_for_index(index: RagIndex, endpoint: str | None = None):
-    """Reconstruct the embedding provider an index was built with."""
+def provider_for_index(index: RagIndex):
+    """Reconstruct the embedding provider an index was built with, from its provider id."""
     if index.provider_id.startswith("hashed-trigram-"):
         return HashedTrigramProvider(index.dimension)
-    if endpoint:
-        return HttpEmbeddingProvider(endpoint, index.dimension, provider_id=index.provider_id)
-    raise RagError(
-        f"index was built with provider {index.provider_id!r}; pass its endpoint to query it"
-    )
+    if index.provider_id.startswith("http:"):
+        return HttpEmbeddingProvider(index.provider_id.removeprefix("http:"), index.dimension)
+    raise RagError(f"index was built with unknown provider {index.provider_id!r}")
 
 
 def _make_gateway(mode: str, mock_script: str | None):
@@ -144,7 +110,7 @@ def _make_gateway(mode: str, mock_script: str | None):
 
 
 @click.group()
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file; flags win.")
+@click.option("--config", "config_path", type=str, default=None, help="JSON option values by parameter name; flags win.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None) -> None:
     """Reproduce Android app crashes from natural-language bug reports.
@@ -152,23 +118,17 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     Exit codes: 0 success / crash reproduced, 1 domain failure (not
     reproduced, no steps extracted), 2 usage error, 3 environment error.
     """
-    ctx.obj = _load_config_file(config_path)
+    config = _load_config_file(config_path)
+    ctx.default_map = {name: config for name in main.commands}
 
 
 @main.command("build-index")
-@click.option("--corpus", "corpus_path", default=None, help="Line-delimited labeled corpus file.")
-@click.option("--out", "out_path", default=None, help="Index file to write.")
-@click.option("--dimension", type=int, default=None, help="Embedding dimension (offline provider).")
+@click.option("--corpus", "corpus_path", required=True, help="Line-delimited labeled corpus file.")
+@click.option("--out", "index_path", default="index.json", help="Index file to write.")
+@click.option("--dimension", type=click.IntRange(min=1), default=384, help="Embedding dimension.")
 @click.option("--embed-endpoint", default=None, help="Remote embedding endpoint (optional).")
-@click.pass_context
-def cmd_build_index(ctx, corpus_path, out_path, dimension, embed_endpoint):
+def cmd_build_index(corpus_path, index_path, dimension, embed_endpoint):
     """Embed a labeled corpus into a persisted retrieval index."""
-    config = ctx.obj or {}
-    corpus_path = _pick(corpus_path, config, "corpus_path", None)
-    out_path = _pick(out_path, config, "index_path", "index.json")
-    dimension = _pick(dimension, config, "dimension", 384)
-    if not corpus_path:
-        raise click.UsageError("--corpus is required")
     if not Path(corpus_path).exists():
         _fail(EXIT_ENVIRONMENT, f"corpus file not found: {corpus_path}")
     try:
@@ -178,23 +138,21 @@ def cmd_build_index(ctx, corpus_path, out_path, dimension, embed_endpoint):
         else:
             provider = HashedTrigramProvider(dimension)
         index = build_index(corpus, provider)
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        save_index(index, out_path)
+        Path(index_path).parent.mkdir(parents=True, exist_ok=True)
+        save_index(index, index_path)
     except RagError as exc:
         _fail(EXIT_DOMAIN, str(exc))
     click.echo(f"{len(index)} records")
 
 
-def run_extraction(
-    report_text: str, index: RagIndex, gateway, k: int, endpoint: str | None = None
-) -> tuple[S2RScript, dict]:
+def run_extraction(report_text: str, index: RagIndex, gateway, k: int) -> tuple[S2RScript, dict]:
     """Segment, retrieve, prompt, parse; returns the script and a full log."""
     from .grammar import build_extraction_prompt
 
     sentences = segment_report(report_text)
     if not sentences:
         raise NoEntitiesFound("report contains no sentences")
-    provider = provider_for_index(index, endpoint)
+    provider = provider_for_index(index)
     hits = []
     for sentence in sentences:
         for hit in retrieve(index, sentence, k, provider):
@@ -213,91 +171,69 @@ def run_extraction(
 
 @main.command("extract")
 @click.option("--report", "report_path", required=True, help="Bug report text file.")
-@click.option("--index", "index_path", default=None, help="Retrieval index file.")
-@click.option("--gateway", "gateway_mode", type=click.Choice(["mock", "live"]), default=None)
-@click.option("--mock-script", default=None, help="Scripted responses for the mock gateway.")
-@click.option("--k", type=int, default=None, help="Retrieved examples per sentence.")
-@click.option("--out", "out_dir", default=None, help="Output directory.")
-@click.pass_context
-def cmd_extract(ctx, report_path, index_path, gateway_mode, mock_script, k, out_dir):
+@click.option("--index", "index_path", required=True, help="Retrieval index file.")
+@click.option("--gateway", "gateway_mode", type=click.Choice(["mock", "live"]), default="mock")
+@click.option("--mock-script", "mock_script_path", default=None, help="Scripted responses for the mock gateway.")
+@click.option("--k", "retrieval_k", type=click.IntRange(min=1), default=DEFAULT_RETRIEVAL_K, help="Retrieved examples per sentence.")
+@click.option("--out", "output_dir", default="out", help="Output directory.")
+def cmd_extract(report_path, index_path, gateway_mode, mock_script_path, retrieval_k, output_dir):
     """Extract a reproduction script from a bug report."""
-    config = ctx.obj or {}
-    index_path = _pick(index_path, config, "index_path", None)
-    gateway_mode = _pick(gateway_mode, config, "gateway_mode", "mock")
-    mock_script = _pick(mock_script, config, "mock_script_path", None)
-    k = _pick(k, config, "retrieval_k", DEFAULT_RETRIEVAL_K)
-    out_dir = Path(_pick(out_dir, config, "output_dir", "out"))
-    if not index_path:
-        raise click.UsageError("--index is required")
     if not Path(index_path).exists():
         _fail(EXIT_ENVIRONMENT, f"index file not found: {index_path}")
     report_text = _read_file(report_path, "report")
-    gateway = _make_gateway(gateway_mode, mock_script)
+    gateway = _make_gateway(gateway_mode, mock_script_path)
     try:
         index = load_index(index_path)
-        script, log = run_extraction(report_text, index, gateway, k)
+        script, log = run_extraction(report_text, index, gateway, retrieval_k)
     except (NoEntitiesFound, RagError, GatewayError) as exc:
         _fail(EXIT_DOMAIN, str(exc))
         raise AssertionError
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "script.json", script.to_dict())
     _write_json(out_dir / "extraction_log.json", log)
     click.echo(f"{len(script.steps)} steps -> {out_dir / 'script.json'}")
 
 
-def _make_device(config: RunConfig):
-    if config.sim_spec_path:
-        if not Path(config.sim_spec_path).exists():
-            _fail(EXIT_ENVIRONMENT, f"app spec not found: {config.sim_spec_path}")
+def _make_device(sim_spec_path, device_serial, app_package, app_activity):
+    if sim_spec_path:
+        if not Path(sim_spec_path).exists():
+            _fail(EXIT_ENVIRONMENT, f"app spec not found: {sim_spec_path}")
         try:
-            return SimulatorDevice(load_spec(config.sim_spec_path))
+            return SimulatorDevice(load_spec(sim_spec_path))
         except SpecInvalid as exc:
             _fail(EXIT_ENVIRONMENT, str(exc))
             raise AssertionError
     from .adb_bridge import AdbDevice
 
-    if not config.app_package:
+    if not app_package:
         raise click.UsageError("--app-package is required with --device-serial")
-    return AdbDevice(config.device_serial, config.app_package, config.app_activity)
+    return AdbDevice(device_serial, app_package, app_activity)
 
 
 @main.command("replay")
 @click.option("--report", "report_path", required=True, help="Bug report text file.")
 @click.option("--script", "script_path", default=None, help="Extracted script JSON.")
-@click.option("--sim-spec", default=None, help="Simulated app spec file.")
+@click.option("--sim-spec", "sim_spec_path", default=None, help="Simulated app spec file.")
 @click.option("--device-serial", default=None, help="adb serial of a real device.")
 @click.option("--app-package", default=None)
 @click.option("--app-activity", default=None)
-@click.option("--gateway", "gateway_mode", type=click.Choice(["mock", "live"]), default=None)
-@click.option("--mock-script", default=None)
-@click.option("--budget", "budget_s", type=float, default=None, help="Wall-clock budget (s).")
-@click.option("--depth", type=int, default=None, help="Exploration depth.")
-@click.option("--explore-actions", type=int, default=None, help="Exploration action budget.")
-@click.option("--exploration/--no-exploration", "exploration", default=None)
-@click.option("--max-iterations", type=int, default=None, help="Deterministic iteration cap.")
+@click.option("--gateway", "gateway_mode", type=click.Choice(["mock", "live"]), default="mock")
+@click.option("--mock-script", "mock_script_path", default=None)
+@click.option("--budget", "budget_s", type=click.FloatRange(min=0), default=DEFAULT_BUDGET_S, help="Wall-clock budget (s).")
+@click.option("--depth", type=click.IntRange(min=1), default=DEFAULT_DEPTH, help="Exploration depth.")
+@click.option("--explore-actions", type=click.IntRange(min=1), default=DEFAULT_EXPLORE_ACTIONS, help="Exploration action budget.")
+@click.option("--exploration/--no-exploration", default=True)
+@click.option("--max-iterations", type=click.IntRange(min=0), default=None, help="Deterministic iteration cap.")
 @click.option("--utg-cache", default=None, help="Directory for cached exploration knowledge.")
-@click.option("--out", "out_dir", default=None, help="Output directory.")
-@click.pass_context
-def cmd_replay(ctx, report_path, script_path, sim_spec, device_serial, app_package, app_activity,
-               gateway_mode, mock_script, budget_s, depth, explore_actions, exploration,
-               max_iterations, utg_cache, out_dir):
+@click.option("--out", "output_dir", default="out", help="Output directory.")
+def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_package, app_activity,
+               gateway_mode, mock_script_path, budget_s, depth, explore_actions, exploration,
+               max_iterations, utg_cache, output_dir):
     """Replay a bug report against a device until it crashes; exit 0 iff reproduced."""
-    config_file = ctx.obj or {}
-    config = RunConfig(
-        sim_spec_path=_pick(sim_spec, config_file, "sim_spec_path", None),
-        device_serial=_pick(device_serial, config_file, "device_serial", None),
-        app_package=_pick(app_package, config_file, "app_package", None),
-        app_activity=_pick(app_activity, config_file, "app_activity", None),
-        gateway_mode=_pick(gateway_mode, config_file, "gateway_mode", "mock"),
-        mock_script_path=_pick(mock_script, config_file, "mock_script_path", None),
-        budget_s=float(_pick(budget_s, config_file, "budget_s", DEFAULT_BUDGET_S)),
-        depth=int(_pick(depth, config_file, "depth", DEFAULT_DEPTH)),
-        exploration=_pick(exploration, config_file, "exploration", True),
-        explore_actions=int(_pick(explore_actions, config_file, "explore_actions", DEFAULT_EXPLORE_ACTIONS)),
-        max_iterations=_pick(max_iterations, config_file, "max_iterations", None),
-        output_dir=_pick(out_dir, config_file, "output_dir", "out"),
-    )
-    config.validate()
+    if bool(sim_spec_path) == bool(device_serial):
+        raise click.UsageError("exactly one of --sim-spec / --device-serial is required")
+    gateway = _make_gateway(gateway_mode, mock_script_path)
     report_text = _read_file(report_path, "report")
     if script_path:
         try:
@@ -307,22 +243,21 @@ def cmd_replay(ctx, report_path, script_path, sim_spec, device_serial, app_packa
             raise AssertionError
     else:
         script = S2RScript(steps=())
-    device = _make_device(config)
-    gateway = _make_gateway(config.gateway_mode, config.mock_script_path)
+    device = _make_device(sim_spec_path, device_serial, app_package, app_activity)
 
     result = replay.run(
         report_text,
         script,
         device,
         gateway,
-        config.budget_s,
-        explore_enabled=config.exploration,
-        explore_depth=config.depth,
-        explore_action_budget=config.explore_actions,
-        max_iterations=config.max_iterations,
+        budget_s,
+        explore_enabled=exploration,
+        explore_depth=depth,
+        explore_action_budget=explore_actions,
+        max_iterations=max_iterations,
         utg_cache_dir=utg_cache,
     )
-    out = Path(config.output_dir)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_replay_artifacts(out, result)
     click.echo(
@@ -369,14 +304,14 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
 
 @main.command("eval")
 @click.option("--scenarios", "scenarios_dir", required=True, help="Directory of scenario subdirs.")
-@click.option("--corpus", "corpus_path", default=None, help="Labeled corpus for retrieval.")
-@click.option("--out", "out_dir", default=None, help="Output directory.")
-@click.pass_context
-def cmd_eval(ctx, scenarios_dir, corpus_path, out_dir):
+@click.option(
+    "--corpus", "corpus_path", default=lambda: str(fixtures_path() / "corpus_small.jsonl"),
+    help="Labeled corpus for retrieval (default: the bundled corpus).",
+)
+@click.option("--out", "output_dir", default="out", help="Output directory.")
+def cmd_eval(scenarios_dir, corpus_path, output_dir):
     """Score extraction and aggregate replay outcomes over a scenario suite."""
-    config = ctx.obj or {}
-    corpus_path = _pick(corpus_path, config, "corpus_path", str(fixtures_path() / "corpus_small.jsonl"))
-    out = Path(_pick(out_dir, config, "output_dir", "out"))
+    out = Path(output_dir)
     scenarios_root = Path(scenarios_dir)
     if not scenarios_root.is_dir():
         _fail(EXIT_ENVIRONMENT, f"scenario directory not found: {scenarios_dir}")

@@ -78,7 +78,7 @@ class LlmConfig:
             raise ValueError("temperature must be >= 0")
 
     @classmethod
-    def from_env(cls, **overrides) -> "LlmConfig":
+    def from_env(cls) -> "LlmConfig":
         endpoint = os.environ.get(ENV_ENDPOINT)
         model = os.environ.get(ENV_MODEL)
         if not endpoint or not model:
@@ -89,7 +89,6 @@ class LlmConfig:
             endpoint=endpoint,
             model_name=model,
             api_key=os.environ.get(ENV_API_KEY),
-            **overrides,
         )
 
 
@@ -133,60 +132,32 @@ class ActionCommand:
         return issues
 
 
-def _match_bracket_span(text: str, start: int) -> int | None:
-    """Index of the ``]`` closing the ``[`` at ``start``, JSON-string aware."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        c = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_string = False
-            continue
-        if c == '"':
-            in_string = True
-        elif c == "[":
-            depth += 1
-        elif c == "]":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+_DECODER = json.JSONDecoder()
 
 
 def filter_json_payload(text: str) -> str | None:
     """Extract the actionable JSON from free-form model output.
 
-    Scans for balanced square-bracket substrings that parse as a JSON array
-    of objects each carrying an ``"action"`` key.  Multiple qualifying
+    Each ``[`` starts a candidate: the JSON value decoded from there, which
+    qualifies when it is an array of objects each carrying an ``"action"``
+    key.  The scan resumes after a qualifying array, so multiple qualifying
     arrays are concatenated in textual order.  Returns None when nothing
     qualifies.
     """
     commands: list[dict] = []
     found = False
-    i = 0
-    while i < len(text):
-        if text[i] != "[":
-            i += 1
+    i = text.find("[")
+    while i != -1:
+        try:
+            value, end = _DECODER.raw_decode(text, i)
+        except (ValueError, RecursionError):  # too deep to decode is no candidate
+            value = None
+        if isinstance(value, list) and all(isinstance(o, dict) and "action" in o for o in value):
+            commands.extend(value)
+            found = True
+            i = text.find("[", end)
             continue
-        end = _match_bracket_span(text, i)
-        if end is not None:
-            candidate = text[i : end + 1]
-            try:
-                value = json.loads(candidate)
-            except (json.JSONDecodeError, RecursionError):  # too deep to decode is no candidate
-                value = None
-            if isinstance(value, list) and all(isinstance(o, dict) and "action" in o for o in value):
-                commands.extend(value)
-                found = True
-                i = end + 1
-                continue
-        i += 1
+        i = text.find("[", i + 1)
     if not found:
         return None
     return json.dumps(commands, ensure_ascii=False)
@@ -260,10 +231,10 @@ class LlmGateway:
     def complete(self, prompt: str, deadline: float | None = None) -> str:
         if not prompt:
             raise ValueError("prompt must be nonempty")
-        if deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceeded("deadline passed before the gateway call")
         last: Exception | None = None
         for _ in range(self.config.max_retries + 1):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise BudgetExceeded("deadline passed before the gateway call")
             try:
                 raw, latency = self._complete_once(prompt)
             except TransportError as exc:

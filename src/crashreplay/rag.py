@@ -173,10 +173,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     Request: ``{"texts": ["..."]}``; response: ``{"embeddings": [[...]]}``.
     """
 
-    def __init__(self, endpoint: str, dimension: int, provider_id: str | None = None, timeout: float = 30.0):
+    def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0):
         self.endpoint = endpoint
         self.dimension = dimension
-        self.provider_id = provider_id or f"http:{endpoint}"
+        self.provider_id = f"http:{endpoint}"
         self.timeout = timeout
 
     def embed_raw(self, text: str) -> np.ndarray:

@@ -65,13 +65,12 @@ class StuckSignal:
     state: str
 
 
-@dataclass(frozen=True)
-class StuckConfig:
-    """Thresholds for the stuck heuristics; all configuration-exposed."""
-
-    no_match_threshold: int = 2
-    revisit_threshold: int = 3
-    no_actionable_threshold: int = 2
+#: Thresholds of the stuck heuristics: failures to resolve one feature on one
+#: state, visits to a state with nothing new found, and replies without an
+#: action on one state.
+NO_MATCH_THRESHOLD = 2
+REVISIT_THRESHOLD = 3
+NO_ACTIONABLE_THRESHOLD = 2
 
 
 @dataclass
@@ -117,7 +116,7 @@ class ReplayResult:
         return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in self.trace_records)
 
 
-def detect_stuck(history: list[HistoryRecord], config: StuckConfig = StuckConfig()) -> StuckSignal | None:
+def detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
     """Decide whether the loop is stuck, from the session history alone.
 
     Signals when (a) the same (state, feature) resolution failure repeats,
@@ -134,7 +133,7 @@ def detect_stuck(history: list[HistoryRecord], config: StuckConfig = StuckConfig
         if rec.status is not None and rec.status.no_match_feature:
             key = (rec.state_id, rec.status.no_match_feature)
             miss_counts[key] = miss_counts.get(key, 0) + 1
-            if miss_counts[key] >= config.no_match_threshold:
+            if miss_counts[key] >= NO_MATCH_THRESHOLD:
                 return StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
 
     # (b) current state re-entered with no new state discovered in between;
@@ -149,7 +148,7 @@ def detect_stuck(history: list[HistoryRecord], config: StuckConfig = StuckConfig
     if sequence:
         current = sequence[-1]
         visits = [i for i, sid in enumerate(sequence) if sid == current]
-        if len(visits) >= config.revisit_threshold:
+        if len(visits) >= REVISIT_THRESHOLD:
             previous_visit = visits[-2]
             first_seen: dict[str, int] = {}
             for i, sid in enumerate(sequence):
@@ -162,7 +161,7 @@ def detect_stuck(history: list[HistoryRecord], config: StuckConfig = StuckConfig
     for rec in history:
         if rec.no_actionable:
             no_action_counts[rec.state_id] = no_action_counts.get(rec.state_id, 0) + 1
-            if no_action_counts[rec.state_id] >= config.no_actionable_threshold:
+            if no_action_counts[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
                 return StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
     return None
 
@@ -285,7 +284,6 @@ def run(
     explore_depth: int = 1,
     explore_action_budget: int = 40,
     max_iterations: int | None = None,
-    stuck_config: StuckConfig = StuckConfig(),
     utg_cache_dir: str | Path | None = None,
 ) -> ReplayResult:
     """Drive the device until the crash is reproduced or a budget runs out.
@@ -305,7 +303,7 @@ def run(
         explored.  The device ends on the explored page: after a truncated
         exploration it is restored by restart plus the recorded path.
         """
-        signal = detect_stuck(loop.history, stuck_config)
+        signal = detect_stuck(loop.history)
         if signal is None:
             return None
         record["stuck"] = signal.reason.value

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,33 @@ def hidden_about_device():
 @pytest.fixture
 def checkout_device():
     return SimulatorDevice(load_spec(fixtures_path() / "apps" / "checkout.json"))
+
+
+class _EmbedHandler(BaseHTTPRequestHandler):
+    dimension = 8
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        payload = json.loads(self.rfile.read(length))
+        text = payload["texts"][0]
+        rng = random.Random(text)
+        vector = [rng.random() for _ in range(self.dimension)]
+        body = json.dumps({"embeddings": [vector]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def embed_server():
+    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/embed"
+    server.shutdown()
+    server.server_close()

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from crashreplay.cli import fixtures_path, main
 from crashreplay.gateway import ENV_ENDPOINT, ENV_MODEL
+from test_refactor_gate import REFERENCE_SHA256
 
 SCENARIOS = fixtures_path() / "scenarios"
 CORPUS = fixtures_path() / "corpus_small.jsonl"
@@ -103,6 +104,28 @@ def test_extract_empty_report_fails_domain(runner, tmp_path, index_file):
         ],
     )
     assert result.exit_code == 1
+
+
+def test_extract_queries_an_index_built_with_an_embed_endpoint(runner, tmp_path, embed_server):
+    index = tmp_path / "index.json"
+    built = runner.invoke(
+        main,
+        ["build-index", "--corpus", str(CORPUS), "--out", str(index), "--dimension", "8", "--embed-endpoint", embed_server],
+    )
+    assert built.exit_code == 0, built.output
+    scenario = SCENARIOS / "url_crash"
+    result = runner.invoke(
+        main,
+        [
+            "extract",
+            "--report", str(scenario / "report.txt"),
+            "--index", str(index),
+            "--mock-script", str(scenario / "extract_mock.jsonl"),
+            "--out", str(tmp_path / "out"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("4 steps")
 
 
 def test_extract_live_mode_without_env_fails(runner, tmp_path, index_file, monkeypatch):
@@ -253,3 +276,64 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(config), "build-index", "--out", str(override)])
     assert result.exit_code == 0
     assert override.exists()
+
+
+def hidden_about_config(tmp_path, **values):
+    """A config file naming every input of a ``hidden_about`` replay, plus ``values``."""
+    directory = SCENARIOS / "hidden_about"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "report_path": str(directory / "report.txt"),
+        "script_path": str(directory / "gold.json"),
+        "sim_spec_path": str(fixtures_path() / "apps" / "hidden_about.json"),
+        "mock_script_path": str(directory / "replay_mock.jsonl"),
+        "output_dir": str(tmp_path / "out"),
+        **values,
+    }))
+    return config
+
+
+def test_config_file_values_are_converted_like_flags(runner, tmp_path):
+    config = hidden_about_config(tmp_path, budget_s="10", exploration="false", max_iterations="8")
+    result = runner.invoke(main, ["--config", str(config), "replay"])
+    assert result.exit_code == 1, result.output
+    digest = file_hash(tmp_path / "out" / "trace.jsonl")[:16]
+    assert digest == REFERENCE_SHA256[("hidden_about_noexplore", "trace.jsonl")]
+
+
+def test_config_file_flag_wins_for_replay(runner, tmp_path):
+    config = hidden_about_config(tmp_path, budget_s=10, exploration=False)
+    result = runner.invoke(main, ["--config", str(config), "replay", "--exploration"])
+    assert result.exit_code == 0, result.output
+    digest = file_hash(tmp_path / "out" / "trace.jsonl")[:16]
+    assert digest == REFERENCE_SHA256[("hidden_about", "trace.jsonl")]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, option",
+    [
+        ("replay", "depth", "x", "--depth"),
+        ("replay", "depth", 0, "--depth"),
+        ("replay", "explore_actions", 0, "--explore-actions"),
+        ("replay", "budget_s", -5, "--budget"),
+        ("replay", "max_iterations", -1, "--max-iterations"),
+        ("extract", "retrieval_k", 0, "--k"),
+        ("build-index", "dimension", 0, "--dimension"),
+    ],
+)
+def test_config_file_bad_value_is_a_usage_error(runner, tmp_path, command, key, value, option):
+    config = hidden_about_config(
+        tmp_path, corpus_path=str(CORPUS), index_path=str(tmp_path / "index.json"), **{key: value}
+    )
+    result = runner.invoke(main, ["--config", str(config), command])
+    assert result.exit_code == 2
+    assert f"'{option}'" in result.output
+
+
+def test_config_file_must_hold_a_json_object(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    result = runner.invoke(
+        main, ["--config", str(config), "build-index", "--corpus", str(CORPUS), "--out", str(tmp_path / "i.json")]
+    )
+    assert result.exit_code == 3

@@ -79,9 +79,11 @@ def test_filter_ignores_non_action_arrays():
 
 
 def test_filter_handles_brackets_inside_strings():
-    text = '[{"action": "click", "feature": "weird ] name"}]'
-    out = filter_json_payload(text)
-    assert json.loads(out) == [{"action": "click", "feature": "weird ] name"}]
+    for text, expected in (
+        ('[{"action": "click", "feature": "weird ] name"}]', [{"action": "click", "feature": "weird ] name"}]),
+        ('[1, [{"action": "back"}]]', [{"action": "back"}]),
+    ):
+        assert json.loads(filter_json_payload(text)) == expected
 
 
 def test_filter_idempotent():
@@ -219,13 +221,15 @@ def test_mock_exchange_log_deterministic(tmp_path):
 
 
 class FlakyGateway(LlmGateway):
-    def __init__(self, config, fail_times):
+    def __init__(self, config, fail_times, delay=0.0):
         super().__init__(config)
         self.fail_times = fail_times
+        self.delay = delay
         self.attempts = 0
 
     def _complete_once(self, prompt):
         self.attempts += 1
+        time.sleep(self.delay)
         if self.attempts <= self.fail_times:
             raise TransportError("flaky")
         return "ok", 0.0
@@ -242,6 +246,13 @@ def test_retry_exhaustion_raises_after_max_retries_plus_one():
     with pytest.raises(TransportError):
         gateway.complete("p")
     assert gateway.attempts == 3
+
+
+def test_deadline_checked_before_every_retry():
+    gateway = FlakyGateway(LlmConfig(endpoint="x", model_name="m", max_retries=2), fail_times=99, delay=0.05)
+    with pytest.raises(BudgetExceeded):
+        gateway.complete("p", deadline=time.monotonic() + 0.02)
+    assert gateway.attempts == 1
 
 
 def test_http_gateway_unreachable_endpoint():

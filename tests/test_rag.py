@@ -4,8 +4,6 @@ import hashlib
 import json
 import math
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -353,35 +351,6 @@ def test_script_from_report(mini_corpus):
 
 
 # -- HTTP provider ------------------------------------------------------------------
-
-
-class _EmbedHandler(BaseHTTPRequestHandler):
-    dimension = 8
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        text = payload["texts"][0]
-        rng = random.Random(text)
-        vector = [rng.random() for _ in range(self.dimension)]
-        body = json.dumps({"embeddings": [vector]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def embed_server():
-    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/embed"
-    server.shutdown()
 
 
 def test_http_provider_round_trip(embed_server):

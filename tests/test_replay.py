@@ -13,7 +13,6 @@ from crashreplay.replay import (
     HistoryRecord,
     Knowledge,
     Outcome,
-    StuckConfig,
     StuckReason,
     build_replay_prompt,
     detect_stuck,
@@ -107,12 +106,6 @@ def test_stuck_no_actionable_twice_same_state():
     signal = detect_stuck(history)
     assert signal is not None
     assert signal.reason == StuckReason.LLM_NO_ACTIONABLE
-
-
-def test_stuck_thresholds_configurable():
-    s1 = simple_state("S1")
-    history = [nomatch_record(s1, "About")]
-    assert detect_stuck(history, StuckConfig(no_match_threshold=1)) is not None
 
 
 # -- feedback ---------------------------------------------------------------------
