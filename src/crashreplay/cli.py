@@ -267,6 +267,15 @@ def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_packa
     sys.exit(EXIT_OK if result.outcome == replay.Outcome.REPRODUCED else EXIT_DOMAIN)
 
 
+def _scenario_option(raw: dict, name: str, default):
+    """``raw[name]`` (else ``default``), converted by the type of ``replay``'s option ``name``."""
+    param = next(param for param in cmd_replay.params if param.name == name)
+    try:
+        return param.type_cast_value(click.Context(cmd_replay), raw.get(name, default))
+    except click.BadParameter as exc:
+        raise ValueError(f"bad value for {name!r}: {exc.message}") from exc
+
+
 def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
     """Run one scenario directory; returns (score or None, ReplayResult)."""
     spec_file = scenario_dir / "scenario.json"
@@ -292,11 +301,11 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
         script,
         SimulatorDevice(app_spec),
         gateway,
-        float(raw.get("budget_s", 10.0)),
-        explore_enabled=bool(raw.get("exploration", True)),
-        explore_depth=int(raw.get("depth", DEFAULT_DEPTH)),
-        explore_action_budget=int(raw.get("explore_actions", DEFAULT_EXPLORE_ACTIONS)),
-        max_iterations=raw.get("max_iterations"),
+        _scenario_option(raw, "budget_s", 10.0),
+        explore_enabled=_scenario_option(raw, "exploration", True),
+        explore_depth=_scenario_option(raw, "depth", DEFAULT_DEPTH),
+        explore_action_budget=_scenario_option(raw, "explore_actions", DEFAULT_EXPLORE_ACTIONS),
+        max_iterations=_scenario_option(raw, "max_iterations", None),
     )
     _write_replay_artifacts(out_dir, result)
     return score, result

@@ -171,10 +171,6 @@ class CrashInfo:
             "raised_in_activity": self.raised_in_activity,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CrashInfo":
-        return cls(raw["exception_type"], raw.get("message", ""), raw.get("raised_in_activity", ""))
-
 
 @dataclass
 class ExecStatus:

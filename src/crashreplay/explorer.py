@@ -10,7 +10,8 @@ does; those tables re-ground the replay prompts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .device import (
@@ -26,6 +27,8 @@ from .gateway import ActionCommand, GatewayError, LlmGateway, load_template
 
 #: Text typed into editable fields while probing; the value is arbitrary.
 EXPLORE_FILL_TEXT = "test"
+#: The summary of an origin element whose probe recorded no edge.
+NO_SCREEN_CHANGE = "No screen change was observed for this element."
 
 
 class ExplorerError(Exception):
@@ -41,15 +44,6 @@ class UtgEdge:
     from_state: str
     action: ActionCommand
     to_state: str
-
-
-@dataclass
-class GraphSearch:
-    """BFS result: visit order, each node's parent edge (None at the origin), distances."""
-
-    order: list[str]
-    parents: dict[str, UtgEdge | None]
-    distances: dict[str, int]
 
 
 @dataclass
@@ -77,39 +71,21 @@ class UtgGraph:
                 raise ExplorerError(f"parallel edges from {edge.from_state} share action {edge.action}")
             seen_actions.add(key)
 
-    def bfs(self) -> GraphSearch:
-        """One breadth-first search from the origin.
+    def bfs(self) -> dict[str, int]:
+        """Breadth-first distances from the origin, keyed in visit order.
 
-        Neighbours are visited in state-id order.  A node's parent is the
-        node that discovers it, through that node's first edge to it.
+        Neighbours are visited in state-id order.
         """
-        adjacency: dict[str, dict[str, UtgEdge]] = {}
+        adjacency: dict[str, set[str]] = {}
         for edge in self.edges:
-            adjacency.setdefault(edge.from_state, {}).setdefault(edge.to_state, edge)
-        search = GraphSearch(order=[self.origin], parents={self.origin: None}, distances={self.origin: 0})
-        for current in search.order:  # the list grows while it is walked
-            for to_state, edge in sorted(adjacency.get(current, {}).items()):
-                if to_state not in search.parents:
-                    search.order.append(to_state)
-                    search.parents[to_state] = edge
-                    search.distances[to_state] = search.distances[current] + 1
-        return search
-
-    def path_from_origin(self, state_id: str) -> tuple[list[str], list[str]]:
-        """(state ids, clicked features) along the BFS path origin -> state."""
-        parents = self.bfs().parents
-        if state_id not in parents:
-            raise ExplorerError(f"state {state_id} not reachable from origin")
-        states: list[str] = [state_id]
-        features: list[str] = []
-        edge = parents[state_id]
-        while edge is not None:
-            features.append(edge.action.feature or edge.action.action)
-            states.append(edge.from_state)
-            edge = parents[edge.from_state]
-        states.reverse()
-        features.reverse()
-        return states, features
+            adjacency.setdefault(edge.from_state, set()).add(edge.to_state)
+        order, distances = [self.origin], {self.origin: 0}
+        for current in order:  # the list grows while it is walked
+            for to_state in sorted(adjacency.get(current, ())):
+                if to_state not in distances:
+                    order.append(to_state)
+                    distances[to_state] = distances[current] + 1
+        return distances
 
     def to_dict(self) -> dict:
         return {
@@ -267,26 +243,21 @@ def explore(
     return graph
 
 
-def _nodes_containing(graph: UtgGraph, feature: str) -> list[str]:
-    hits = []
-    for state_id, state in graph.nodes.items():
-        try:
-            resolve_feature(state, feature)
-        except NoMatchError:
-            continue
-        hits.append(state_id)
-    return hits
-
-
 def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
     """The state containing the element at minimal BFS distance from the origin.
 
     Ties break by smallest state id.
     """
-    hits = _nodes_containing(graph, element_feature)
+    hits = []
+    for state_id, state in graph.nodes.items():
+        try:
+            resolve_feature(state, element_feature)
+        except NoMatchError:
+            continue
+        hits.append(state_id)
     if not hits:
         raise ElementAbsent(f"element {element_feature!r} appears in no node")
-    distances = graph.bfs().distances
+    distances = graph.bfs()
     reachable = [h for h in hits if h in distances]
     if not reachable:
         raise ElementAbsent(f"element {element_feature!r} appears only in unreachable nodes")
@@ -295,59 +266,20 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
 
 @dataclass
 class FunctionalityEntry:
-    """What one origin-page element accomplishes, with the path to get there."""
+    """What one origin-page element accomplishes, with the path to get there.
+
+    ``synthesized_functionality`` is None when the model could not be asked.
+    """
 
     element: str
     synthesized_functionality: str | None
     ui_states: tuple[str, ...]
     ui_elements: tuple[str, ...]
-    available: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "synthesized_functionality": self.synthesized_functionality,
-            "ui_states": list(self.ui_states),
-            "ui_elements": list(self.ui_elements),
-            "available": self.available,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FunctionalityEntry":
-        return cls(
-            element=raw["element"],
-            synthesized_functionality=raw.get("synthesized_functionality"),
-            ui_states=tuple(raw.get("ui_states", [])),
-            ui_elements=tuple(raw.get("ui_elements", [])),
-            available=bool(raw.get("available", True)),
-        )
 
 
 @dataclass
 class FunctionalityTable:
-    origin: str
     entries: tuple[FunctionalityEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {"origin": self.origin, "entries": [e.to_dict() for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FunctionalityTable":
-        return cls(raw["origin"], tuple(FunctionalityEntry.from_dict(e) for e in raw["entries"]))
-
-
-@dataclass
-class UiFunctionTable:
-    """Per-screen descriptions, keyed by state id, in BFS order from the origin."""
-
-    descriptions: dict[str, str | None] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"descriptions": self.descriptions}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "UiFunctionTable":
-        return cls(descriptions=dict(raw.get("descriptions", {})))
 
 
 def synthesize_functionality(
@@ -355,36 +287,25 @@ def synthesize_functionality(
 ) -> FunctionalityTable:
     """Summarize, per interactable origin element, the screen it leads to.
 
-    A gateway failure marks only that entry unavailable; the table is always
-    returned with one entry per interactable element of the origin page.
+    Every probe of an origin element starts on the origin, so an element's
+    destination is the first origin edge probing its feature.  A gateway
+    failure leaves only that entry's summary None; the table always has one
+    entry per interactable element of the origin page.
     """
     if not graph.nodes:
         raise ExplorerError("graph is empty")
     template = load_template("functionality_summary.txt")
     origin_state = graph.nodes[graph.origin]
+    first_edges: dict[str | None, UtgEdge] = {}
+    for edge in graph.out_edges(graph.origin):
+        first_edges.setdefault(edge.action.feature, edge)
     entries: list[FunctionalityEntry] = []
     for element in interactable_elements(origin_state):
         feature = feature_for_element(element) or element.element_id
-        try:
-            source = closest_state_for_element(graph, feature)
-        except ElementAbsent:
-            source = graph.origin
-        edge = next(
-            (e for e in graph.out_edges(source) if e.action.feature == feature), None
-        )
+        edge = first_edges.get(feature)
         if edge is None:
-            entries.append(
-                FunctionalityEntry(
-                    element=feature,
-                    synthesized_functionality="No screen change was observed for this element.",
-                    ui_states=(graph.origin,),
-                    ui_elements=(),
-                )
-            )
+            entries.append(FunctionalityEntry(feature, NO_SCREEN_CHANGE, (graph.origin,), ()))
             continue
-        path_states, path_features = graph.path_from_origin(source)
-        ui_states = tuple(path_states + [edge.to_state])
-        ui_elements = tuple(path_features + [feature])
         prompt = template.format(
             feature=feature,
             origin_activity=origin_state.activity_name,
@@ -392,54 +313,72 @@ def synthesize_functionality(
         )
         try:
             summary: str | None = gateway.complete(prompt, deadline).strip()
-            available = True
         except GatewayError:
             summary = None
-            available = False
-        entries.append(
-            FunctionalityEntry(
-                element=feature,
-                synthesized_functionality=summary,
-                ui_states=ui_states,
-                ui_elements=ui_elements,
-                available=available,
-            )
-        )
-    return FunctionalityTable(origin=graph.origin, entries=tuple(entries))
+        entries.append(FunctionalityEntry(feature, summary, (graph.origin, edge.to_state), (feature,)))
+    return FunctionalityTable(entries=tuple(entries))
 
 
 def synthesize_ui_functions(
     graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None
-) -> UiFunctionTable:
-    """Ask the model to describe every screen of the graph, in BFS order."""
+) -> dict[str, str | None]:
+    """Ask the model to describe every screen of the graph, in BFS order.
+
+    Returns state id -> description, None where the gateway failed.
+    """
     if not graph.nodes:
         raise ExplorerError("graph is empty")
     template = load_template("state_summary.txt")
-    table = UiFunctionTable()
-    for state_id in graph.bfs().order:
+    descriptions: dict[str, str | None] = {}
+    for state_id in graph.bfs():
         prompt = template.format(state=encode_state_text(graph.nodes[state_id]))
         try:
-            table.descriptions[state_id] = gateway.complete(prompt, deadline).strip()
+            descriptions[state_id] = gateway.complete(prompt, deadline).strip()
         except GatewayError:
-            table.descriptions[state_id] = None
-    return table
+            descriptions[state_id] = None
+    return descriptions
 
 
-def save_knowledge(
-    path: str | Path, graph: UtgGraph, functionality: FunctionalityTable, ui_functions: UiFunctionTable
-) -> None:
+@dataclass
+class Knowledge:
+    """What exploring one stuck page taught: the graph and both summary tables."""
+
+    graph: UtgGraph
+    functionality: FunctionalityTable
+    ui_functions: dict[str, str | None]
+
+
+def save_knowledge(path: str | Path, knowledge: Knowledge) -> None:
+    """Write ``knowledge`` to ``path`` atomically: a temp file, then a rename."""
     payload = {
-        "graph": graph.to_dict(),
-        "functionality": functionality.to_dict(),
-        "ui_functions": ui_functions.to_dict(),
+        "graph": knowledge.graph.to_dict(),
+        "functionality": [asdict(entry) for entry in knowledge.functionality.entries],
+        "ui_functions": knowledge.ui_functions,
     }
-    Path(path).write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    path = Path(path)
+    staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        staging.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        os.replace(staging, path)
+    finally:
+        staging.unlink(missing_ok=True)
 
 
-def load_knowledge(path: str | Path) -> tuple[UtgGraph, FunctionalityTable, UiFunctionTable]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return (
-        UtgGraph.from_dict(payload["graph"]),
-        FunctionalityTable.from_dict(payload["functionality"]),
-        UiFunctionTable.from_dict(payload["ui_functions"]),
-    )
+def load_knowledge(path: str | Path) -> Knowledge:
+    """Read a record written by :func:`save_knowledge`.
+
+    Raises ExplorerError when the file does not hold one; OSError when it
+    cannot be read.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        entries = tuple(
+            FunctionalityEntry(
+                e["element"], e["synthesized_functionality"], tuple(e["ui_states"]), tuple(e["ui_elements"])
+            )
+            for e in payload["functionality"]
+        )
+        graph = UtgGraph.from_dict(payload["graph"])
+        return Knowledge(graph, FunctionalityTable(entries), dict(payload["ui_functions"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ExplorerError(f"{path} holds no knowledge record: {exc!r}") from exc

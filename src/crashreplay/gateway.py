@@ -211,7 +211,6 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
 class LlmExchange:
     prompt: str
     raw_response: str
-    parsed: list[ActionCommand] | None = None
     latency: float = 0.0
 
 
@@ -262,11 +261,9 @@ class LlmGateway:
             if payload is None:
                 raise NoActionableOutput("no JSON action array, even after a repair attempt")
         try:
-            commands = parse_action_sequence(payload)
+            return parse_action_sequence(payload)
         except MalformedCommandError as exc:
             raise NoActionableOutput(f"action array failed validation: {exc}") from exc
-        self.exchanges[-1].parsed = commands
-        return commands
 
 
 @dataclass

@@ -20,6 +20,8 @@ import numpy as np
 from .grammar import S2REntity, S2RScript, ScriptStep
 
 NORM_TOLERANCE = 1e-6
+#: Below this 2-norm the sum of squares nears the subnormal range and loses precision.
+_TINY_NORM = 1e-150
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -209,10 +211,16 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
             f"provider {provider.provider_id} returned shape {vec.shape}, expected ({provider.dimension},)"
         )
     norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ProviderUnavailable(f"provider {provider.provider_id} returned a zero vector")
-    if not math.isfinite(norm):
-        raise ProviderUnavailable(f"provider {provider.provider_id} returned a non-finite vector")
+    if not (_TINY_NORM < norm and math.isfinite(norm)):
+        # The plain norm lost precision, overflowed or is NaN: rescale by the
+        # largest component first.  Ordinary vectors skip this and keep their bytes.
+        scale = float(np.max(np.abs(vec)))
+        if not math.isfinite(scale):
+            raise ProviderUnavailable(f"provider {provider.provider_id} returned a non-finite vector")
+        if scale == 0.0:
+            raise ProviderUnavailable(f"provider {provider.provider_id} returned a zero vector")
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
     return vec / norm
 
 
@@ -325,8 +333,6 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
         report.validate()
         for ordinal, sentence in enumerate(report.sentences, start=1):
             vec = embed(sentence.text, provider)
-            if vec.shape[0] != provider.dimension:
-                raise DimensionMismatch("provider dimension changed mid-build")
             records.append(
                 RagRecord(
                     record_id=f"{report.report_id}:{ordinal:04d}",

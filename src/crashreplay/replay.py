@@ -26,9 +26,8 @@ from .device import (
     encode_state_text,
 )
 from .explorer import (
-    FunctionalityTable,
-    UiFunctionTable,
-    UtgGraph,
+    ExplorerError,
+    Knowledge,
     explore,
     load_knowledge,
     save_knowledge,
@@ -81,13 +80,6 @@ class HistoryRecord:
     command: ActionCommand | None
     status: ExecStatus | None
     no_actionable: bool = False
-
-
-@dataclass
-class Knowledge:
-    graph: UtgGraph
-    functionality: FunctionalityTable
-    ui_functions: UiFunctionTable
 
 
 @dataclass
@@ -193,7 +185,7 @@ def _render_knowledge(knowledge: Knowledge) -> str:
 
     lines = [f"Functionality of the elements on the {origin_activity} screen:"]
     for entry in knowledge.functionality.entries:
-        if not entry.available:
+        if entry.synthesized_functionality is None:
             summary = "(summary unavailable)"
         else:
             summary = entry.synthesized_functionality or "(no summary)"
@@ -204,7 +196,7 @@ def _render_knowledge(knowledge: Knowledge) -> str:
         else:
             lines.append(f'- "{entry.element}": {summary}')
     lines.append("Screen functions:")
-    for state_id, description in knowledge.ui_functions.descriptions.items():
+    for state_id, description in knowledge.ui_functions.items():
         lines.append(f"- {describe(state_id)}: {description or '(description unavailable)'}")
     return "\n".join(lines)
 
@@ -295,6 +287,9 @@ def run(
     started_at = time.monotonic()
     deadline = started_at + budget
     loop = _RunState(gateway=gateway, started_at=started_at, llm_base=gateway.total_llm_time)
+    # Cached knowledge is only reused under the settings that built it.
+    settings = [explore_depth, explore_action_budget, gateway.config.model_name]
+    settings_key = hashlib.sha256(json.dumps(settings).encode("utf-8")).hexdigest()[:16]
 
     def handle_stuck(record: dict) -> UiState | None:
         """Flag a stuck loop in ``record``; explore a newly stuck page once.
@@ -310,13 +305,15 @@ def run(
         if not explore_enabled or signal.state in loop.explored_states:
             return None
         loop.explored_states.add(signal.state)
-        cache_path = None
+        cache_path = knowledge = None
         if utg_cache_dir is not None:
             Path(utg_cache_dir).mkdir(parents=True, exist_ok=True)
-            cache_path = Path(utg_cache_dir) / f"{device.app_id}__{signal.state}.json"
-        if cache_path is not None and cache_path.exists():
-            graph, functionality, ui_functions = load_knowledge(cache_path)
-        else:
+            cache_path = Path(utg_cache_dir) / f"{device.app_id}__{signal.state}__{settings_key}.json"
+            try:
+                knowledge = load_knowledge(cache_path)
+            except (OSError, ExplorerError):
+                pass  # a missing or unreadable file is a miss, rebuilt and overwritten below
+        if knowledge is None:
             graph = explore(
                 device,
                 depth=explore_depth,
@@ -328,10 +325,10 @@ def run(
                 for cmd in loop.path_from_start:
                     device.execute(cmd)
             functionality = synthesize_functionality(graph, gateway, deadline)
-            ui_functions = synthesize_ui_functions(graph, gateway, deadline)
+            knowledge = Knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
             if cache_path is not None:
-                save_knowledge(cache_path, graph, functionality, ui_functions)
-        loop.knowledge = Knowledge(graph, functionality, ui_functions)
+                save_knowledge(cache_path, knowledge)
+        loop.knowledge = knowledge
         record["explored"] = True
         return device.capture_state()
 

@@ -247,7 +247,6 @@ class SimSession:
         self.current = spec.initial_state
         self.field_values: dict[str, str] = {}
         self.crashed: CrashInfo | None = None
-        self.action_log: list[ActionCommand] = []
 
     # -- observation -------------------------------------------------------
 
@@ -324,8 +323,6 @@ class SimSession:
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)
 
-        self.action_log.append(cmd)
-
         for rule in self.spec.crash_rules:
             if rule.state != self.current:
                 continue
@@ -365,7 +362,6 @@ class SimSession:
         return ExecStatus(ok=False, detail=f"{cmd.action} had no effect here", new_state=self.build_state())
 
     def restart(self) -> None:
-        self.action_log.append(ActionCommand(action="restart"))
         self.current = self.spec.initial_state
         self.field_values = {}
         self.crashed = None

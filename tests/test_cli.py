@@ -255,6 +255,41 @@ def test_eval_corrupt_scenario_names_file(runner, tmp_path):
     assert "scenario.json" in result.output
 
 
+def one_scenario_suite(tmp_path, **values):
+    """A suite holding ``hidden_about_noexplore`` with absolute paths, its values replaced by ``values``."""
+    source = SCENARIOS / "hidden_about_noexplore"
+    raw = json.loads((source / "scenario.json").read_text())
+    for key in ("app", "report", "gold_script", "extract_mock", "replay_mock"):
+        raw[key] = str((source / raw[key]).resolve())
+    raw.update(values)
+    scenario = tmp_path / "suite" / "hidden_about_noexplore"
+    scenario.mkdir(parents=True)
+    (scenario / "scenario.json").write_text(json.dumps(raw))
+    return tmp_path / "suite"
+
+
+def test_eval_scenario_values_are_converted_like_flags(runner, tmp_path):
+    suite = one_scenario_suite(tmp_path, budget_s="10", exploration="false", max_iterations="8")
+    result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    digest = file_hash(tmp_path / "out" / "hidden_about_noexplore" / "trace.jsonl")[:16]
+    assert digest == REFERENCE_SHA256[("hidden_about_noexplore", "trace.jsonl")]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("depth", "x"), ("depth", 0), ("explore_actions", 0), ("budget_s", "soon"), ("exploration", "maybe"),
+     ("max_iterations", -1)],
+)
+def test_eval_bad_scenario_value_names_file_and_key(runner, tmp_path, key, value):
+    suite = one_scenario_suite(tmp_path, **{key: value})
+    result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert str(suite / "hidden_about_noexplore" / "scenario.json") in result.output
+    assert repr(key) in result.output
+
+
 def test_eval_missing_directory_fails_environment(runner, tmp_path):
     result = runner.invoke(
         main, ["eval", "--scenarios", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]

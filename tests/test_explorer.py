@@ -5,6 +5,10 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crashreplay import explorer
 
 from crashreplay.cli import fixtures_path
 from crashreplay.device import (
@@ -18,7 +22,7 @@ from crashreplay.explorer import (
     EXPLORE_FILL_TEXT,
     ElementAbsent,
     ExplorerError,
-    FunctionalityTable,
+    Knowledge,
     UtgEdge,
     UtgGraph,
     closest_state_for_element,
@@ -143,19 +147,33 @@ def test_exploration_deterministic():
     assert once() == once()
 
 
+class CountingDevice(SimulatorDevice):
+    """Counts the device commands issued: every execute and every restart."""
+
+    commands = 0
+
+    def execute(self, cmd):
+        self.commands += 1
+        return super().execute(cmd)
+
+    def restart_app(self):
+        self.commands += 1
+        return super().restart_app()
+
+
 def test_exploration_respects_action_budget():
     for budget in (1, 2, 3, 5):
-        device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
+        device = CountingDevice(load_spec(APPS / "hidden_about.json"))
         graph = explore(device, depth=1, action_budget=budget)
-        assert len(device.session.action_log) <= budget
+        assert device.commands <= budget
         assert graph.actions_used <= budget
         assert graph.truncated
 
 
 def test_exploration_action_count_matches_simulator_log():
-    device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
+    device = CountingDevice(load_spec(APPS / "hidden_about.json"))
     graph = explore(device, depth=1, action_budget=60)
-    assert graph.actions_used == len(device.session.action_log)
+    assert graph.actions_used == device.commands
 
 
 def test_depth2_discovers_second_layer():
@@ -216,17 +234,16 @@ def test_closest_state_absent_element():
         closest_state_for_element(graph, "feat99")
 
 
-def test_bfs_parent_is_the_discoverer_with_the_smaller_state_id():
+def test_bfs_visits_neighbours_in_state_id_order():
     # s3 sits at depth 2 under both s1 and s2; s2's edges are inserted first
     graph = synthetic_graph(
         {"s0": [], "s1": [], "s2": [], "s3": []},
         [("s0", "s2"), ("s0", "s1"), ("s2", "s3"), ("s1", "s3")],
         "s0",
     )
-    assert graph.path_from_origin("s3") == (["s0", "s1", "s3"], ["to s1", "to s3"])
-    search = graph.bfs()
-    assert search.order == ["s0", "s1", "s2", "s3"]
-    assert search.distances == {"s0": 0, "s1": 1, "s2": 1, "s3": 2}
+    distances = graph.bfs()
+    assert list(distances) == ["s0", "s1", "s2", "s3"]
+    assert distances == {"s0": 0, "s1": 1, "s2": 1, "s3": 2}
 
 
 def test_closest_state_matches_networkx_oracle():
@@ -259,6 +276,56 @@ def test_closest_state_matches_networkx_oracle():
             assert closest_state_for_element(graph, feature) == expected
 
 
+labels = st.sampled_from(["OK", "ok", "Save", "Save draft", "a/b", "x"])
+optional_labels = st.none() | st.just("") | labels
+
+
+@st.composite
+def random_screens(draw):
+    """A random origin screen, other screens and edges, with colliding labels."""
+
+    def screen(name: str) -> UiState:
+        children = []
+        for i in range(draw(st.integers(0, 5))):
+            interactable = draw(st.booleans())
+            children.append(
+                UiElement(
+                    element_id=f"{name}e{i}",
+                    class_name="Button",
+                    text=draw(optional_labels),
+                    content_desc=draw(optional_labels),
+                    resource_id=draw(st.none() | labels.map(lambda label: f"app:id/{label}")),
+                    bounds=Bounds(0, 10 * draw(st.integers(0, 3)), 10, 50),
+                    clickable=interactable,
+                    long_clickable=interactable and draw(st.booleans()),
+                )
+            )
+        root = UiElement(
+            element_id=f"{name}root", class_name="FrameLayout", bounds=Bounds(0, 0, 1080, 1920), children=tuple(children)
+        )
+        return UiState(activity_name=name, root=root)
+
+    names = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return UtgGraph(
+        origin="s0",
+        nodes={name: screen(name) for name in names},
+        edges=[UtgEdge(a, ActionCommand(action="click", feature=f"to {b}"), b) for a, b in edges],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_screens())
+def test_an_origin_element_with_a_feature_is_closest_on_the_origin(graph):
+    # The premise of synthesize_functionality: an origin element's own
+    # feature always resolves on the origin, at distance zero.
+    for element in interactable_elements(graph.nodes[graph.origin]):
+        feature = feature_for_element(element)
+        if feature:
+            assert closest_state_for_element(graph, feature) == graph.origin
+
+
 # -- synthesis ---------------------------------------------------------------------
 
 
@@ -275,7 +342,6 @@ def test_functionality_table_one_entry_per_interactable():
     assert len(table.entries) == len(origin_interactables) == 3
     for entry in table.entries:
         assert entry.synthesized_functionality == "summary text"
-        assert entry.available
         assert len(entry.ui_elements) == len(entry.ui_states) - 1
 
 
@@ -297,9 +363,8 @@ def test_functionality_gateway_failure_marks_single_entry_unavailable():
         [{"response": "ok one", "times": 1}, {"error": "down", "times": 1}, {"response": "ok three"}]
     )
     table = synthesize_functionality(graph, gateway)
-    availability = [entry.available for entry in table.entries]
-    assert availability == [True, False, True]
-    assert table.entries[1].synthesized_functionality is None
+    summaries = [entry.synthesized_functionality for entry in table.entries]
+    assert summaries == ["ok one", None, "ok three"]
 
 
 def test_functionality_element_without_edge_gets_static_note(tmp_path):
@@ -333,9 +398,9 @@ def test_ui_function_table_covers_every_node_in_bfs_order():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "described"}])
     table = synthesize_ui_functions(graph, gateway)
-    assert list(table.descriptions) == graph.bfs().order
-    assert set(table.descriptions) == set(graph.nodes)
-    assert all(v == "described" for v in table.descriptions.values())
+    assert list(table) == list(graph.bfs())
+    assert set(table) == set(graph.nodes)
+    assert all(v == "described" for v in table.values())
 
 
 def test_ui_function_table_single_node(tmp_path):
@@ -350,7 +415,7 @@ def test_ui_function_table_single_node(tmp_path):
     path.write_text(json.dumps(body))
     graph = explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=5)
     table = synthesize_ui_functions(graph, MockGateway.from_script([{"response": "only"}]))
-    assert len(table.descriptions) == 1
+    assert len(table) == 1
 
 
 def test_synthesis_rerun_identical():
@@ -358,32 +423,75 @@ def test_synthesis_rerun_identical():
 
     def once():
         gateway = MockGateway.from_script([{"response": "same"}])
-        functionality = synthesize_functionality(graph, gateway)
-        ui = synthesize_ui_functions(graph, gateway)
-        return functionality.to_dict(), ui.to_dict()
+        return synthesize_functionality(graph, gateway), synthesize_ui_functions(graph, gateway)
 
     assert once() == once()
 
 
-def test_knowledge_save_load_round_trip(tmp_path):
+def test_functionality_needs_no_graph_search_or_feature_resolution(monkeypatch):
+    graph = explore(SimulatorDevice(load_spec(APPS / "hidden_about.json")), depth=2, action_budget=100)
+    expected = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not needed to build the functionality table")
+
+    monkeypatch.setattr(UtgGraph, "bfs", forbidden)
+    monkeypatch.setattr(explorer, "resolve_feature", forbidden)
+    table = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
+    assert table == expected
+    origin_edges = {e.action.feature: e.to_state for e in reversed(graph.edges) if e.from_state == graph.origin}
+    for entry in table.entries:
+        assert entry.ui_states == (graph.origin, origin_edges[entry.element])
+        assert entry.ui_elements == (entry.element,)
+
+
+def knowledge_of_hidden_about() -> Knowledge:
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "x"}])
-    functionality = synthesize_functionality(graph, gateway)
-    ui = synthesize_ui_functions(graph, gateway)
+    return Knowledge(graph, synthesize_functionality(graph, gateway), synthesize_ui_functions(graph, gateway))
+
+
+def test_knowledge_save_load_round_trip(tmp_path):
+    knowledge = knowledge_of_hidden_about()
     path = tmp_path / "knowledge.json"
-    save_knowledge(path, graph, functionality, ui)
-    graph2, functionality2, ui2 = load_knowledge(path)
-    assert set(graph2.nodes) == set(graph.nodes)
-    assert edge_set(graph2) == edge_set(graph)
-    assert functionality2.to_dict() == functionality.to_dict()
-    assert ui2.to_dict() == ui.to_dict()
+    save_knowledge(path, knowledge)
+    loaded = load_knowledge(path)
+    assert set(loaded.graph.nodes) == set(knowledge.graph.nodes)
+    assert edge_set(loaded.graph) == edge_set(knowledge.graph)
+    assert loaded.functionality == knowledge.functionality
+    assert loaded.ui_functions == knowledge.ui_functions
+
+
+def test_knowledge_save_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    knowledge = knowledge_of_hidden_about()
+    path = tmp_path / "knowledge.json"
+    save_knowledge(path, knowledge)
+    before = path.read_bytes()
+    real_write_text = type(path).write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(path), "write_text", torn_write)
+    with pytest.raises(OSError):
+        save_knowledge(path, knowledge)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["knowledge.json"]
+
+
+@pytest.mark.parametrize("content", ["{corrupt", "{}", '{"graph": []}', "[1]", ""])
+def test_knowledge_load_of_a_malformed_file_is_an_explorer_error(tmp_path, content):
+    path = tmp_path / "knowledge.json"
+    path.write_text(content)
+    with pytest.raises(ExplorerError):
+        load_knowledge(path)
 
 
 def test_knowledge_load_rejects_a_bad_edge_action(tmp_path):
-    graph = explored_hidden_about()
-    gateway = MockGateway.from_script([{"response": "x"}])
     path = tmp_path / "knowledge.json"
-    save_knowledge(path, graph, synthesize_functionality(graph, gateway), synthesize_ui_functions(graph, gateway))
+    save_knowledge(path, knowledge_of_hidden_about())
     payload = json.loads(path.read_text())
     payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
     path.write_text(json.dumps(payload))

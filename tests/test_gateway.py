@@ -210,9 +210,8 @@ def test_mock_exchange_log_deterministic(tmp_path):
 
     def run_once():
         gateway = MockGateway.from_script_file(path)
-        gateway.request_actions("prompt one")
-        gateway.request_actions("prompt two")
-        return [(e.prompt, e.raw_response, e.parsed, e.latency) for e in gateway.exchanges]
+        commands = [gateway.request_actions("prompt one"), gateway.request_actions("prompt two")]
+        return commands, [(e.prompt, e.raw_response, e.latency) for e in gateway.exchanges]
 
     assert run_once() == run_once()
 
@@ -280,7 +279,6 @@ def test_request_actions_parses_direct_reply():
     gateway = MockGateway.from_script([TABLE_SINGLE])
     commands = gateway.request_actions("do it")
     assert commands == [ActionCommand(action="click", feature="REFRESH")]
-    assert gateway.exchanges[-1].parsed == commands
 
 
 def test_request_actions_repairs_once():

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -146,6 +146,27 @@ def test_embed_rejects_non_finite_vector():
         embed("query", StubProvider({"query": np.array([1.0, np.nan])}))
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [([5.5e-248, 0.0], [1.0, 0.0]), ([1e-160, 0.0], [1.0, 0.0]), ([1e200, 1e200], [0.5**0.5, 0.5**0.5])],
+)
+def test_embed_normalizes_vectors_whose_plain_norm_underflows_or_overflows(raw, expected):
+    vec = embed("query", StubProvider({"query": np.array(raw)}))
+    assert np.allclose(vec, expected, rtol=1e-15, atol=0.0)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("raw", [[0.0, 0.0], [np.inf, 1.0], [1e200, np.nan]])
+def test_embed_rejects_zero_and_non_finite_vectors(raw):
+    with pytest.raises(ProviderUnavailable):
+        embed("query", StubProvider({"query": np.array(raw)}))
+
+
+def test_embed_keeps_the_bytes_of_ordinary_vectors(provider):
+    raw = np.asarray(provider.embed_raw("tap the button"), dtype=np.float64)
+    assert embed("tap the button", provider).tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+
+
 def test_embed_similarity_ordering(provider):
     base = embed("tap button", provider)
     near = embed("tap the button", provider)
@@ -219,9 +240,7 @@ def near_tie_vectors(draw):
     """Vectors with exact duplicates and copies a few ulps apart, plus a query."""
     dimension = draw(st.sampled_from([2, 5, 384]))
     component = st.integers(-2, 2).map(float) | st.floats(-1.0, 1.0, allow_subnormal=False)
-    vector = arrays(np.float64, dimension, elements=component, fill=st.just(0.0))
-    # A vector of only tiny components has a norm that underflows to zero.
-    vector = vector.filter(lambda v: np.max(np.abs(v)) > 1e-100)
+    vector = arrays(np.float64, dimension, elements=component, fill=st.just(0.0)).filter(np.any)
     vectors = []
     for base in draw(st.lists(vector, min_size=1, max_size=4)):
         vectors.append(base)
@@ -239,6 +258,8 @@ def near_tie_vectors(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(near_tie_vectors(), st.randoms())
+@example(([np.array([5.5e-248, 0.0])] * 2, np.array([5.5e-248, 0.0])), random.Random(0))
+@example(([np.array([1e200, 1e200]), np.array([1e200, 0.0])], np.array([1e200, 1e200])), random.Random(0))
 def test_retrieve_matches_brute_force_on_near_ties(case, rng):
     vectors, raw_query = case
     provider = StubProvider({"query": raw_query, **{f"v{i}": v for i, v in enumerate(vectors)}})

@@ -6,12 +6,11 @@ import time
 import pytest
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
-from crashreplay.explorer import explore, synthesize_functionality, synthesize_ui_functions
+from crashreplay.explorer import Knowledge, explore, synthesize_functionality, synthesize_ui_functions
 from crashreplay.gateway import ActionCommand, MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
     HistoryRecord,
-    Knowledge,
     Outcome,
     StuckReason,
     build_replay_prompt,
@@ -389,6 +388,44 @@ def test_run_uses_utg_cache(tmp_path):
     assert second.outcome == Outcome.REPRODUCED
     summary_calls = [e for e in gateway.exchanges if "Summarize" in e.prompt]
     assert summary_calls == []
+
+
+def corrupt_cache_file(path, how: str) -> None:
+    if how == "bad edge action":
+        payload = json.loads(path.read_text())
+        payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
+        path.write_text(json.dumps(payload))
+    else:
+        path.write_text(how)
+
+
+@pytest.mark.parametrize("how", ["{corrupt", "{}", "bad edge action"])
+def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    first = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+    (cached,) = tmp_path.glob("*.json")
+    built = cached.read_bytes()
+    corrupt_cache_file(cached, how)
+
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    second = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+    assert second.trace_text() == first.trace_text()
+    assert cached.read_bytes() == built  # rebuilt and overwritten
+
+
+@pytest.mark.parametrize(
+    "setting", [{"explore_depth": 2}, {"explore_action_budget": 39}, {"model_name": "another-model"}]
+)
+def test_utg_cache_is_never_served_under_other_exploration_settings(tmp_path, setting):
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    options = dict(setting)
+    gateway.config.model_name = options.pop("model_name", gateway.config.model_name)
+    run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path, **options)
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert any("Summarize" in e.prompt for e in gateway.exchanges)  # explored afresh
 
 
 @pytest.mark.parametrize("action_budget", [1, 3, 5])
