@@ -128,23 +128,26 @@ def _skeleton(element: UiElement) -> list:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UiState:
     """A screen snapshot; ``state_id`` fingerprints its visible content.
 
     Siblings are canonicalized by position before hashing, so the fingerprint
     does not depend on observation order.  Bounds themselves are not hashed.
+    Frozen, so one snapshot can be shared; the fingerprint and the encoded
+    text are computed once and cached on it.
     """
 
     activity_name: str
     root: UiElement
     _state_id: str | None = field(default=None, repr=False, compare=False)
+    _text: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def state_id(self) -> str:
         if self._state_id is None:
             blob = json.dumps([self.activity_name, _skeleton(self.root)], separators=(",", ":"))
-            self._state_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_state_id", hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
         return self._state_id
 
     def all_elements(self) -> list[UiElement]:
@@ -194,6 +197,8 @@ def encode_state_text(state: UiState) -> str:
     short-name, any text / description / resource id, and interaction flags.
     The indices are stable, so the model can refer back to elements.
     """
+    if state._text is not None:
+        return state._text
     lines = [f"Screen: {state.activity_name}"]
     for index, (element, depth) in enumerate(_canonical_walk(state.root, 0)):
         parts = [f"[{index}] {element.class_name.rsplit('.', 1)[-1]}"]
@@ -212,7 +217,8 @@ def encode_state_text(state: UiState) -> str:
         if element.scrollable:
             parts.append("scrollable")
         lines.append("  " * depth + " ".join(parts))
-    return "\n".join(lines)
+    object.__setattr__(state, "_text", "\n".join(lines))
+    return state._text
 
 
 def interactable_elements(state: UiState) -> list[UiElement]:
@@ -228,7 +234,7 @@ def feature_for_element(element: UiElement) -> str | None:
     if element.content_desc:
         return element.content_desc
     if element.resource_id:
-        return element.resource_id.rsplit("/", 1)[-1]
+        return element.resource_id.rsplit("/", 1)[-1] or None
     return None
 
 
@@ -244,34 +250,25 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
         raise ValueError("feature must be nonempty")
     elements = state.all_elements()
     folded = feature.lower()
-
-    tiers: list[tuple[str, list[UiElement]]] = [
-        ("exact text", [e for e in elements if e.text == feature]),
-        ("exact description", [e for e in elements if e.content_desc == feature]),
+    tiers = (
+        ("exact text", lambda e: e.text == feature),
+        ("exact description", lambda e: e.content_desc == feature),
         (
             "resource id suffix",
-            [
-                e
-                for e in elements
-                if e.resource_id is not None
-                and (e.resource_id == feature or e.resource_id.endswith("/" + feature))
-            ],
+            lambda e: e.resource_id is not None
+            and (e.resource_id == feature or e.resource_id.endswith("/" + feature)),
         ),
-        ("case-insensitive text", [e for e in elements if (e.text or "").lower() == folded]),
+        ("case-insensitive text", lambda e: (e.text or "").lower() == folded),
         (
             "substring of text or description",
-            [
-                e
-                for e in elements
-                if folded in (e.text or "").lower() or folded in (e.content_desc or "").lower()
-            ],
+            lambda e: folded in (e.text or "").lower() or folded in (e.content_desc or "").lower(),
         ),
-    ]
+    )
     misses = []
-    for name, candidates in tiers:
+    for name, matches in tiers:
+        candidates = [e for e in elements if matches(e)]
         if candidates:
-            candidates.sort(key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
-            return candidates[0]
+            return min(candidates, key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
         misses.append(f"no {name} match")
     raise NoMatchError(feature, misses)
 

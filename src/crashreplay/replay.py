@@ -108,7 +108,53 @@ class ReplayResult:
         return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in self.trace_records)
 
 
-def detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
+class StuckTracker:
+    """The session history as the stuck heuristics read it, updated once per record.
+
+    The first (state, feature) miss pair and the first no-actionable state to
+    reach their thresholds stay signalled.  The sequence of visited states,
+    with consecutive duplicates collapsed (standing still is not a revisit),
+    is kept as each state's visit count and its last two positions, plus the
+    position of the last newly seen state.
+    """
+
+    def __init__(self) -> None:
+        self.no_match: StuckSignal | None = None
+        self.no_actionable: StuckSignal | None = None
+        self._misses: dict[tuple[str, str], int] = {}
+        self._no_actions: dict[str, int] = {}
+        self.current: str | None = None
+        self.visits: dict[str, tuple[int, int, int]] = {}  # state -> (count, previous, last position)
+        self.last_new = -1
+        self._length = 0
+
+    def _visit(self, state_id: str) -> None:
+        if state_id == self.current:
+            return
+        count, _, last = self.visits.get(state_id, (0, -1, -1))
+        if count == 0:
+            self.last_new = self._length
+        self.visits[state_id] = (count + 1, last, self._length)
+        self.current = state_id
+        self._length += 1
+
+    def add(self, rec: HistoryRecord) -> None:
+        if self.no_match is None and rec.status is not None and rec.status.no_match_feature:
+            key = (rec.state_id, rec.status.no_match_feature)
+            self._misses[key] = self._misses.get(key, 0) + 1
+            if self._misses[key] >= NO_MATCH_THRESHOLD:
+                self.no_match = StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
+        if rec.command is not None and rec.status is not None:
+            if self.current is None:
+                self._visit(rec.state_id)
+            self._visit(rec.status.new_state.state_id)
+        if self.no_actionable is None and rec.no_actionable:
+            self._no_actions[rec.state_id] = self._no_actions.get(rec.state_id, 0) + 1
+            if self._no_actions[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
+                self.no_actionable = StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
+
+
+def detect_stuck(tracker: StuckTracker) -> StuckSignal | None:
     """Decide whether the loop is stuck, from the session history alone.
 
     Signals when (a) the same (state, feature) resolution failure repeats,
@@ -116,46 +162,13 @@ def detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
     since the previous visit, or (c) the model produced no actionable output
     on the same state more than once.
     """
-    if not history:
-        return None
-
-    # (a) repeated failure to resolve the same feature on the same state
-    miss_counts: dict[tuple[str, str], int] = {}
-    for rec in history:
-        if rec.status is not None and rec.status.no_match_feature:
-            key = (rec.state_id, rec.status.no_match_feature)
-            miss_counts[key] = miss_counts.get(key, 0) + 1
-            if miss_counts[key] >= NO_MATCH_THRESHOLD:
-                return StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
-
-    # (b) current state re-entered with no new state discovered in between;
-    # consecutive duplicates collapse (standing still is not a revisit)
-    sequence: list[str] = []
-    for rec in history:
-        if rec.command is None or rec.status is None:
-            continue
-        for sid in ((rec.state_id,) if not sequence else ()) + (rec.status.new_state.state_id,):
-            if not sequence or sequence[-1] != sid:
-                sequence.append(sid)
-    if sequence:
-        current = sequence[-1]
-        visits = [i for i, sid in enumerate(sequence) if sid == current]
-        if len(visits) >= REVISIT_THRESHOLD:
-            previous_visit = visits[-2]
-            first_seen: dict[str, int] = {}
-            for i, sid in enumerate(sequence):
-                first_seen.setdefault(sid, i)
-            if not any(first > previous_visit for first in first_seen.values()):
-                return StuckSignal(StuckReason.STATE_REVISITED, current)
-
-    # (c) no actionable output twice on the same state
-    no_action_counts: dict[str, int] = {}
-    for rec in history:
-        if rec.no_actionable:
-            no_action_counts[rec.state_id] = no_action_counts.get(rec.state_id, 0) + 1
-            if no_action_counts[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
-                return StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
-    return None
+    if tracker.no_match is not None:
+        return tracker.no_match
+    if tracker.current is not None:
+        count, previous, _ = tracker.visits[tracker.current]
+        if count >= REVISIT_THRESHOLD and tracker.last_new <= previous:
+            return StuckSignal(StuckReason.STATE_REVISITED, tracker.current)
+    return tracker.no_actionable
 
 
 def render_feedback(status: ExecStatus, previous_state_id: str | None = None) -> str:
@@ -239,12 +252,12 @@ def _status_dict(status: ExecStatus) -> dict:
 
 @dataclass
 class _RunState:
-    """One run's memory: append-only history and trace, attached knowledge, counters."""
+    """One run's memory: stuck tracker, append-only trace, attached knowledge, counters."""
 
     gateway: LlmGateway
     started_at: float
     llm_base: float
-    history: list[HistoryRecord] = field(default_factory=list)
+    history: StuckTracker = field(default_factory=StuckTracker)
     trace_records: list[dict] = field(default_factory=list)
     knowledge: Knowledge | None = None
     explored_states: set[str] = field(default_factory=set)
@@ -369,7 +382,7 @@ def run(
 
             if not commands:
                 record["no_actionable"] = True
-                loop.history.append(HistoryRecord(state.state_id, None, None, no_actionable=True))
+                loop.history.add(HistoryRecord(state.state_id, None, None, no_actionable=True))
                 loop.no_actionable_streak += 1
                 explored = handle_stuck(record)
                 if explored is not None:
@@ -394,7 +407,7 @@ def run(
                 except AlreadyCrashed:
                     break
                 loop.steps_executed += 1
-                loop.history.append(HistoryRecord(previous_id, cmd, status))
+                loop.history.add(HistoryRecord(previous_id, cmd, status))
                 record["statuses"].append(_status_dict(status))
                 state = status.new_state
                 if cmd.action == "restart":

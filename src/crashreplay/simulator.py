@@ -223,19 +223,6 @@ def load_spec(path: str | Path) -> SimAppSpec:
     )
 
 
-def declared_reachable_states(spec: SimAppSpec) -> set[str]:
-    """States reachable from the initial state over the declared transitions."""
-    reached = {spec.initial_state}
-    frontier = [spec.initial_state]
-    while frontier:
-        current = frontier.pop()
-        for rule in spec.transitions:
-            if rule.from_state == current and rule.to_state not in reached:
-                reached.add(rule.to_state)
-                frontier.append(rule.to_state)
-    return reached
-
-
 _SCREEN_BOUNDS = Bounds(0, 0, 1080, 1920)
 
 
@@ -247,6 +234,20 @@ class SimSession:
         self.current = spec.initial_state
         self.field_values: dict[str, str] = {}
         self.crashed: CrashInfo | None = None
+        # Rules per state in spec order (the first match wins), each element
+        # id's text in the first state that declares it, and one built
+        # screen per state with the editable values it was built from.
+        self._transitions: dict[str, list[TransitionRule]] = {}
+        for rule in spec.transitions:
+            self._transitions.setdefault(rule.from_state, []).append(rule)
+        self._crash_rules: dict[str, list[CrashRule]] = {}
+        for crash_rule in spec.crash_rules:
+            self._crash_rules.setdefault(crash_rule.state, []).append(crash_rule)
+        self._initial_text: dict[str, str] = {}
+        for state in spec.states.values():
+            for element in state.elements:
+                self._initial_text.setdefault(element.element_id, element.text or "")
+        self._screens: dict[str, tuple[tuple[str | None, ...], UiState]] = {}
 
     # -- observation -------------------------------------------------------
 
@@ -256,7 +257,12 @@ class SimSession:
         return element.text
 
     def build_state(self, state_name: str | None = None) -> UiState:
-        state_spec = self.spec.states[state_name or self.current]
+        name = state_name or self.current
+        state_spec = self.spec.states[name]
+        values = tuple(self._effective_text(e) for e in state_spec.elements if e.editable)
+        memo = self._screens.get(name)
+        if memo is not None and memo[0] == values:
+            return memo[1]
         children = tuple(
             UiElement(
                 element_id=e.element_id,
@@ -273,18 +279,14 @@ class SimSession:
             for e in state_spec.elements
         )
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
-        return UiState(activity_name=state_spec.activity, root=root)
+        screen = UiState(activity_name=state_spec.activity, root=root)
+        self._screens[name] = (values, screen)
+        return screen
 
     # -- execution ---------------------------------------------------------
 
     def _field_value(self, element_id: str) -> str:
-        if element_id in self.field_values:
-            return self.field_values[element_id]
-        for state in self.spec.states.values():
-            for element in state.elements:
-                if element.element_id == element_id:
-                    return element.text or ""
-        return ""
+        return self.field_values.get(element_id, self._initial_text.get(element_id, ""))
 
     def _trigger_matches(self, trigger: Trigger, cmd: ActionCommand, element: UiElement | None) -> bool:
         if trigger.verb != cmd.action:
@@ -323,9 +325,7 @@ class SimSession:
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)
 
-        for rule in self.spec.crash_rules:
-            if rule.state != self.current:
-                continue
+        for rule in self._crash_rules.get(self.current, ()):
             if not self._trigger_matches(rule.trigger, cmd, element):
                 continue
             if rule.requires_field is not None:
@@ -349,8 +349,8 @@ class SimSession:
             self.field_values[element.element_id] = cmd.input_text or ""
             applied = True
 
-        for rule in self.spec.transitions:
-            if rule.from_state == self.current and self._trigger_matches(rule.trigger, cmd, element):
+        for rule in self._transitions.get(self.current, ()):
+            if self._trigger_matches(rule.trigger, cmd, element):
                 self.current = rule.to_state
                 new_state = self.build_state()
                 return ExecStatus(

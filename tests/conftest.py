@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from crashreplay.cli import fixtures_path
 from crashreplay.gateway import MockGateway
@@ -15,6 +16,11 @@ from crashreplay.rag import HashedTrigramProvider, load_corpus
 from crashreplay.simulator import SimulatorDevice, load_spec
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so a slow or loaded host neither changes nor fails them.
+settings.register_profile("crashreplay", derandomize=True, deadline=None)
+settings.load_profile("crashreplay")
 
 
 def data_path(name: str) -> Path:

@@ -169,6 +169,7 @@ def test_feature_for_element_prefers_text():
     assert feature_for_element(button("b", text="OK", desc="confirm")) == "OK"
     assert feature_for_element(button("b", desc="confirm")) == "confirm"
     assert feature_for_element(button("b", rid="app:id/go")) == "go"
+    assert feature_for_element(button("b", rid="app:id/")) is None
     assert feature_for_element(button("b")) is None
 
 

@@ -120,23 +120,29 @@ def test_depth1_from_non_initial_state_with_origin_path():
     assert device.capture_state().state_id == graph.origin
 
 
-def test_origin_without_interactables_yields_single_node(tmp_path):
+def explore_one_screen(tmp_path, elements: list[dict]) -> UtgGraph:
+    """Explore, at depth 1, an app of one screen holding ``elements`` and no transitions."""
     body = {
         "app_id": "t",
         "initial_state": "only",
-        "states": {
-            "only": {
-                "activity": "OnlyActivity",
-                "elements": [{"id": "t1", "class": "TextView", "text": "static", "bounds": [0, 0, 10, 10]}],
-            }
-        },
+        "states": {"only": {"activity": "OnlyActivity", "elements": elements}},
         "transitions": [],
         "crash_rules": [],
     }
     path = tmp_path / "app.json"
     path.write_text(json.dumps(body))
-    graph = explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=10)
+    return explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=10)
+
+
+def test_origin_without_interactables_yields_single_node(tmp_path):
+    graph = explore_one_screen(tmp_path, [{"id": "t1", "class": "TextView", "text": "static", "bounds": [0, 0, 10, 10]}])
     assert len(graph.nodes) == 1 and graph.edges == []
+
+
+def test_an_element_whose_resource_id_names_nothing_is_not_probed(tmp_path):
+    button = {"id": "b1", "class": "Button", "resource_id": "app:id/", "bounds": [0, 0, 10, 10], "clickable": True}
+    graph = explore_one_screen(tmp_path, [button])
+    assert len(graph.nodes) == 1 and graph.edges == [] and graph.actions_used == 0
 
 
 def test_exploration_deterministic():
@@ -315,7 +321,7 @@ def random_screens(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(random_screens())
 def test_an_origin_element_with_a_feature_is_closest_on_the_origin(graph):
     # The premise of synthesize_functionality: an origin element's own
@@ -368,23 +374,9 @@ def test_functionality_gateway_failure_marks_single_entry_unavailable():
 
 
 def test_functionality_element_without_edge_gets_static_note(tmp_path):
-    body = {
-        "app_id": "t",
-        "initial_state": "a",
-        "states": {
-            "a": {
-                "activity": "A",
-                "elements": [
-                    {"id": "dead", "class": "Button", "text": "DEAD", "bounds": [0, 0, 10, 10], "clickable": True}
-                ],
-            }
-        },
-        "transitions": [],
-        "crash_rules": [],
-    }
-    path = tmp_path / "app.json"
-    path.write_text(json.dumps(body))
-    graph = explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=10)
+    graph = explore_one_screen(
+        tmp_path, [{"id": "dead", "class": "Button", "text": "DEAD", "bounds": [0, 0, 10, 10], "clickable": True}]
+    )
     gateway = MockGateway.from_script([])
     table = synthesize_functionality(graph, gateway)
     assert len(table.entries) == 1
@@ -404,16 +396,7 @@ def test_ui_function_table_covers_every_node_in_bfs_order():
 
 
 def test_ui_function_table_single_node(tmp_path):
-    body = {
-        "app_id": "t",
-        "initial_state": "a",
-        "states": {"a": {"activity": "A", "elements": []}},
-        "transitions": [],
-        "crash_rules": [],
-    }
-    path = tmp_path / "app.json"
-    path.write_text(json.dumps(body))
-    graph = explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=5)
+    graph = explore_one_screen(tmp_path, [])
     table = synthesize_ui_functions(graph, MockGateway.from_script([{"response": "only"}]))
     assert len(table) == 1
 

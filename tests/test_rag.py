@@ -256,7 +256,7 @@ def near_tie_vectors(draw):
     return vectors, query
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(near_tie_vectors(), st.randoms())
 @example(([np.array([5.5e-248, 0.0])] * 2, np.array([5.5e-248, 0.0])), random.Random(0))
 @example(([np.array([1e200, 1e200]), np.array([1e200, 0.0])], np.array([1e200, 1e200])), random.Random(0))

@@ -4,15 +4,22 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
 from crashreplay.explorer import Knowledge, explore, synthesize_functionality, synthesize_ui_functions
 from crashreplay.gateway import ActionCommand, MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
+    NO_ACTIONABLE_THRESHOLD,
+    NO_MATCH_THRESHOLD,
+    REVISIT_THRESHOLD,
     HistoryRecord,
     Outcome,
     StuckReason,
+    StuckSignal,
+    StuckTracker,
     build_replay_prompt,
     detect_stuck,
     render_feedback,
@@ -57,14 +64,65 @@ def nomatch_record(state: UiState, feature: str) -> HistoryRecord:
 # -- detect_stuck ---------------------------------------------------------------
 
 
+def batch_detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
+    """Reference for the stuck tracker: every heuristic recomputed over the whole history."""
+    if not history:
+        return None
+
+    # (a) repeated failure to resolve the same feature on the same state
+    miss_counts: dict[tuple[str, str], int] = {}
+    for rec in history:
+        if rec.status is not None and rec.status.no_match_feature:
+            key = (rec.state_id, rec.status.no_match_feature)
+            miss_counts[key] = miss_counts.get(key, 0) + 1
+            if miss_counts[key] >= NO_MATCH_THRESHOLD:
+                return StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
+
+    # (b) current state re-entered with no new state discovered in between;
+    # consecutive duplicates collapse (standing still is not a revisit)
+    sequence: list[str] = []
+    for rec in history:
+        if rec.command is None or rec.status is None:
+            continue
+        for sid in ((rec.state_id,) if not sequence else ()) + (rec.status.new_state.state_id,):
+            if not sequence or sequence[-1] != sid:
+                sequence.append(sid)
+    if sequence:
+        current = sequence[-1]
+        visits = [i for i, sid in enumerate(sequence) if sid == current]
+        if len(visits) >= REVISIT_THRESHOLD:
+            previous_visit = visits[-2]
+            first_seen: dict[str, int] = {}
+            for i, sid in enumerate(sequence):
+                first_seen.setdefault(sid, i)
+            if not any(first > previous_visit for first in first_seen.values()):
+                return StuckSignal(StuckReason.STATE_REVISITED, current)
+
+    # (c) no actionable output twice on the same state
+    no_action_counts: dict[str, int] = {}
+    for rec in history:
+        if rec.no_actionable:
+            no_action_counts[rec.state_id] = no_action_counts.get(rec.state_id, 0) + 1
+            if no_action_counts[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
+                return StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
+    return None
+
+
+def stuck_after(history: list[HistoryRecord]) -> StuckSignal | None:
+    tracker = StuckTracker()
+    for rec in history:
+        tracker.add(rec)
+    return detect_stuck(tracker)
+
+
 def test_stuck_empty_history():
-    assert detect_stuck([]) is None
+    assert stuck_after([]) is None
 
 
 def test_stuck_repeated_no_match():
     s1 = simple_state("S1")
     history = [nomatch_record(s1, "About"), nomatch_record(s1, "About")]
-    signal = detect_stuck(history)
+    signal = stuck_after(history)
     assert signal is not None
     assert signal.reason == StuckReason.NO_MATCH_REPEATED
     assert signal.state == s1.state_id
@@ -72,19 +130,19 @@ def test_stuck_repeated_no_match():
 
 def test_stuck_single_no_match_not_enough():
     s1 = simple_state("S1")
-    assert detect_stuck([nomatch_record(s1, "About")]) is None
+    assert stuck_after([nomatch_record(s1, "About")]) is None
 
 
 def test_stuck_different_features_do_not_accumulate():
     s1 = simple_state("S1")
     history = [nomatch_record(s1, "A"), nomatch_record(s1, "B")]
-    assert detect_stuck(history) is None
+    assert stuck_after(history) is None
 
 
 def test_stuck_state_revisited_without_progress():
     s1, s2 = simple_state("S1"), simple_state("S2")
     history = [ok_record(s1, s2), ok_record(s2, s1), ok_record(s1, s2), ok_record(s2, s1)]
-    signal = detect_stuck(history)
+    signal = stuck_after(history)
     assert signal is not None
     assert signal.reason == StuckReason.STATE_REVISITED
     assert signal.state == s1.state_id
@@ -93,7 +151,7 @@ def test_stuck_state_revisited_without_progress():
 def test_stuck_not_raised_while_new_states_appear():
     s1, s2, s3 = simple_state("S1"), simple_state("S2"), simple_state("S3")
     history = [ok_record(s1, s2), ok_record(s2, s1), ok_record(s1, s3), ok_record(s3, s1)]
-    assert detect_stuck(history) is None
+    assert stuck_after(history) is None
 
 
 def test_stuck_no_actionable_twice_same_state():
@@ -102,9 +160,57 @@ def test_stuck_no_actionable_twice_same_state():
         HistoryRecord(s1.state_id, None, None, no_actionable=True),
         HistoryRecord(s1.state_id, None, None, no_actionable=True),
     ]
-    signal = detect_stuck(history)
+    signal = stuck_after(history)
     assert signal is not None
     assert signal.reason == StuckReason.LLM_NO_ACTIONABLE
+
+
+_STATES = [simple_state(f"S{i}") for i in range(5)]
+
+
+@st.composite
+def histories(draw):
+    """Random session histories: misses on a few features, no-actionable
+    steps, moves among at most 5 states (standing still included), restarts,
+    and jumps that change the state without a record, as exploration does."""
+    history = []
+    current = 0
+    for kind, target, feature in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["move", "miss", "no_actionable", "restart", "jump"]),
+                st.integers(0, len(_STATES) - 1),
+                st.sampled_from(["A", "B", "C"]),
+            ),
+            max_size=40,
+        )
+    ):
+        here = _STATES[current]
+        if kind == "move":
+            history.append(ok_record(here, _STATES[target]))
+            current = target
+        elif kind == "miss":
+            history.append(nomatch_record(here, feature))
+        elif kind == "no_actionable":
+            history.append(HistoryRecord(here.state_id, None, None, no_actionable=True))
+        elif kind == "jump":
+            current = target
+        else:
+            cmd = ActionCommand(action="restart")
+            status = ExecStatus(ok=True, detail="app restarted", new_state=_STATES[0])
+            history.append(HistoryRecord(here.state_id, cmd, status))
+            current = 0
+    return history
+
+
+@settings(max_examples=500)
+@given(histories())
+def test_stuck_tracker_agrees_with_the_batch_oracle_at_every_prefix(history):
+    tracker = StuckTracker()
+    assert detect_stuck(tracker) is None
+    for length, rec in enumerate(history, start=1):
+        tracker.add(rec)
+        assert detect_stuck(tracker) == batch_detect_stuck(history[:length])
 
 
 # -- feedback ---------------------------------------------------------------------

@@ -1,21 +1,37 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crashreplay.cli import fixtures_path
-from crashreplay.device import AlreadyCrashed
+from crashreplay.device import AlreadyCrashed, encode_state_text, feature_for_element
 from crashreplay.gateway import ActionCommand
 from crashreplay.simulator import (
+    SimAppSpec,
     SimSession,
-    SimulatorDevice,
     SpecInvalid,
-    declared_reachable_states,
     load_spec,
 )
 
 APPS = fixtures_path() / "apps"
+BUNDLED = {name: load_spec(APPS / f"{name}.json") for name in ("url_crash", "hidden_about", "checkout")}
+
+
+def declared_reachable_states(spec: SimAppSpec) -> set[str]:
+    """States reachable from the initial state over the declared transitions."""
+    reached = {spec.initial_state}
+    frontier = [spec.initial_state]
+    while frontier:
+        current = frontier.pop()
+        for rule in spec.transitions:
+            if rule.from_state == current and rule.to_state not in reached:
+                reached.add(rule.to_state)
+                frontier.append(rule.to_state)
+    return reached
 
 
 def write_spec(tmp_path, body: dict):
@@ -68,8 +84,7 @@ def test_url_crash_fixture_loads_with_four_states():
 
 
 def test_bundled_fixtures_fully_reachable():
-    for name in ("url_crash.json", "hidden_about.json", "checkout.json"):
-        spec = load_spec(APPS / name)
+    for name, spec in BUNDLED.items():
         assert declared_reachable_states(spec) == set(spec.states), name
 
 
@@ -226,3 +241,76 @@ def test_checkout_quantity_crash(checkout_device):
     )
     assert status.crash is not None
     assert status.crash.exception_type == "java.lang.NumberFormatException"
+
+
+def test_guarded_crash_reads_an_unset_field_from_the_first_state_declaring_it(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["states"]["b"]["elements"].append(
+        {"id": "field", "class": "EditText", "text": "other", "bounds": [0, 200, 100, 300], "editable": True}
+    )
+    body["crash_rules"].append(
+        {
+            "state": "b",
+            "verb": "click",
+            "feature": "BACK",
+            "requires_field": {"element": "field", "op": "equals", "value": "hello"},
+            "crash": {"exception_type": "java.lang.IllegalStateException"},
+        }
+    )
+    session = SimSession(load_spec(write_spec(tmp_path, body)))
+    session.step(ActionCommand(action="click", feature="GO"))
+    assert session.step(ActionCommand(action="click", feature="BACK")).crash is not None
+
+
+def _features(spec: SimAppSpec) -> list[str]:
+    found = {feature_for_element(e) for state in spec.states.values() for e in state.elements}
+    return sorted(f for f in found if f) + ["no such element"]
+
+
+@st.composite
+def command_runs(draw):
+    """A bundled spec and a run of clicks, text entries (values repeat and
+    change), backs and restarts over the features its screens declare."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    features = st.sampled_from(_features(BUNDLED[name]))
+    values = st.sampled_from(["", "x", "boom", "-1", "xxyyzz", "https://librenews.io/api"])
+    command = st.one_of(
+        st.builds(ActionCommand, action=st.just("click"), feature=features),
+        st.builds(ActionCommand, action=st.just("set_text"), feature=features, input_text=values),
+        st.just(ActionCommand(action="back")),
+        st.just(ActionCommand(action="restart")),
+    )
+    return name, draw(st.lists(command, max_size=25))
+
+
+def _assert_same_as_cold_build(session: SimSession, screen) -> None:
+    cold_session = SimSession(session.spec)
+    cold_session.current = session.current
+    cold_session.field_values = dict(session.field_values)
+    cold = cold_session.build_state()
+    assert screen.to_dict() == cold.to_dict()
+    assert screen.state_id == cold.state_id
+    assert encode_state_text(screen) == encode_state_text(cold)
+
+
+@given(command_runs())
+def test_memoized_screens_equal_a_cold_build(run):
+    name, commands = run
+    session = SimSession(BUNDLED[name])
+    for cmd in commands:
+        try:
+            status = session.step(cmd)
+        except AlreadyCrashed:
+            session.restart()
+            continue
+        _assert_same_as_cold_build(session, status.new_state)
+        screen = session.build_state()
+        assert screen is session.build_state()
+        _assert_same_as_cold_build(session, screen)
+
+
+def test_a_screen_cannot_be_changed_once_built(url_crash_device):
+    screen = url_crash_device.capture_state()
+    for attribute in ("activity_name", "root", "_state_id", "_text"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(screen, attribute, None)
