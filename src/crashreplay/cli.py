@@ -124,7 +124,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 
 @main.command("build-index")
 @click.option("--corpus", "corpus_path", required=True, help="Line-delimited labeled corpus file.")
-@click.option("--out", "index_path", default="index.json", help="Index file to write.")
+@click.option("--out", "index_path", default="index.bin", help="Index file to write.")
 @click.option("--dimension", type=click.IntRange(min=1), default=384, help="Embedding dimension.")
 @click.option("--embed-endpoint", default=None, help="Remote embedding endpoint (optional).")
 def cmd_build_index(corpus_path, index_path, dimension, embed_endpoint):

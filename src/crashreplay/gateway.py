@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -133,6 +134,12 @@ class ActionCommand:
 
 
 _DECODER = json.JSONDecoder()
+#: Longest reply and deepest bracket nesting the filter decodes.  Decoding
+#: from each ``[`` scans at most the value nested below it, so together they
+#: bound the filter's work to about MAX_REPLY_NESTING scans of the reply.
+MAX_REPLY_CHARS = 2**16
+MAX_REPLY_NESTING = 64
+_BRACKET = re.compile(r"[][{}]")
 
 
 def filter_json_payload(text: str) -> str | None:
@@ -142,8 +149,17 @@ def filter_json_payload(text: str) -> str | None:
     qualifies when it is an array of objects each carrying an ``"action"``
     key.  The scan resumes after a qualifying array, so multiple qualifying
     arrays are concatenated in textual order.  Returns None when nothing
-    qualifies.
+    qualifies, and for a reply over ``MAX_REPLY_CHARS`` or nested deeper than
+    ``MAX_REPLY_NESTING``.
     """
+    if len(text) > MAX_REPLY_CHARS:
+        return None
+    if text.count("[") + text.count("{") > MAX_REPLY_NESTING:  # fewer openers cannot nest deeper
+        depth = 0
+        for bracket in _BRACKET.findall(text):  # brackets inside strings count too
+            depth = depth + 1 if bracket in "[{" else max(depth - 1, 0)
+            if depth > MAX_REPLY_NESTING:
+                return None
     commands: list[dict] = []
     found = False
     i = text.find("[")

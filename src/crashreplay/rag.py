@@ -7,7 +7,7 @@ immutable index.  At extraction time the most similar corpus sentences
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -162,11 +162,15 @@ class HashedTrigramProvider(EmbeddingProvider):
     def embed_raw(self, text: str) -> np.ndarray:
         lowered = text.lower()
         grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)] or [lowered]
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            vec[int.from_bytes(digest, "big") % self.dimension] += 1.0
-        return vec
+        buckets = [_trigram_bucket(gram, self.dimension) for gram in grams]
+        return np.bincount(buckets, minlength=self.dimension).astype(np.float64)
+
+
+# Module-level because a provider is made per extraction (``cli.provider_for_index``).
+@functools.lru_cache(maxsize=2**16)
+def _trigram_bucket(gram: str, dimension: int) -> int:
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % dimension
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
@@ -310,15 +314,19 @@ class RagIndex:
 
     The embeddings live in one contiguous, read-only float64 matrix with one
     row per record; each record's ``embedding`` is a view of its row.
+    ``entries`` gives each record's ``(record_id, sentence, labels,
+    source_report)``, in row order.
     """
 
-    def __init__(self, provider_id: str, dimension: int, records: tuple[RagRecord, ...]):
-        self.provider_id = provider_id
-        self.dimension = dimension
-        matrix = np.array([r.embedding for r in records], dtype=np.float64).reshape(len(records), dimension)
+    def __init__(self, provider_id: str, matrix: np.ndarray, entries: list[tuple]):
         matrix.flags.writeable = False
+        self.provider_id = provider_id
+        self.dimension = matrix.shape[1]
         self.matrix = matrix
-        self.records = tuple(dataclasses.replace(r, embedding=row) for r, row in zip(records, matrix))
+        self.records = tuple(
+            RagRecord(record_id, sentence, row, labels, source_report)
+            for (record_id, sentence, labels, source_report), row in zip(entries, matrix, strict=True)
+        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -328,21 +336,15 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
     """Embed every labeled sentence into one record; record order follows the corpus."""
     if not corpus:
         raise EmptyCorpus("corpus has no reports")
-    records: list[RagRecord] = []
+    entries = []
+    vectors = []
     for report in corpus:
         report.validate()
         for ordinal, sentence in enumerate(report.sentences, start=1):
-            vec = embed(sentence.text, provider)
-            records.append(
-                RagRecord(
-                    record_id=f"{report.report_id}:{ordinal:04d}",
-                    sentence=sentence.text,
-                    embedding=vec,
-                    labels=sentence.labels,
-                    source_report=report.report_id,
-                )
-            )
-    return RagIndex(provider.provider_id, provider.dimension, tuple(records))
+            vectors.append(embed(sentence.text, provider))
+            entries.append((f"{report.report_id}:{ordinal:04d}", sentence.text, sentence.labels, report.report_id))
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), provider.dimension)
+    return RagIndex(provider.provider_id, matrix, entries)
 
 
 def _score_margin(dimension: int) -> float:
@@ -409,50 +411,52 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
 
 
 def save_index(index: RagIndex, path: str | Path) -> None:
-    """Write the index as JSON: the header fields, then one record per line."""
-    header = json.dumps({"provider_id": index.provider_id, "dimension": index.dimension}, ensure_ascii=False)
-    records = ",\n".join(
-        json.dumps(
-            {
-                "record_id": r.record_id,
-                "sentence": r.sentence,
-                "embedding": r.embedding.tolist(),
-                "labels": [e.to_label() for e in r.labels],
-                "source_report": r.source_report,
-            },
-            ensure_ascii=False,
-        )
+    """Write one JSON header line with every record but its embedding, then the matrix as raw ``<f8`` bytes."""
+    records = [
+        {
+            "record_id": r.record_id,
+            "sentence": r.sentence,
+            "labels": [e.to_label() for e in r.labels],
+            "source_report": r.source_report,
+        }
         for r in index.records
-    )
-    Path(path).write_text(f'{header[:-1]}, "records": [\n{records}\n]}}\n', encoding="utf-8")
+    ]
+    header = {"provider_id": index.provider_id, "dimension": index.dimension, "records": records}
+    line = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    with open(path, "wb") as out:
+        # Trailing spaces start the block at a multiple of 8 bytes, so a view of it is aligned for BLAS.
+        out.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
+        out.write(index.matrix.astype("<f8", copy=False).tobytes())
 
 
 def load_index(path: str | Path) -> RagIndex:
-    """Load a persisted index, validating dimensions and unit norms."""
+    """Load a persisted index, validating its header, block size and unit norms.
+
+    The matrix is a read-only view of the file's bytes, copied only if unaligned.
+    """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        provider_id = payload["provider_id"]
-        dimension = int(payload["dimension"])
-        raw_records = payload["records"]
+        data = Path(path).read_bytes()
+        end = data.index(b"\n")
+        header = json.loads(data[:end])
+        provider_id = header["provider_id"]
+        dimension = int(header["dimension"])
+        raw_records = list(header["records"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise IndexFormatError(f"{path}: {exc}") from exc
-    records: list[RagRecord] = []
+        raise IndexFormatError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
+    entries = []
     for i, raw in enumerate(raw_records):
         try:
-            vec = np.asarray(raw["embedding"], dtype=np.float64)
-            record = RagRecord(
-                record_id=raw["record_id"],
-                sentence=raw["sentence"],
-                embedding=vec,
-                labels=tuple(S2REntity.from_label(label) for label in raw.get("labels", [])),
-                source_report=raw.get("source_report", ""),
-            )
+            labels = tuple(S2REntity.from_label(label) for label in raw.get("labels", []))
+            entries.append((raw["record_id"], raw["sentence"], labels, raw.get("source_report", "")))
         except Exception as exc:
             raise IndexFormatError(f"{path}: record {i}: {exc}") from exc
-        if vec.shape != (dimension,):
-            raise IndexFormatError(f"{path}: record {record.record_id} has dimension {vec.shape[0]}")
-        records.append(record)
-    index = RagIndex(provider_id, dimension, tuple(records))
+    block, need = len(data) - end - 1, len(entries) * dimension * 8
+    if dimension < 1 or block != need:
+        raise IndexFormatError(f"{path}: embedding block is {block} bytes, not {need}; rebuild it with build-index")
+    matrix = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(entries), dimension)
+    if not matrix.flags.aligned:  # an unpadded header; products with an unaligned view run ~5x slower
+        matrix = matrix.copy()
+    index = RagIndex(provider_id, matrix, entries)
     # Written as "not within" so that a NaN norm fails too.
     off_norm = np.flatnonzero(~(np.abs(np.linalg.norm(index.matrix, axis=1) - 1.0) <= NORM_TOLERANCE))
     if off_norm.size:

@@ -9,6 +9,7 @@ exhaustion.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -105,6 +106,10 @@ class ReplayResult:
 
     def trace_text(self) -> str:
         """The run log: one JSON record per loop iteration, reproducible byte-for-byte."""
+        return self._trace_text
+
+    @functools.cached_property
+    def _trace_text(self) -> str:
         return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in self.trace_records)
 
 

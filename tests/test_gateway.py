@@ -6,6 +6,8 @@ import time
 import pytest
 
 from crashreplay.gateway import (
+    MAX_REPLY_CHARS,
+    MAX_REPLY_NESTING,
     ActionCommand,
     BudgetExceeded,
     ExhaustedScript,
@@ -91,6 +93,26 @@ def test_filter_idempotent():
         once = filter_json_payload(text)
         assert once is not None
         assert filter_json_payload(once) == once
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param("[" * 16000, id="unclosed-brackets"),
+        pytest.param("[" * 70 + '{"action": "back"}' + "]" * 70, id="over-nesting"),
+        pytest.param('[{"action": "back"}]' + " " * MAX_REPLY_CHARS, id="over-length"),
+    ],
+)
+def test_filter_treats_a_reply_over_its_bounds_as_non_actionable(reply):
+    start = time.process_time()
+    assert filter_json_payload(reply) is None
+    assert time.process_time() - start < 0.05
+
+
+def test_filter_decodes_nesting_up_to_its_bound():
+    depth = MAX_REPLY_NESTING - 2  # the qualifying array and its object are two more levels
+    reply = "[" * depth + '[{"action": "back"}]' + "]" * depth
+    assert json.loads(filter_json_payload(reply)) == [{"action": "back"}]
 
 
 def test_filter_output_always_parses_as_array():

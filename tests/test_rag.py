@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crashreplay.grammar import ActionType
+from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     DimensionMismatch,
     EmbeddingProvider,
@@ -80,6 +80,24 @@ class StubProvider(EmbeddingProvider):
 
     def embed_raw(self, text: str) -> np.ndarray:
         return self.vectors[text]
+
+
+def reference_trigram_embedding(text: str, dimension: int) -> np.ndarray:
+    """The per-trigram blake2b loop that ``HashedTrigramProvider.embed_raw`` replaced, kept as its oracle."""
+    lowered = text.lower()
+    grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)] or [lowered]
+    vec = np.zeros(dimension, dtype=np.float64)
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest, "big") % dimension] += 1.0
+    return vec
+
+
+def split_index_file(path) -> tuple[bytes, np.ndarray]:
+    """The header line of a saved index, and a writable copy of its embedding block."""
+    data = path.read_bytes()
+    end = data.index(b"\n") + 1
+    return data[:end], np.frombuffer(data, dtype="<f8", offset=end).copy()
 
 
 
@@ -165,6 +183,18 @@ def test_embed_rejects_zero_and_non_finite_vectors(raw):
 def test_embed_keeps_the_bytes_of_ordinary_vectors(provider):
     raw = np.asarray(provider.embed_raw("tap the button"), dtype=np.float64)
     assert embed("tap the button", provider).tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=2) | st.text(max_size=40) | st.text(alphabet="abcİßΣ ", max_size=12))
+@example("İ")
+@example("")
+def test_trigram_embedding_matches_reference(text):
+    # Two dimensions per text: a memo keyed on the trigram alone would serve one's buckets to the other.
+    for dimension in (384, 97):
+        got = HashedTrigramProvider(dimension).embed_raw(text)
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_trigram_embedding(text, dimension).tobytes()
 
 
 def test_embed_similarity_ordering(provider):
@@ -300,7 +330,7 @@ def test_retrieve_rejects_provider_mismatch(mini_corpus, provider):
 
 
 def test_retrieve_rejects_empty_index(provider):
-    index = RagIndex(provider.provider_id, provider.dimension, ())
+    index = RagIndex(provider.provider_id, np.empty((0, provider.dimension)), [])
     with pytest.raises(EmptyIndex):
         retrieve(index, "Tap OK.", 1, provider)
 
@@ -343,25 +373,124 @@ def test_index_save_load_round_trip(mini_corpus, provider, tmp_path):
 
 def test_load_rejects_non_unit_norm(tmp_path, provider, mini_corpus):
     index = build_index(mini_corpus, provider)
-    path = tmp_path / "index.json"
+    path = tmp_path / "index.bin"
     save_index(index, path)
-    payload = json.loads(path.read_text())
-    payload["records"][0]["embedding"][0] += 0.5
-    path.write_text(json.dumps(payload))
+    header, block = split_index_file(path)
+    block[0] += 0.5
+    path.write_bytes(header + block.tobytes())
     with pytest.raises(IndexFormatError):
         load_index(path)
 
 
 def test_load_names_first_record_off_unit_norm(tmp_path, provider, mini_corpus):
     index = build_index(mini_corpus, provider)
-    path = tmp_path / "index.json"
+    path = tmp_path / "index.bin"
     save_index(index, path)
-    payload = json.loads(path.read_text())
-    payload["records"][3]["embedding"][0] = float("nan")
-    payload["records"][7]["embedding"][0] += 0.5
-    path.write_text(json.dumps(payload))
+    header, block = split_index_file(path)
+    rows = block.reshape(len(index), index.dimension)
+    rows[3, 0] = float("nan")
+    rows[7, 0] += 0.5
+    path.write_bytes(header + block.tobytes())
     with pytest.raises(IndexFormatError, match=f"record {index.records[3].record_id} is not unit-norm"):
         load_index(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda data, row: data[:-1], id="truncated-byte"),
+        pytest.param(lambda data, row: data[:-row], id="truncated-row"),
+        pytest.param(lambda data, row: data + b"\0", id="trailing-byte"),
+    ],
+)
+def test_load_rejects_a_block_of_the_wrong_size(tmp_path, provider, mini_corpus, damage):
+    index = build_index(mini_corpus, provider)
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    path.write_bytes(damage(path.read_bytes(), 8 * index.dimension))
+    with pytest.raises(IndexFormatError, match="embedding block is .* bytes"):
+        load_index(path)
+
+
+def test_load_aligns_the_block_after_an_unpadded_header(tmp_path, provider, mini_corpus):
+    index = build_index(mini_corpus, provider)
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    header, block = split_index_file(path)
+    line = header.rstrip()
+    if (len(line) + 1) % 8 == 0:
+        line += b" "
+    path.write_bytes(line + b"\n" + block.tobytes())
+    loaded = load_index(path)
+    assert loaded.matrix.flags.aligned and not loaded.matrix.flags.writeable
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+
+
+def old_json_index(index: RagIndex, one_record_per_line: bool) -> str:
+    """An index in the all-JSON format, embeddings as decimal arrays."""
+    records = [
+        {
+            "record_id": r.record_id,
+            "sentence": r.sentence,
+            "embedding": r.embedding.tolist(),
+            "labels": [e.to_label() for e in r.labels],
+            "source_report": r.source_report,
+        }
+        for r in index.records
+    ]
+    if not one_record_per_line:
+        return json.dumps({"provider_id": index.provider_id, "dimension": index.dimension, "records": records})
+    lines = ",\n".join(json.dumps(r) for r in records)
+    return f'{{"provider_id": "{index.provider_id}", "dimension": {index.dimension}, "records": [\n{lines}\n]}}\n'
+
+
+@pytest.mark.parametrize("one_record_per_line", [True, False])
+def test_load_rejects_the_old_json_format_and_names_build_index(tmp_path, provider, mini_corpus, one_record_per_line):
+    path = tmp_path / "index.json"
+    path.write_text(old_json_index(build_index(mini_corpus, provider), one_record_per_line), encoding="utf-8")
+    with pytest.raises(IndexFormatError, match="build-index"):
+        load_index(path)
+
+
+LABELS = [
+    S2REntity.from_label(raw)
+    for raw in (
+        {"action": "tap", "component": "OK"},
+        {"action": "input", "component": "Name", "value": "Zoë"},
+        {"action": "scroll", "direction": "down"},
+        {"action": "back"},
+    )
+]
+
+
+@st.composite
+def indexes(draw):
+    """Small indexes with arbitrary text fields and unit-norm rows of any magnitude."""
+    dimension = draw(st.integers(1, 6))
+    vector = arrays(np.float64, dimension, elements=st.floats(-1e300, 1e300)).filter(np.any)
+    vectors = draw(st.lists(vector, max_size=5))
+    matrix = np.array([embed("query", StubProvider({"query": v})) for v in vectors]).reshape(len(vectors), dimension)
+    entries = [
+        (draw(st.text()), draw(st.text()), tuple(draw(st.lists(st.sampled_from(LABELS), max_size=3))), draw(st.text()))
+        for _ in vectors
+    ]
+    return RagIndex(draw(st.text()), matrix, entries)
+
+
+@settings(max_examples=100)
+@given(indexes())
+@example(RagIndex("hashed-trigram-2", np.array([[0.6, 0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", (), "r")]))
+def test_save_load_round_trip_is_exact(tmp_path_factory, index):
+    path = tmp_path_factory.mktemp("index") / "index.bin"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert (loaded.provider_id, loaded.dimension) == (index.provider_id, index.dimension)
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    assert not loaded.matrix.flags.writeable
+    assert loaded.matrix.flags.aligned and (path.read_bytes().index(b"\n") + 1) % 8 == 0
+    assert all(np.shares_memory(r.embedding, loaded.matrix) for r in loaded.records)
+    fields = [(r.record_id, r.sentence, r.labels, r.source_report) for r in loaded.records]
+    assert fields == [(r.record_id, r.sentence, r.labels, r.source_report) for r in index.records]
 
 
 def test_script_from_report(mini_corpus):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -555,6 +556,18 @@ def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action
     records = result.trace_records
     explored = next(i for i, rec in enumerate(records) if rec["explored"])
     assert records[explored + 1]["state"] == graph.origin
+
+
+def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):
+    report, gold, device, gateway, _ = load_scenario("url_crash")
+    result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: encoded.append(1) or dumps(*args, **kwargs))
+    text = result.trace_text()
+    summary = result.summary_dict()
+    assert summary["trace_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert len(encoded) == len(result.trace_records) > 0
 
 
 def test_run_survives_a_reply_nested_too_deep_to_decode():
