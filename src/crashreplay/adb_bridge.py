@@ -129,7 +129,6 @@ class AdbDevice(Device):
         self.package = package
         self.launch_activity = launch_activity
         self._runner = runner or _subprocess_runner
-        self.command_log: list[list[str]] = []
         self._screen: tuple[int, int] | None = None
         self._landscape = False
         self._adb(["logcat", "-c"])
@@ -141,9 +140,7 @@ class AdbDevice(Device):
     # -- plumbing ------------------------------------------------------------
 
     def _adb(self, args: Sequence[str]) -> str:
-        full = ["adb", "-s", self.serial, *args]
-        self.command_log.append(full)
-        return self._runner(full, COMMAND_TIMEOUT_S)
+        return self._runner(["adb", "-s", self.serial, *args], COMMAND_TIMEOUT_S)
 
     def _shell(self, *args: str) -> str:
         return self._adb(["shell", *args])

@@ -267,11 +267,11 @@ def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_packa
     sys.exit(EXIT_OK if result.outcome == replay.Outcome.REPRODUCED else EXIT_DOMAIN)
 
 
-def _scenario_option(raw: dict, name: str, default):
-    """``raw[name]`` (else ``default``), converted by the type of ``replay``'s option ``name``."""
-    param = next(param for param in cmd_replay.params if param.name == name)
+def _scenario_option(raw: dict, name: str, default, command: click.Command = cmd_replay, param_name: str | None = None):
+    """``raw[name]`` (else ``default``), converted by the type of ``command``'s option ``param_name`` (else ``name``)."""
+    param = next(param for param in command.params if param.name == (param_name or name))
     try:
-        return param.type_cast_value(click.Context(cmd_replay), raw.get(name, default))
+        return param.type_cast_value(click.Context(command), raw.get(name, default))
     except click.BadParameter as exc:
         raise ValueError(f"bad value for {name!r}: {exc.message}") from exc
 
@@ -287,7 +287,8 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
     script = S2RScript(steps=())
     if raw.get("extract_mock"):
         gateway = MockGateway.from_script_file(scenario_dir / raw["extract_mock"])
-        script, log = run_extraction(report_text, index, gateway, raw.get("k", DEFAULT_RETRIEVAL_K))
+        k = _scenario_option(raw, "k", DEFAULT_RETRIEVAL_K, cmd_extract, "retrieval_k")
+        script, log = run_extraction(report_text, index, gateway, k)
         _write_json(out_dir / "script.json", script.to_dict())
         if raw.get("gold_script"):
             gold = S2RScript.from_dict(

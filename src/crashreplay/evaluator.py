@@ -39,41 +39,6 @@ class ExtractionScore:
             return None
         return matched / total
 
-    @property
-    def step_acc(self) -> float | None:
-        return self.accuracy("step")
-
-    @property
-    def action_acc(self) -> float | None:
-        return self.accuracy("action")
-
-    @property
-    def component_acc(self) -> float | None:
-        return self.accuracy("component")
-
-    @property
-    def input_acc(self) -> float | None:
-        return self.accuracy("input")
-
-    @property
-    def direction_acc(self) -> float | None:
-        return self.accuracy("direction")
-
-    @classmethod
-    def from_accuracies(
-        cls,
-        step: float | None = None,
-        action: float | None = None,
-        component: float | None = None,
-        input: float | None = None,
-        direction: float | None = None,
-    ) -> "ExtractionScore":
-        """Build a score carrying given accuracy values (for report formatting)."""
-        counts = {}
-        for dim, value in zip(DIMENSIONS, (step, action, component, input, direction)):
-            counts[dim] = (0, 0) if value is None else (round(value * 10_000), 10_000)
-        return cls(counts=counts)
-
 
 def _same_sentence(script: S2RScript, index: int) -> bool | None:
     """Whether steps index-1 and index come from the same sentence; None if unknown."""
@@ -82,6 +47,15 @@ def _same_sentence(script: S2RScript, index: int) -> bool | None:
     if a is None or b is None:
         return None
     return a == b
+
+
+#: The key each entity dimension compares as a multiset; None leaves a step out of it.
+_OVERLAP_KEYS = {
+    "action": lambda e: e.action,
+    "component": lambda e: None if e.component is None else (e.action, normalize_component(e.component)),
+    "input": lambda e: None if e.value is None else e.value.strip(),
+    "direction": lambda e: e.direction,
+}
 
 
 def score_extraction(predicted: S2RScript, gold: S2RScript) -> ExtractionScore:
@@ -107,41 +81,10 @@ def score_extraction(predicted: S2RScript, gold: S2RScript) -> ExtractionScore:
         step_matched += 1
     score.counts["step"] = (step_matched, len(gold.steps))
 
-    gold_actions = Counter(step.entity.action for step in gold.steps)
-    pred_actions = Counter(step.entity.action for step in predicted.steps)
-    score.counts["action"] = (sum((gold_actions & pred_actions).values()), len(gold.steps))
-
-    gold_components = Counter(
-        (step.entity.action, normalize_component(step.entity.component))
-        for step in gold.steps
-        if step.entity.component is not None
-    )
-    pred_components = Counter(
-        (step.entity.action, normalize_component(step.entity.component))
-        for step in predicted.steps
-        if step.entity.component is not None
-    )
-    score.counts["component"] = (
-        sum((gold_components & pred_components).values()),
-        sum(gold_components.values()),
-    )
-
-    gold_values = Counter(step.entity.value.strip() for step in gold.steps if step.entity.value is not None)
-    pred_values = Counter(
-        step.entity.value.strip() for step in predicted.steps if step.entity.value is not None
-    )
-    score.counts["input"] = (sum((gold_values & pred_values).values()), sum(gold_values.values()))
-
-    gold_directions = Counter(
-        step.entity.direction for step in gold.steps if step.entity.direction is not None
-    )
-    pred_directions = Counter(
-        step.entity.direction for step in predicted.steps if step.entity.direction is not None
-    )
-    score.counts["direction"] = (
-        sum((gold_directions & pred_directions).values()),
-        sum(gold_directions.values()),
-    )
+    for dim, key in _OVERLAP_KEYS.items():
+        gold_keys = Counter(k for k in (key(step.entity) for step in gold.steps) if k is not None)
+        pred_keys = Counter(k for k in (key(step.entity) for step in predicted.steps) if k is not None)
+        score.counts[dim] = (sum((gold_keys & pred_keys).values()), sum(gold_keys.values()))
     return score
 
 

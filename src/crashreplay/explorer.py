@@ -159,8 +159,8 @@ def _probe_commands(state: UiState) -> list[ActionCommand]:
 
 def explore(
     device: Device,
-    depth: int = 1,
-    action_budget: int = 60,
+    depth: int,
+    action_budget: int,
     origin_path: tuple[ActionCommand, ...] = (),
 ) -> UtgGraph:
     """Build the transition graph around the device's current screen.
@@ -266,31 +266,26 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
 
 @dataclass
 class FunctionalityEntry:
-    """What one origin-page element accomplishes, with the path to get there.
+    """What one origin-page element accomplishes, and the screen its probe led to.
 
-    ``synthesized_functionality`` is None when the model could not be asked.
+    ``synthesized_functionality`` is None when the model could not be asked;
+    ``destination`` is None when probing the element recorded no edge.
     """
 
     element: str
     synthesized_functionality: str | None
-    ui_states: tuple[str, ...]
-    ui_elements: tuple[str, ...]
-
-
-@dataclass
-class FunctionalityTable:
-    entries: tuple[FunctionalityEntry, ...]
+    destination: str | None
 
 
 def synthesize_functionality(
     graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None
-) -> FunctionalityTable:
+) -> tuple[FunctionalityEntry, ...]:
     """Summarize, per interactable origin element, the screen it leads to.
 
     Every probe of an origin element starts on the origin, so an element's
     destination is the first origin edge probing its feature.  A gateway
-    failure leaves only that entry's summary None; the table always has one
-    entry per interactable element of the origin page.
+    failure leaves only that entry's summary None; there is always one entry
+    per interactable element of the origin page.
     """
     if not graph.nodes:
         raise ExplorerError("graph is empty")
@@ -304,7 +299,7 @@ def synthesize_functionality(
         feature = feature_for_element(element) or element.element_id
         edge = first_edges.get(feature)
         if edge is None:
-            entries.append(FunctionalityEntry(feature, NO_SCREEN_CHANGE, (graph.origin,), ()))
+            entries.append(FunctionalityEntry(feature, NO_SCREEN_CHANGE, None))
             continue
         prompt = template.format(
             feature=feature,
@@ -315,8 +310,8 @@ def synthesize_functionality(
             summary: str | None = gateway.complete(prompt, deadline).strip()
         except GatewayError:
             summary = None
-        entries.append(FunctionalityEntry(feature, summary, (graph.origin, edge.to_state), (feature,)))
-    return FunctionalityTable(entries=tuple(entries))
+        entries.append(FunctionalityEntry(feature, summary, edge.to_state))
+    return tuple(entries)
 
 
 def synthesize_ui_functions(
@@ -344,7 +339,7 @@ class Knowledge:
     """What exploring one stuck page taught: the graph and both summary tables."""
 
     graph: UtgGraph
-    functionality: FunctionalityTable
+    functionality: tuple[FunctionalityEntry, ...]
     ui_functions: dict[str, str | None]
 
 
@@ -352,7 +347,7 @@ def save_knowledge(path: str | Path, knowledge: Knowledge) -> None:
     """Write ``knowledge`` to ``path`` atomically: a temp file, then a rename."""
     payload = {
         "graph": knowledge.graph.to_dict(),
-        "functionality": [asdict(entry) for entry in knowledge.functionality.entries],
+        "functionality": [asdict(entry) for entry in knowledge.functionality],
         "ui_functions": knowledge.ui_functions,
     }
     path = Path(path)
@@ -373,12 +368,10 @@ def load_knowledge(path: str | Path) -> Knowledge:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         entries = tuple(
-            FunctionalityEntry(
-                e["element"], e["synthesized_functionality"], tuple(e["ui_states"]), tuple(e["ui_elements"])
-            )
+            FunctionalityEntry(e["element"], e["synthesized_functionality"], e["destination"])
             for e in payload["functionality"]
         )
         graph = UtgGraph.from_dict(payload["graph"])
-        return Knowledge(graph, FunctionalityTable(entries), dict(payload["ui_functions"]))
+        return Knowledge(graph, entries, dict(payload["ui_functions"]))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ExplorerError(f"{path} holds no knowledge record: {exc!r}") from exc

@@ -67,7 +67,6 @@ class LlmConfig:
     model_name: str
     request_timeout: float = 30.0
     max_retries: int = 2
-    temperature: float = 0.0
     api_key: str | None = None
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class LlmConfig:
             raise ValueError("request_timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     @classmethod
     def from_env(cls) -> "LlmConfig":
@@ -327,7 +324,7 @@ class MockGateway(LlmGateway):
 
     def __init__(self, entries: list[MockEntry]):
         super().__init__(
-            LlmConfig(endpoint="mock", model_name="scripted", max_retries=0, temperature=0.0)
+            LlmConfig(endpoint="mock", model_name="scripted", max_retries=0)
         )
         self.entries = entries
 
@@ -374,7 +371,7 @@ class HttpGateway(LlmGateway):
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
         }
         start = time.monotonic()
         try:

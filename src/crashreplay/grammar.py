@@ -9,7 +9,7 @@ ask a language model for steps, and the parsing of its reply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -268,7 +268,6 @@ class S2RScript:
 
     steps: tuple[ScriptStep, ...]
     source_report: str = ""
-    parse_issues: tuple[ParseIssue, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         steps = []
@@ -321,7 +320,7 @@ def build_extraction_prompt(
 _SENTENCE_HEADER = re.compile(r"^\s*sentence\s+(\d+)\s*:?\s*$", re.IGNORECASE)
 
 
-def parse_extraction_response(text: str, source_report: str = "") -> S2RScript:
+def parse_extraction_response(text: str) -> S2RScript:
     """Turn a model reply into a script.
 
     Prose lines without a bracket group are discarded.  Optional
@@ -329,9 +328,8 @@ def parse_extraction_response(text: str, source_report: str = "") -> S2RScript:
     sentence.  Raises :class:`NoEntitiesFound` when nothing parses.
     """
     steps: list[ScriptStep] = []
-    issues: list[ParseIssue] = []
     current_sentence: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -341,11 +339,8 @@ def parse_extraction_response(text: str, source_report: str = "") -> S2RScript:
             continue
         if "[" not in line or "]" not in line:
             continue
-        parsed = parse_entity_notation(line)
-        for issue in parsed.issues:
-            issues.append(ParseIssue(line_no, raw, issue.reason))
-        for entity in parsed.entities:
+        for entity in parse_entity_notation(line).entities:
             steps.append(ScriptStep(entity, current_sentence))
     if not steps:
         raise NoEntitiesFound("response contained no parseable steps")
-    return S2RScript(steps=tuple(steps), source_report=source_report, parse_issues=tuple(issues))
+    return S2RScript(steps=tuple(steps))

@@ -74,16 +74,6 @@ NO_ACTIONABLE_THRESHOLD = 2
 
 
 @dataclass
-class HistoryRecord:
-    """One executed command, or one iteration that produced no command."""
-
-    state_id: str
-    command: ActionCommand | None
-    status: ExecStatus | None
-    no_actionable: bool = False
-
-
-@dataclass
 class ReplayResult:
     outcome: Outcome
     crash: CrashInfo | None
@@ -143,20 +133,22 @@ class StuckTracker:
         self.current = state_id
         self._length += 1
 
-    def add(self, rec: HistoryRecord) -> None:
-        if self.no_match is None and rec.status is not None and rec.status.no_match_feature:
-            key = (rec.state_id, rec.status.no_match_feature)
+    def add(self, state_id: str, status: ExecStatus | None) -> None:
+        """Record one command executed on ``state_id``, or (``status`` None) a reply without an action."""
+        if status is None:
+            if self.no_actionable is None:
+                self._no_actions[state_id] = self._no_actions.get(state_id, 0) + 1
+                if self._no_actions[state_id] >= NO_ACTIONABLE_THRESHOLD:
+                    self.no_actionable = StuckSignal(StuckReason.LLM_NO_ACTIONABLE, state_id)
+            return
+        if self.no_match is None and status.no_match_feature:
+            key = (state_id, status.no_match_feature)
             self._misses[key] = self._misses.get(key, 0) + 1
             if self._misses[key] >= NO_MATCH_THRESHOLD:
-                self.no_match = StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
-        if rec.command is not None and rec.status is not None:
-            if self.current is None:
-                self._visit(rec.state_id)
-            self._visit(rec.status.new_state.state_id)
-        if self.no_actionable is None and rec.no_actionable:
-            self._no_actions[rec.state_id] = self._no_actions.get(rec.state_id, 0) + 1
-            if self._no_actions[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
-                self.no_actionable = StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
+                self.no_match = StuckSignal(StuckReason.NO_MATCH_REPEATED, state_id)
+        if self.current is None:
+            self._visit(state_id)
+        self._visit(status.new_state.state_id)
 
 
 def detect_stuck(tracker: StuckTracker) -> StuckSignal | None:
@@ -202,15 +194,14 @@ def _render_knowledge(knowledge: Knowledge) -> str:
         return state.activity_name if state is not None else state_id
 
     lines = [f"Functionality of the elements on the {origin_activity} screen:"]
-    for entry in knowledge.functionality.entries:
+    for entry in knowledge.functionality:
         if entry.synthesized_functionality is None:
             summary = "(summary unavailable)"
         else:
             summary = entry.synthesized_functionality or "(no summary)"
-        if len(entry.ui_states) > 1:
-            path = " > ".join(describe(sid) for sid in entry.ui_states)
-            via = ", ".join(f"[{f}]" for f in entry.ui_elements)
-            lines.append(f'- "{entry.element}": {summary} Path: {path} via {via}.')
+        if entry.destination is not None:
+            path = f"{origin_activity} > {describe(entry.destination)}"
+            lines.append(f'- "{entry.element}": {summary} Path: {path} via [{entry.element}].')
         else:
             lines.append(f'- "{entry.element}": {summary}')
     lines.append("Screen functions:")
@@ -257,7 +248,7 @@ def _status_dict(status: ExecStatus) -> dict:
 
 @dataclass
 class _RunState:
-    """One run's memory: stuck tracker, append-only trace, attached knowledge, counters."""
+    """One run's memory: stuck tracker, append-only trace (one record per iteration), attached knowledge."""
 
     gateway: LlmGateway
     started_at: float
@@ -267,8 +258,6 @@ class _RunState:
     knowledge: Knowledge | None = None
     explored_states: set[str] = field(default_factory=set)
     path_from_start: list[ActionCommand] = field(default_factory=list)
-    steps_executed: int = 0
-    iterations: int = 0
     no_actionable_streak: int = 0
 
     def result(self, outcome: Outcome, crash: CrashInfo | None = None) -> ReplayResult:
@@ -277,8 +266,8 @@ class _RunState:
             crash=crash,
             elapsed=time.monotonic() - self.started_at,
             llm_time=self.gateway.total_llm_time - self.llm_base,
-            steps_executed=self.steps_executed,
-            iterations=self.iterations,
+            steps_executed=sum(len(rec["statuses"]) for rec in self.trace_records),
+            iterations=len(self.trace_records),
             trace_records=tuple(self.trace_records),
         )
 
@@ -354,12 +343,12 @@ def run(
     try:
         state = device.capture_state()
         while True:
-            if time.monotonic() >= deadline or (max_iterations is not None and loop.iterations >= max_iterations):
+            iteration = len(loop.trace_records) + 1
+            if time.monotonic() >= deadline or (max_iterations is not None and iteration > max_iterations):
                 return loop.result(Outcome.BUDGET_EXHAUSTED)
-            loop.iterations += 1
             prompt = build_replay_prompt(report, script, encode_state_text(state), loop.knowledge, feedback)
             record: dict = {
-                "iteration": loop.iterations,
+                "iteration": iteration,
                 "state": state.state_id,
                 "activity": state.activity_name,
                 "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
@@ -387,51 +376,44 @@ def run(
 
             if not commands:
                 record["no_actionable"] = True
-                loop.history.add(HistoryRecord(state.state_id, None, None, no_actionable=True))
+                loop.history.add(state.state_id, None)
                 loop.no_actionable_streak += 1
-                explored = handle_stuck(record)
-                if explored is not None:
-                    state = explored
-                    loop.no_actionable_streak = 0
-                    feedback = None
-                    continue
-                if loop.no_actionable_streak >= 2:
-                    return loop.result(Outcome.NO_ACTIONABLE_OUTPUT)
                 feedback = "Your previous reply contained no executable JSON action array."
-                continue
-
-            loop.no_actionable_streak = 0
-            record["commands"] = [cmd.to_dict() for cmd in commands]
-            feedback_parts: list[str] = []
-            for index, cmd in enumerate(commands):
-                if time.monotonic() >= deadline:
-                    return loop.result(Outcome.BUDGET_EXHAUSTED)
-                previous_id = state.state_id
-                try:
-                    status = device.execute(cmd)
-                except AlreadyCrashed:
-                    break
-                loop.steps_executed += 1
-                loop.history.add(HistoryRecord(previous_id, cmd, status))
-                record["statuses"].append(_status_dict(status))
-                state = status.new_state
-                if cmd.action == "restart":
-                    loop.path_from_start = []
-                elif status.ok and state.state_id != previous_id:
-                    loop.path_from_start.append(cmd)
-                if status.crash is not None:
-                    return loop.result(Outcome.REPRODUCED, status.crash)
-                feedback_parts.append(render_feedback(status, previous_id))
-                if not status.ok:
-                    remaining = len(commands) - index - 1
-                    if remaining:
-                        feedback_parts.append(f"The remaining {remaining} queued actions were discarded.")
-                    break
-            feedback = " ".join(feedback_parts)
+            else:
+                loop.no_actionable_streak = 0
+                record["commands"] = [cmd.to_dict() for cmd in commands]
+                feedback_parts: list[str] = []
+                for index, cmd in enumerate(commands):
+                    if time.monotonic() >= deadline:
+                        return loop.result(Outcome.BUDGET_EXHAUSTED)
+                    previous_id = state.state_id
+                    try:
+                        status = device.execute(cmd)
+                    except AlreadyCrashed:
+                        break
+                    loop.history.add(previous_id, status)
+                    record["statuses"].append(_status_dict(status))
+                    state = status.new_state
+                    if cmd.action == "restart":
+                        loop.path_from_start = []
+                    elif status.ok and state.state_id != previous_id:
+                        loop.path_from_start.append(cmd)
+                    if status.crash is not None:
+                        return loop.result(Outcome.REPRODUCED, status.crash)
+                    feedback_parts.append(render_feedback(status, previous_id))
+                    if not status.ok:
+                        remaining = len(commands) - index - 1
+                        if remaining:
+                            feedback_parts.append(f"The remaining {remaining} queued actions were discarded.")
+                        break
+                feedback = " ".join(feedback_parts)
 
             explored = handle_stuck(record)
             if explored is not None:
                 state = explored
+                loop.no_actionable_streak = 0
                 feedback = None
+            elif loop.no_actionable_streak >= 2:
+                return loop.result(Outcome.NO_ACTIONABLE_OUTPUT)
     except DeviceUnavailable:
         return loop.result(Outcome.DEVICE_FAILURE)

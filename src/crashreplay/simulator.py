@@ -9,7 +9,7 @@ experiments possible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .device import (
@@ -264,19 +264,7 @@ class SimSession:
         if memo is not None and memo[0] == values:
             return memo[1]
         children = tuple(
-            UiElement(
-                element_id=e.element_id,
-                class_name=e.class_name,
-                text=self._effective_text(e),
-                content_desc=e.content_desc,
-                resource_id=e.resource_id,
-                bounds=e.bounds,
-                clickable=e.clickable,
-                long_clickable=e.long_clickable,
-                editable=e.editable,
-                scrollable=e.scrollable,
-            )
-            for e in state_spec.elements
+            replace(e, text=self._effective_text(e), children=()) for e in state_spec.elements
         )
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
         screen = UiState(activity_name=state_spec.activity, root=root)

@@ -179,7 +179,7 @@ def test_criterion_4_utg_correctness():
             device = SimulatorDevice(load_spec(apps / name))
             graph = explore(device, depth=1, action_budget=60)
             table = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
-            assert len(table.entries) == len(interactable_elements(graph.nodes[graph.origin])), name
+            assert len(table) == len(interactable_elements(graph.nodes[graph.origin])), name
 
 
 def _cli_replay(scenario: str, out_dir, extra=()):
@@ -264,7 +264,7 @@ def test_criterion_6_evaluator():
             gold = S2RScript.from_dict(
                 json.loads((SCENARIOS / name / "gold.json").read_text(encoding="utf-8"))
             )
-            assert score_extraction(gold, gold).step_acc == 1.0
+            assert score_extraction(gold, gold).accuracy("step") == 1.0
 
         partial = score_extraction(CATEGORY_TWO_STEP, CATEGORY_GOLD)
         assert partial.counts["step"] == (2, 3)
@@ -272,9 +272,10 @@ def test_criterion_6_evaluator():
         assert partial.counts["component"] == (2, 3)
         assert partial.counts["input"] == (0, 1)
 
-        scores = ExtractionScore.from_accuracies(
-            step=0.8785, action=0.6949, component=0.3387, input=0.7093, direction=0.8291
-        )
+        scores = ExtractionScore({
+            "step": (8785, 10_000), "action": (6949, 10_000), "component": (3387, 10_000),
+            "input": (7093, 10_000), "direction": (8291, 10_000),
+        })
         assert "87.85% 69.49% 33.87% 70.93% 82.91%" in emit_report(scores, None).splitlines()
 
 

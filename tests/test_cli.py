@@ -269,7 +269,7 @@ def one_scenario_suite(tmp_path, **values):
 
 
 def test_eval_scenario_values_are_converted_like_flags(runner, tmp_path):
-    suite = one_scenario_suite(tmp_path, budget_s="10", exploration="false", max_iterations="8")
+    suite = one_scenario_suite(tmp_path, budget_s="10", exploration="false", max_iterations="8", k="1")
     result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     digest = file_hash(tmp_path / "out" / "hidden_about_noexplore" / "trace.jsonl")[:16]
@@ -279,7 +279,7 @@ def test_eval_scenario_values_are_converted_like_flags(runner, tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("depth", "x"), ("depth", 0), ("explore_actions", 0), ("budget_s", "soon"), ("exploration", "maybe"),
-     ("max_iterations", -1)],
+     ("max_iterations", -1), ("k", "x"), ("k", 0)],
 )
 def test_eval_bad_scenario_value_names_file_and_key(runner, tmp_path, key, value):
     suite = one_scenario_suite(tmp_path, **{key: value})

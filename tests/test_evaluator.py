@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crashreplay.evaluator import (
     DIMENSIONS,
@@ -11,6 +14,7 @@ from crashreplay.evaluator import (
     aggregate_replays,
     emit_report,
     merge_scores,
+    normalize_component,
     report_payload,
     score_extraction,
 )
@@ -68,11 +72,11 @@ def replay_result(outcome: str, elapsed: float = 1.0, llm: float = 0.5) -> Repla
 
 def test_identity_scores_all_ones():
     result = score_extraction(CATEGORY_GOLD, CATEGORY_GOLD)
-    assert result.step_acc == 1.0
-    assert result.action_acc == 1.0
-    assert result.component_acc == 1.0
-    assert result.input_acc == 1.0
-    assert result.direction_acc is None  # gold has no direction anywhere
+    assert result.accuracy("step") == 1.0
+    assert result.accuracy("action") == 1.0
+    assert result.accuracy("component") == 1.0
+    assert result.accuracy("input") == 1.0
+    assert result.accuracy("direction") is None  # gold has no direction anywhere
 
 
 def test_identity_on_every_bundled_gold_script():
@@ -93,7 +97,7 @@ def test_identity_on_every_bundled_gold_script():
             )
         )
         result = score_extraction(gold, gold)
-        assert result.step_acc == 1.0
+        assert result.accuracy("step") == 1.0
 
 
 def test_partial_credit_two_of_three():
@@ -126,13 +130,13 @@ def test_denominators_stay_on_gold_with_spurious_steps():
     assert result.counts["step"][1] == 3
     assert result.counts["action"][1] == 3
     assert result.counts["component"][1] == 3
-    assert result.step_acc == 1.0
+    assert result.accuracy("step") == 1.0
 
 
 def test_component_match_is_case_and_whitespace_insensitive():
     gold = script(("tap", "Search   Icon", None, None, None))
     predicted = script(("tap", "search icon", None, None, None))
-    assert score_extraction(predicted, gold).component_acc == 1.0
+    assert score_extraction(predicted, gold).accuracy("component") == 1.0
 
 
 def test_sentence_grouping_mismatch_denies_step_credit():
@@ -153,8 +157,8 @@ def test_missing_dimension_is_not_applicable_never_zero():
     gold = script(("tap", "OK", None, None, 1))
     predicted = script(("tap", "OK", None, None, 1))
     result = score_extraction(predicted, gold)
-    assert result.input_acc is None
-    assert result.direction_acc is None
+    assert result.accuracy("input") is None
+    assert result.accuracy("direction") is None
 
 
 def test_monotonicity_adding_correct_step_never_reduces_matches():
@@ -168,6 +172,61 @@ def test_monotonicity_adding_correct_step_never_reduces_matches():
     fewer = score_extraction(shorter, gold).counts["step"][0]
     more = score_extraction(longer, gold).counts["step"][0]
     assert more >= fewer
+
+
+def reference_entity_counts(predicted: S2RScript, gold: S2RScript) -> dict[str, tuple[int, int]]:
+    """The four entity dimensions scored one ``Counter`` block each, the reference for ``score_extraction``."""
+    counts = {}
+    gold_actions = Counter(step.entity.action for step in gold.steps)
+    pred_actions = Counter(step.entity.action for step in predicted.steps)
+    counts["action"] = (sum((gold_actions & pred_actions).values()), len(gold.steps))
+
+    gold_components = Counter(
+        (step.entity.action, normalize_component(step.entity.component))
+        for step in gold.steps
+        if step.entity.component is not None
+    )
+    pred_components = Counter(
+        (step.entity.action, normalize_component(step.entity.component))
+        for step in predicted.steps
+        if step.entity.component is not None
+    )
+    counts["component"] = (sum((gold_components & pred_components).values()), sum(gold_components.values()))
+
+    gold_values = Counter(step.entity.value.strip() for step in gold.steps if step.entity.value is not None)
+    pred_values = Counter(step.entity.value.strip() for step in predicted.steps if step.entity.value is not None)
+    counts["input"] = (sum((gold_values & pred_values).values()), sum(gold_values.values()))
+
+    gold_directions = Counter(step.entity.direction for step in gold.steps if step.entity.direction is not None)
+    pred_directions = Counter(
+        step.entity.direction for step in predicted.steps if step.entity.direction is not None
+    )
+    counts["direction"] = (sum((gold_directions & pred_directions).values()), sum(gold_directions.values()))
+    return counts
+
+
+# Few distinct values, so steps repeat; case and whitespace vary within each.
+random_scripts = st.lists(
+    st.builds(
+        lambda action, component, value, direction, sentence: ScriptStep(
+            S2REntity(action, component, value, direction), sentence
+        ),
+        st.sampled_from([ActionType.TAP, ActionType.INPUT, ActionType.SCROLL, ActionType.BACK]),
+        st.sampled_from([None, "OK", " ok", "o k", "Search  Icon", "search icon "]),
+        st.sampled_from([None, "A", " a", "A ", "", " "]),
+        st.sampled_from([None, *Direction]),
+        st.sampled_from([None, 1, 2]),
+    ),
+    max_size=8,
+).map(lambda steps: S2RScript(steps=tuple(steps)))
+
+
+@given(random_scripts, random_scripts)
+def test_entity_dimensions_equal_the_per_dimension_counter_reference(predicted, gold):
+    counts = score_extraction(predicted, gold).counts
+    assert {dim: counts[dim] for dim in ("action", "component", "input", "direction")} == reference_entity_counts(
+        predicted, gold
+    )
 
 
 def test_merge_scores_pools_counts():
@@ -212,9 +271,10 @@ def test_aggregate_rejects_inconsistent_crash_outcome():
 
 
 def test_report_renders_reference_row_byte_exactly():
-    scores = ExtractionScore.from_accuracies(
-        step=0.8785, action=0.6949, component=0.3387, input=0.7093, direction=0.8291
-    )
+    scores = ExtractionScore({
+        "step": (8785, 10_000), "action": (6949, 10_000), "component": (3387, 10_000),
+        "input": (7093, 10_000), "direction": (8291, 10_000),
+    })
     text = emit_report(scores, None)
     assert "87.85% 69.49% 33.87% 70.93% 82.91%" in text.splitlines()
 
@@ -228,7 +288,8 @@ def test_report_headers_only_when_empty():
 
 
 def test_report_renders_na_for_missing_dimensions():
-    scores = ExtractionScore.from_accuracies(step=1.0)
+    scores = ExtractionScore()
+    scores.counts["step"] = (3, 3)
     text = emit_report(scores, None)
     assert "100.00% n/a n/a n/a n/a" in text
 

@@ -345,21 +345,18 @@ def test_functionality_table_one_entry_per_interactable():
     gateway = MockGateway.from_script([{"response": "summary text"}])
     table = synthesize_functionality(graph, gateway)
     origin_interactables = interactable_elements(graph.nodes[graph.origin])
-    assert len(table.entries) == len(origin_interactables) == 3
-    for entry in table.entries:
+    assert len(table) == len(origin_interactables) == 3
+    for entry in table:
         assert entry.synthesized_functionality == "summary text"
-        assert len(entry.ui_elements) == len(entry.ui_states) - 1
+        assert entry.destination in graph.nodes
 
 
 def test_functionality_entry_paths_have_length_two_at_depth_one():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "s"}])
     table = synthesize_functionality(graph, gateway)
-    tools_entry = next(e for e in table.entries if e.element == "Tools")
-    assert len(tools_entry.ui_states) == 2
-    assert tools_entry.ui_states[0] == graph.origin
-    assert tools_entry.ui_elements == ("Tools",)
-    dest = graph.nodes[tools_entry.ui_states[-1]]
+    tools_entry = next(e for e in table if e.element == "Tools")
+    dest = graph.nodes[tools_entry.destination]
     assert dest.activity_name == "ToolsActivity"
 
 
@@ -369,7 +366,7 @@ def test_functionality_gateway_failure_marks_single_entry_unavailable():
         [{"response": "ok one", "times": 1}, {"error": "down", "times": 1}, {"response": "ok three"}]
     )
     table = synthesize_functionality(graph, gateway)
-    summaries = [entry.synthesized_functionality for entry in table.entries]
+    summaries = [entry.synthesized_functionality for entry in table]
     assert summaries == ["ok one", None, "ok three"]
 
 
@@ -379,10 +376,9 @@ def test_functionality_element_without_edge_gets_static_note(tmp_path):
     )
     gateway = MockGateway.from_script([])
     table = synthesize_functionality(graph, gateway)
-    assert len(table.entries) == 1
-    assert table.entries[0].ui_states == (graph.origin,)
-    assert table.entries[0].ui_elements == ()
-    assert "No screen change" in table.entries[0].synthesized_functionality
+    assert len(table) == 1
+    assert table[0].destination is None
+    assert "No screen change" in table[0].synthesized_functionality
     assert gateway.exchanges == []
 
 
@@ -423,9 +419,8 @@ def test_functionality_needs_no_graph_search_or_feature_resolution(monkeypatch):
     table = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
     assert table == expected
     origin_edges = {e.action.feature: e.to_state for e in reversed(graph.edges) if e.from_state == graph.origin}
-    for entry in table.entries:
-        assert entry.ui_states == (graph.origin, origin_edges[entry.element])
-        assert entry.ui_elements == (entry.element,)
+    for entry in table:
+        assert entry.destination == origin_edges[entry.element]
 
 
 def knowledge_of_hidden_about() -> Knowledge:

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
 from crashreplay.explorer import Knowledge, explore, synthesize_functionality, synthesize_ui_functions
-from crashreplay.gateway import ActionCommand, MockGateway
+from crashreplay.gateway import MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
     NO_ACTIONABLE_THRESHOLD,
     NO_MATCH_THRESHOLD,
     REVISIT_THRESHOLD,
-    HistoryRecord,
     Outcome,
     StuckReason,
     StuckSignal,
@@ -50,42 +49,47 @@ def simple_state(state_id_seed: str) -> UiState:
     return UiState(activity_name=f"{state_id_seed}Activity", root=root)
 
 
-def ok_record(from_state: UiState, to_state: UiState) -> HistoryRecord:
-    cmd = ActionCommand(action="click", feature="x")
-    status = ExecStatus(ok=True, detail="moved", new_state=to_state)
-    return HistoryRecord(from_state.state_id, cmd, status)
+#: One history record: the state a command ran on and its status, or None
+#: for a reply without an action.
+Record = tuple[str, ExecStatus | None]
 
 
-def nomatch_record(state: UiState, feature: str) -> HistoryRecord:
-    cmd = ActionCommand(action="click", feature=feature)
-    status = ExecStatus(ok=False, detail="no match", new_state=state, no_match_feature=feature)
-    return HistoryRecord(state.state_id, cmd, status)
+def ok_record(from_state: UiState, to_state: UiState) -> Record:
+    return from_state.state_id, ExecStatus(ok=True, detail="moved", new_state=to_state)
+
+
+def nomatch_record(state: UiState, feature: str) -> Record:
+    return state.state_id, ExecStatus(ok=False, detail="no match", new_state=state, no_match_feature=feature)
+
+
+def no_action_record(state: UiState) -> Record:
+    return state.state_id, None
 
 
 # -- detect_stuck ---------------------------------------------------------------
 
 
-def batch_detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
+def batch_detect_stuck(history: list[Record]) -> StuckSignal | None:
     """Reference for the stuck tracker: every heuristic recomputed over the whole history."""
     if not history:
         return None
 
     # (a) repeated failure to resolve the same feature on the same state
     miss_counts: dict[tuple[str, str], int] = {}
-    for rec in history:
-        if rec.status is not None and rec.status.no_match_feature:
-            key = (rec.state_id, rec.status.no_match_feature)
+    for state_id, status in history:
+        if status is not None and status.no_match_feature:
+            key = (state_id, status.no_match_feature)
             miss_counts[key] = miss_counts.get(key, 0) + 1
             if miss_counts[key] >= NO_MATCH_THRESHOLD:
-                return StuckSignal(StuckReason.NO_MATCH_REPEATED, rec.state_id)
+                return StuckSignal(StuckReason.NO_MATCH_REPEATED, state_id)
 
     # (b) current state re-entered with no new state discovered in between;
     # consecutive duplicates collapse (standing still is not a revisit)
     sequence: list[str] = []
-    for rec in history:
-        if rec.command is None or rec.status is None:
+    for state_id, status in history:
+        if status is None:
             continue
-        for sid in ((rec.state_id,) if not sequence else ()) + (rec.status.new_state.state_id,):
+        for sid in ((state_id,) if not sequence else ()) + (status.new_state.state_id,):
             if not sequence or sequence[-1] != sid:
                 sequence.append(sid)
     if sequence:
@@ -101,18 +105,18 @@ def batch_detect_stuck(history: list[HistoryRecord]) -> StuckSignal | None:
 
     # (c) no actionable output twice on the same state
     no_action_counts: dict[str, int] = {}
-    for rec in history:
-        if rec.no_actionable:
-            no_action_counts[rec.state_id] = no_action_counts.get(rec.state_id, 0) + 1
-            if no_action_counts[rec.state_id] >= NO_ACTIONABLE_THRESHOLD:
-                return StuckSignal(StuckReason.LLM_NO_ACTIONABLE, rec.state_id)
+    for state_id, status in history:
+        if status is None:
+            no_action_counts[state_id] = no_action_counts.get(state_id, 0) + 1
+            if no_action_counts[state_id] >= NO_ACTIONABLE_THRESHOLD:
+                return StuckSignal(StuckReason.LLM_NO_ACTIONABLE, state_id)
     return None
 
 
-def stuck_after(history: list[HistoryRecord]) -> StuckSignal | None:
+def stuck_after(history: list[Record]) -> StuckSignal | None:
     tracker = StuckTracker()
-    for rec in history:
-        tracker.add(rec)
+    for state_id, status in history:
+        tracker.add(state_id, status)
     return detect_stuck(tracker)
 
 
@@ -157,10 +161,7 @@ def test_stuck_not_raised_while_new_states_appear():
 
 def test_stuck_no_actionable_twice_same_state():
     s1 = simple_state("S1")
-    history = [
-        HistoryRecord(s1.state_id, None, None, no_actionable=True),
-        HistoryRecord(s1.state_id, None, None, no_actionable=True),
-    ]
+    history = [no_action_record(s1), no_action_record(s1)]
     signal = stuck_after(history)
     assert signal is not None
     assert signal.reason == StuckReason.LLM_NO_ACTIONABLE
@@ -193,13 +194,11 @@ def histories(draw):
         elif kind == "miss":
             history.append(nomatch_record(here, feature))
         elif kind == "no_actionable":
-            history.append(HistoryRecord(here.state_id, None, None, no_actionable=True))
+            history.append(no_action_record(here))
         elif kind == "jump":
             current = target
         else:
-            cmd = ActionCommand(action="restart")
-            status = ExecStatus(ok=True, detail="app restarted", new_state=_STATES[0])
-            history.append(HistoryRecord(here.state_id, cmd, status))
+            history.append((here.state_id, ExecStatus(ok=True, detail="app restarted", new_state=_STATES[0])))
             current = 0
     return history
 
@@ -209,8 +208,8 @@ def histories(draw):
 def test_stuck_tracker_agrees_with_the_batch_oracle_at_every_prefix(history):
     tracker = StuckTracker()
     assert detect_stuck(tracker) is None
-    for length, rec in enumerate(history, start=1):
-        tracker.add(rec)
+    for length, (state_id, status) in enumerate(history, start=1):
+        tracker.add(state_id, status)
         assert detect_stuck(tracker) == batch_detect_stuck(history[:length])
 
 
@@ -498,15 +497,21 @@ def test_run_uses_utg_cache(tmp_path):
 
 
 def corrupt_cache_file(path, how: str) -> None:
+    payload = json.loads(path.read_text())
     if how == "bad edge action":
-        payload = json.loads(path.read_text())
         payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
-        path.write_text(json.dumps(payload))
+    elif how == "old path format":  # each entry's path as ui_states via ui_elements
+        origin = payload["graph"]["origin"]
+        for entry in payload["functionality"]:
+            destination = entry.pop("destination")
+            entry["ui_states"] = [origin] if destination is None else [origin, destination]
+            entry["ui_elements"] = [] if destination is None else [entry["element"]]
     else:
-        path.write_text(how)
+        payload = how
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
 
 
-@pytest.mark.parametrize("how", ["{corrupt", "{}", "bad edge action"])
+@pytest.mark.parametrize("how", ["{corrupt", "{}", "bad edge action", "old path format"])
 def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
     report, gold, device, gateway, _ = load_scenario("hidden_about")
     first = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
