@@ -290,6 +290,7 @@ def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
         k = _scenario_option(raw, "k", DEFAULT_RETRIEVAL_K, cmd_extract, "retrieval_k")
         script, log = run_extraction(report_text, index, gateway, k)
         _write_json(out_dir / "script.json", script.to_dict())
+        _write_json(out_dir / "extraction_log.json", log)
         if raw.get("gold_script"):
             gold = S2RScript.from_dict(
                 json.loads((scenario_dir / raw["gold_script"]).read_text(encoding="utf-8"))

@@ -73,22 +73,6 @@ class UiElement:
         for child in self.children:
             yield from child.iter_tree()
 
-    def to_dict(self) -> dict:
-        out: dict = {"id": self.element_id, "class": self.class_name, "bounds": list(self.bounds)}
-        for key, value in (
-            ("text", self.text),
-            ("content_desc", self.content_desc),
-            ("resource_id", self.resource_id),
-        ):
-            if value is not None:
-                out[key] = value
-        for flag in ("clickable", "long_clickable", "editable", "scrollable"):
-            if getattr(self, flag):
-                out[flag] = True
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "UiElement":
         return cls(
@@ -152,13 +136,6 @@ class UiState:
 
     def all_elements(self) -> list[UiElement]:
         return list(self.root.iter_tree())
-
-    def to_dict(self) -> dict:
-        return {"activity": self.activity_name, "root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "UiState":
-        return cls(activity_name=raw["activity"], root=UiElement.from_dict(raw["root"]))
 
 
 @dataclass(frozen=True)

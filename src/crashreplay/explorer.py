@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from .device import (
@@ -59,18 +60,6 @@ class UtgGraph:
     def out_edges(self, state_id: str) -> list[UtgEdge]:
         return [e for e in self.edges if e.from_state == state_id]
 
-    def validate(self) -> None:
-        if self.origin not in self.nodes:
-            raise ExplorerError("origin missing from nodes")
-        seen_actions: set[tuple[str, ActionCommand]] = set()
-        for edge in self.edges:
-            if edge.from_state not in self.nodes or edge.to_state not in self.nodes:
-                raise ExplorerError(f"edge {edge} has an endpoint outside the node set")
-            key = (edge.from_state, edge.action)
-            if key in seen_actions:
-                raise ExplorerError(f"parallel edges from {edge.from_state} share action {edge.action}")
-            seen_actions.add(key)
-
     def bfs(self) -> dict[str, int]:
         """Breadth-first distances from the origin, keyed in visit order.
 
@@ -86,44 +75,6 @@ class UtgGraph:
                     order.append(to_state)
                     distances[to_state] = distances[current] + 1
         return distances
-
-    def to_dict(self) -> dict:
-        return {
-            "origin": self.origin,
-            "nodes": {sid: state.to_dict() for sid, state in self.nodes.items()},
-            "edges": [
-                {"from": e.from_state, "action": e.action.to_dict(), "to": e.to_state}
-                for e in self.edges
-            ],
-            "truncated": self.truncated,
-            "actions_used": self.actions_used,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "UtgGraph":
-        edges = []
-        for entry in raw["edges"]:
-            body = entry["action"]
-            action = ActionCommand(
-                action=body.get("action"),
-                feature=body.get("feature"),
-                input_text=body.get("input_text"),
-                direction=body.get("direction"),
-                duration_ms=body.get("duration"),
-            )
-            problems = action.problems()
-            if problems:
-                raise ExplorerError(f"bad edge action {body!r}: {'; '.join(problems)}")
-            edges.append(UtgEdge(entry["from"], action, entry["to"]))
-        graph = cls(
-            origin=raw["origin"],
-            nodes={sid: UiState.from_dict(body) for sid, body in raw["nodes"].items()},
-            edges=edges,
-            truncated=bool(raw.get("truncated", False)),
-            actions_used=int(raw.get("actions_used", 0)),
-        )
-        graph.validate()
-        return graph
 
 
 class _BudgetDone(Exception):
@@ -162,13 +113,15 @@ def explore(
     depth: int,
     action_budget: int,
     origin_path: tuple[ActionCommand, ...] = (),
+    deadline: float | None = None,
 ) -> UtgGraph:
     """Build the transition graph around the device's current screen.
 
     ``origin_path`` is the recorded command path from app start to the
     current screen; the explorer restores with restart + that path before
     each probe that left the page.  Never issues more than ``action_budget``
-    device commands; a graph cut short by the budget is flagged truncated.
+    device commands, nor one once ``deadline`` (a ``time.monotonic()`` value)
+    has passed; a graph cut short by either is flagged truncated.
 
     Probing is systematic (element position order) so runs are reproducible.
     """
@@ -185,7 +138,7 @@ def explore(
 
     def spend_one() -> None:
         nonlocal used
-        if used + 1 > action_budget:
+        if used + 1 > action_budget or (deadline is not None and time.monotonic() >= deadline):
             raise _BudgetDone
         used += 1
 
@@ -334,44 +287,27 @@ def synthesize_ui_functions(
     return descriptions
 
 
-@dataclass
-class Knowledge:
-    """What exploring one stuck page taught: the graph and both summary tables."""
-
-    graph: UtgGraph
-    functionality: tuple[FunctionalityEntry, ...]
-    ui_functions: dict[str, str | None]
-
-
-def save_knowledge(path: str | Path, knowledge: Knowledge) -> None:
-    """Write ``knowledge`` to ``path`` atomically: a temp file, then a rename."""
-    payload = {
-        "graph": knowledge.graph.to_dict(),
-        "functionality": [asdict(entry) for entry in knowledge.functionality],
-        "ui_functions": knowledge.ui_functions,
-    }
+def save_knowledge(path: str | Path, text: str) -> None:
+    """Write the rendered knowledge ``text`` to ``path`` atomically: a temp file, then a rename."""
     path = Path(path)
     staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        staging.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        staging.write_text(json.dumps({"knowledge": text}, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
         os.replace(staging, path)
     finally:
         staging.unlink(missing_ok=True)
 
 
-def load_knowledge(path: str | Path) -> Knowledge:
-    """Read a record written by :func:`save_knowledge`.
+def load_knowledge(path: str | Path) -> str:
+    """Read the text written by :func:`save_knowledge`.
 
-    Raises ExplorerError when the file does not hold one; OSError when it
-    cannot be read.
+    Raises ExplorerError when the file does not hold an object whose
+    ``"knowledge"`` is a string; OSError when it cannot be read.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = tuple(
-            FunctionalityEntry(e["element"], e["synthesized_functionality"], e["destination"])
-            for e in payload["functionality"]
-        )
-        graph = UtgGraph.from_dict(payload["graph"])
-        return Knowledge(graph, entries, dict(payload["ui_functions"]))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        text = json.loads(Path(path).read_text(encoding="utf-8"))["knowledge"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise ExplorerError(f"{path} holds no knowledge record: {exc!r}") from exc
+    if not isinstance(text, str):
+        raise ExplorerError(f"{path} holds no knowledge text")
+    return text

@@ -267,7 +267,6 @@ class S2RScript:
     """Ordered reproduction steps extracted from one bug report."""
 
     steps: tuple[ScriptStep, ...]
-    source_report: str = ""
 
     def to_dict(self) -> dict:
         steps = []
@@ -275,7 +274,7 @@ class S2RScript:
             entry = step.entity.to_label()
             entry["sentence_index"] = step.sentence_index
             steps.append(entry)
-        return {"source_report": self.source_report, "steps": steps}
+        return {"steps": steps}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "S2RScript":
@@ -283,7 +282,7 @@ class S2RScript:
             ScriptStep(S2REntity.from_label(entry), entry.get("sentence_index"))
             for entry in raw.get("steps", [])
         )
-        return cls(steps=steps, source_report=raw.get("source_report", ""))
+        return cls(steps=steps)
 
 
 def build_extraction_prompt(

@@ -287,7 +287,7 @@ def script_from_report(report: LabeledReport) -> S2RScript:
     for index, sentence in enumerate(report.sentences, start=1):
         for entity in sentence.labels:
             steps.append(ScriptStep(entity, index))
-    return S2RScript(steps=tuple(steps), source_report=report.report_id)
+    return S2RScript(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from .device import (
 )
 from .explorer import (
     ExplorerError,
-    Knowledge,
+    FunctionalityEntry,
+    UtgGraph,
     explore,
     load_knowledge,
     save_knowledge,
@@ -185,8 +186,10 @@ def render_feedback(status: ExecStatus, previous_state_id: str | None = None) ->
     return f"The action failed: {status.detail}. The screen did not change."
 
 
-def _render_knowledge(knowledge: Knowledge) -> str:
-    graph = knowledge.graph
+def _render_knowledge(
+    graph: UtgGraph, functionality: tuple[FunctionalityEntry, ...], ui_functions: dict[str, str | None]
+) -> str:
+    """The learned-knowledge prompt section for one explored page."""
     origin_activity = graph.nodes[graph.origin].activity_name
 
     def describe(state_id: str) -> str:
@@ -194,7 +197,7 @@ def _render_knowledge(knowledge: Knowledge) -> str:
         return state.activity_name if state is not None else state_id
 
     lines = [f"Functionality of the elements on the {origin_activity} screen:"]
-    for entry in knowledge.functionality:
+    for entry in functionality:
         if entry.synthesized_functionality is None:
             summary = "(summary unavailable)"
         else:
@@ -205,7 +208,7 @@ def _render_knowledge(knowledge: Knowledge) -> str:
         else:
             lines.append(f'- "{entry.element}": {summary}')
     lines.append("Screen functions:")
-    for state_id, description in knowledge.ui_functions.items():
+    for state_id, description in ui_functions.items():
         lines.append(f"- {describe(state_id)}: {description or '(description unavailable)'}")
     return "\n".join(lines)
 
@@ -214,11 +217,11 @@ def build_replay_prompt(
     report: str,
     script: S2RScript,
     encoded_ui: str,
-    knowledge: Knowledge | None = None,
+    knowledge: str | None = None,
     feedback: str | None = None,
 ) -> str:
     """Assemble the action prompt: instructions, report, steps, screen,
-    and (once exploration has run) the synthesized app knowledge."""
+    and (once exploration has run) the rendered app knowledge."""
     sections = [load_template("replay_instructions.txt").strip(), "## Bug report", report.strip()]
     sections.append("## Steps to reproduce (extracted)")
     if script.steps:
@@ -231,7 +234,7 @@ def build_replay_prompt(
     sections.append(encoded_ui)
     if knowledge is not None:
         sections.append("## Learned app knowledge")
-        sections.append(_render_knowledge(knowledge))
+        sections.append(knowledge)
     if feedback:
         sections.append(f"Previous action feedback: {feedback}")
     return "\n\n".join(sections) + "\n"
@@ -248,14 +251,14 @@ def _status_dict(status: ExecStatus) -> dict:
 
 @dataclass
 class _RunState:
-    """One run's memory: stuck tracker, append-only trace (one record per iteration), attached knowledge."""
+    """One run's memory: stuck tracker, append-only trace (one record per iteration), rendered knowledge."""
 
     gateway: LlmGateway
     started_at: float
     llm_base: float
     history: StuckTracker = field(default_factory=StuckTracker)
     trace_records: list[dict] = field(default_factory=list)
-    knowledge: Knowledge | None = None
+    knowledge: str | None = None
     explored_states: set[str] = field(default_factory=set)
     path_from_start: list[ActionCommand] = field(default_factory=list)
     no_actionable_streak: int = 0
@@ -326,14 +329,16 @@ def run(
                 depth=explore_depth,
                 action_budget=explore_action_budget,
                 origin_path=tuple(loop.path_from_start),
+                deadline=deadline,
             )
             if device.capture_state().state_id != graph.origin:
                 device.restart_app()
                 for cmd in loop.path_from_start:
                     device.execute(cmd)
             functionality = synthesize_functionality(graph, gateway, deadline)
-            knowledge = Knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
-            if cache_path is not None:
+            knowledge = _render_knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
+            # Knowledge the deadline may have cut short is not served to later runs.
+            if cache_path is not None and time.monotonic() < deadline:
                 save_knowledge(cache_path, knowledge)
         loop.knowledge = knowledge
         record["explored"] = True

@@ -256,8 +256,8 @@ class SimSession:
             return self.field_values[element.element_id]
         return element.text
 
-    def build_state(self, state_name: str | None = None) -> UiState:
-        name = state_name or self.current
+    def build_state(self) -> UiState:
+        name = self.current
         state_spec = self.spec.states[name]
         values = tuple(self._effective_text(e) for e in state_spec.elements if e.editable)
         memo = self._screens.get(name)

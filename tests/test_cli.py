@@ -224,6 +224,10 @@ def test_eval_bundled_suite(runner, tmp_path):
     assert payload["aggregate"]["attempted"] == 4
     assert payload["scores"]["step"] == [10, 10]
     assert "corpus" in payload["input_hashes"]
+    for scenario in ("url_crash", "hidden_about", "hidden_about_noexplore", "checkout"):
+        log = json.loads((out / scenario / "extraction_log.json").read_text())
+        assert "Here are the sentences in current bug report:" in log["prompt"]
+        assert len(log["retrieved"]) >= len(log["sentences"]) > 0
 
 
 def test_eval_trace_files_deterministic(runner, tmp_path):

@@ -65,13 +65,6 @@ def test_fingerprint_changes_with_activity():
     assert a.state_id != b.state_id
 
 
-def test_state_serialization_round_trip():
-    state = screen(button("b1", text="OK", desc="confirm", rid="app:id/ok", clickable=True))
-    again = UiState.from_dict(state.to_dict())
-    assert again.state_id == state.state_id
-    assert again.root == state.root
-
-
 # -- encoding ---------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -22,7 +23,6 @@ from crashreplay.explorer import (
     EXPLORE_FILL_TEXT,
     ElementAbsent,
     ExplorerError,
-    Knowledge,
     UtgEdge,
     UtgGraph,
     closest_state_for_element,
@@ -90,6 +90,15 @@ def depth1_oracle(spec_path, origin_path=()):
     return nodes, edges
 
 
+def assert_graph_invariants(graph: UtgGraph) -> None:
+    """Every edge joins two nodes, and no state has two edges with the same action."""
+    assert graph.origin in graph.nodes
+    for edge in graph.edges:
+        assert edge.from_state in graph.nodes and edge.to_state in graph.nodes, edge
+    keys = [(edge.from_state, edge.action) for edge in graph.edges]
+    assert len(keys) == len(set(keys))
+
+
 def edge_set(graph: UtgGraph):
     return {
         (e.from_state, e.action.action, e.action.feature, e.action.direction, e.to_state)
@@ -105,7 +114,7 @@ def test_depth1_matches_fsm_oracle(name):
     assert set(graph.nodes) == expected_nodes
     assert edge_set(graph) == expected_edges
     assert not graph.truncated
-    graph.validate()
+    assert_graph_invariants(graph)
 
 
 def test_depth1_from_non_initial_state_with_origin_path():
@@ -423,27 +432,19 @@ def test_functionality_needs_no_graph_search_or_feature_resolution(monkeypatch):
         assert entry.destination == origin_edges[entry.element]
 
 
-def knowledge_of_hidden_about() -> Knowledge:
-    graph = explored_hidden_about()
-    gateway = MockGateway.from_script([{"response": "x"}])
-    return Knowledge(graph, synthesize_functionality(graph, gateway), synthesize_ui_functions(graph, gateway))
+KNOWLEDGE_TEXT = 'Functionality of the elements on the MainActivity screen:\n- "About": Opens the “About” page.'
 
 
 def test_knowledge_save_load_round_trip(tmp_path):
-    knowledge = knowledge_of_hidden_about()
     path = tmp_path / "knowledge.json"
-    save_knowledge(path, knowledge)
-    loaded = load_knowledge(path)
-    assert set(loaded.graph.nodes) == set(knowledge.graph.nodes)
-    assert edge_set(loaded.graph) == edge_set(knowledge.graph)
-    assert loaded.functionality == knowledge.functionality
-    assert loaded.ui_functions == knowledge.ui_functions
+    save_knowledge(path, KNOWLEDGE_TEXT)
+    assert json.loads(path.read_text(encoding="utf-8")) == {"knowledge": KNOWLEDGE_TEXT}
+    assert load_knowledge(path) == KNOWLEDGE_TEXT
 
 
 def test_knowledge_save_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
-    knowledge = knowledge_of_hidden_about()
     path = tmp_path / "knowledge.json"
-    save_knowledge(path, knowledge)
+    save_knowledge(path, KNOWLEDGE_TEXT)
     before = path.read_bytes()
     real_write_text = type(path).write_text
 
@@ -453,13 +454,16 @@ def test_knowledge_save_that_fails_midway_keeps_the_previous_file(tmp_path, monk
 
     monkeypatch.setattr(type(path), "write_text", torn_write)
     with pytest.raises(OSError):
-        save_knowledge(path, knowledge)
+        save_knowledge(path, "other text")
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["knowledge.json"]
 
 
-@pytest.mark.parametrize("content", ["{corrupt", "{}", '{"graph": []}', "[1]", ""])
+@pytest.mark.parametrize(
+    "content",
+    ["{corrupt", "{}", '{"graph": []}', "[1]", "", '"text"', '{"knowledge": ["x"]}', '{"knowledge": null}'],
+)
 def test_knowledge_load_of_a_malformed_file_is_an_explorer_error(tmp_path, content):
     path = tmp_path / "knowledge.json"
     path.write_text(content)
@@ -467,11 +471,21 @@ def test_knowledge_load_of_a_malformed_file_is_an_explorer_error(tmp_path, conte
         load_knowledge(path)
 
 
-def test_knowledge_load_rejects_a_bad_edge_action(tmp_path):
-    path = tmp_path / "knowledge.json"
-    save_knowledge(path, knowledge_of_hidden_about())
-    payload = json.loads(path.read_text())
-    payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ExplorerError, match="input_text"):
-        load_knowledge(path)
+def test_explore_past_its_deadline_issues_no_command():
+    commands = []
+
+    class CountingDevice(SimulatorDevice):
+        def execute(self, cmd):
+            commands.append(cmd)
+            return super().execute(cmd)
+
+        def restart_app(self):
+            commands.append("restart")
+            return super().restart_app()
+
+    device = CountingDevice(load_spec(APPS / "hidden_about.json"))
+    graph = explore(device, depth=1, action_budget=60, deadline=time.monotonic())
+    assert commands == []
+    assert graph.truncated
+    assert graph.actions_used == 0
+    assert list(graph.nodes) == [graph.origin]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
-from crashreplay.explorer import Knowledge, explore, synthesize_functionality, synthesize_ui_functions
+from crashreplay.explorer import explore, synthesize_functionality, synthesize_ui_functions
 from crashreplay.gateway import MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
@@ -20,6 +20,7 @@ from crashreplay.replay import (
     StuckReason,
     StuckSignal,
     StuckTracker,
+    _render_knowledge,
     build_replay_prompt,
     detect_stuck,
     render_feedback,
@@ -256,11 +257,11 @@ SCRIPT = S2RScript(
 )
 
 
-def knowledge_fixture():
+def knowledge_fixture() -> str:
     device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
     graph = explore(device, depth=1, action_budget=60)
     gateway = MockGateway.from_script([{"response": "summary"}])
-    return Knowledge(
+    return _render_knowledge(
         graph,
         synthesize_functionality(graph, gateway),
         synthesize_ui_functions(graph, gateway),
@@ -494,30 +495,36 @@ def test_run_uses_utg_cache(tmp_path):
     assert second.outcome == Outcome.REPRODUCED
     summary_calls = [e for e in gateway.exchanges if "Summarize" in e.prompt]
     assert summary_calls == []
+    assert second.trace_text() == first.trace_text()  # the same prompts, byte for byte
 
 
-def corrupt_cache_file(path, how: str) -> None:
-    payload = json.loads(path.read_text())
-    if how == "bad edge action":
-        payload["graph"]["edges"][0]["action"] = {"action": "set_text", "feature": "x"}
-    elif how == "old path format":  # each entry's path as ui_states via ui_elements
-        origin = payload["graph"]["origin"]
-        for entry in payload["functionality"]:
-            destination = entry.pop("destination")
-            entry["ui_states"] = [origin] if destination is None else [origin, destination]
-            entry["ui_elements"] = [] if destination is None else [entry["element"]]
-    else:
-        payload = how
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+#: Functionality-entry fields of cache records in earlier graph-and-tables formats.
+EARLIER_ENTRY_FIELDS = {
+    "old path format": {"ui_states": ["o"], "ui_elements": []},  # the path as states via elements
+    "graph format": {"destination": None},
+    "list destination": {"destination": ["o"]},
+}
 
 
-@pytest.mark.parametrize("how", ["{corrupt", "{}", "bad edge action", "old path format"])
+def write_earlier_record(path, entry_fields: dict) -> None:
+    """A cache record as earlier versions wrote it: a one-page graph, one
+    functionality entry and one screen description."""
+    entry = {"element": "About", "synthesized_functionality": "Opens a page.", **entry_fields}
+    page = {"activity": "MainActivity", "root": {"id": "root", "class": "FrameLayout"}}
+    graph = {"origin": "o", "nodes": {"o": page}, "edges": []}
+    path.write_text(json.dumps({"graph": graph, "functionality": [entry], "ui_functions": {"o": "A page."}}))
+
+
+@pytest.mark.parametrize("how", ["{corrupt", "{}", '{"knowledge": ["x"]}', *EARLIER_ENTRY_FIELDS])
 def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
     report, gold, device, gateway, _ = load_scenario("hidden_about")
     first = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
     (cached,) = tmp_path.glob("*.json")
     built = cached.read_bytes()
-    corrupt_cache_file(cached, how)
+    if how in EARLIER_ENTRY_FIELDS:
+        write_earlier_record(cached, EARLIER_ENTRY_FIELDS[how])
+    else:
+        cached.write_text(how)
 
     report, gold, device, gateway, _ = load_scenario("hidden_about")
     second = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
@@ -561,6 +568,29 @@ def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action
     records = result.trace_records
     explored = next(i for i, rec in enumerate(records) if rec["explored"])
     assert records[explored + 1]["state"] == graph.origin
+
+
+def test_run_on_a_slow_device_stops_exploring_at_the_deadline(tmp_path):
+    delay = 0.05
+
+    class SlowSim(SimulatorDevice):
+        def execute(self, cmd):
+            time.sleep(delay)
+            return super().execute(cmd)
+
+        def restart_app(self):
+            time.sleep(delay)
+            return super().restart_app()
+
+    report, gold, _, gateway, _ = load_scenario("hidden_about")
+    device = SlowSim(load_spec(APPS / "hidden_about.json"))
+    budget = 0.156  # two commands reach the stuck page, so the deadline falls inside exploration
+    result = run(report, gold, device, gateway, budget, utg_cache_dir=tmp_path)
+    assert result.outcome == Outcome.BUDGET_EXHAUSTED
+    assert result.trace_records[-1]["explored"]
+    # The command running at the deadline, then the restore (a restart; the recorded path is empty).
+    assert result.elapsed <= budget + 2 * delay + delay / 2
+    assert list(tmp_path.iterdir()) == []  # knowledge cut short is not cached
 
 
 def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):

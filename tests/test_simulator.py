@@ -288,7 +288,7 @@ def _assert_same_as_cold_build(session: SimSession, screen) -> None:
     cold_session.current = session.current
     cold_session.field_values = dict(session.field_values)
     cold = cold_session.build_state()
-    assert screen.to_dict() == cold.to_dict()
+    assert screen == cold
     assert screen.state_id == cold.state_id
     assert encode_state_text(screen) == encode_state_text(cold)
 
