@@ -2,9 +2,11 @@
 
 Command mapping (see README for the full table): hierarchy via
 ``uiautomator dump``, taps and swipes via ``input`` events at element bounds,
-text via ``input text``, crash detection by scanning the log stream for
-fatal-exception blocks since session start.  The command runner is
-injectable so every mapping is testable without hardware.
+text via ``input text``, crash detection by scanning the log stream for the
+first fatal-exception block since the log was last cleared (at session start
+and after each reported crash), settling by one short sleep before the
+hierarchy is dumped.  The command runner is injectable so every mapping is
+testable without hardware.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ LONG_PRESS_MS = 600
 
 #: Seconds one adb invocation may take before the device counts as unavailable.
 COMMAND_TIMEOUT_S = 30.0
+
+#: Seconds after an input event or a launch before the hierarchy is dumped;
+#: ``uiautomator dump`` itself then waits for the UI to go idle.
+SETTLE_INTERVAL_S = 0.1
 
 
 def _subprocess_runner(args: Sequence[str], timeout: float) -> str:
@@ -195,7 +201,11 @@ class AdbDevice(Device):
             try:
                 element = resolve_feature(state, cmd.feature)
             except NoMatchError as exc:
-                return ExecStatus(ok=False, detail=str(exc), new_state=state, no_match_feature=cmd.feature)
+                # A crash logged after the previous command's log poll is reported here.
+                crash = self._poll_crash()
+                return ExecStatus(
+                    ok=False, detail=str(exc), new_state=state, crash=crash, no_match_feature=cmd.feature
+                )
 
         if cmd.action == "click":
             x, y = element.bounds.center()
@@ -224,7 +234,7 @@ class AdbDevice(Device):
         else:
             return ExecStatus(ok=False, detail=f"unsupported action {cmd.action}", new_state=state)
 
-        time.sleep(0.5)
+        time.sleep(SETTLE_INTERVAL_S)
         new_state = self.capture_state()
         crash = self._poll_crash()
         return ExecStatus(
@@ -266,5 +276,5 @@ class AdbDevice(Device):
             self._shell(
                 "monkey", "-p", self.package, "-c", "android.intent.category.LAUNCHER", "1"
             )
-        time.sleep(1.0)
+        time.sleep(SETTLE_INTERVAL_S)
         return self.capture_state()

@@ -213,25 +213,23 @@ def _render_knowledge(
     return "\n".join(lines)
 
 
+def replay_prompt_head(report: str, script: S2RScript) -> str:
+    """The part of every action prompt that is fixed for a run: instructions, report, steps."""
+    steps = "\n".join(f"{i}. {format_entity(s.entity)}" for i, s in enumerate(script.steps, start=1))
+    sections = [load_template("replay_instructions.txt").strip(), "## Bug report", report.strip()]
+    sections += ["## Steps to reproduce (extracted)", steps or "(none extracted)"]
+    return "\n\n".join(sections)
+
+
 def build_replay_prompt(
-    report: str,
-    script: S2RScript,
+    head: str,
     encoded_ui: str,
     knowledge: str | None = None,
     feedback: str | None = None,
 ) -> str:
-    """Assemble the action prompt: instructions, report, steps, screen,
-    and (once exploration has run) the rendered app knowledge."""
-    sections = [load_template("replay_instructions.txt").strip(), "## Bug report", report.strip()]
-    sections.append("## Steps to reproduce (extracted)")
-    if script.steps:
-        sections.append(
-            "\n".join(f"{i}. {format_entity(s.entity)}" for i, s in enumerate(script.steps, start=1))
-        )
-    else:
-        sections.append("(none extracted)")
-    sections.append("## Current screen")
-    sections.append(encoded_ui)
+    """Assemble the action prompt: the run's head (``replay_prompt_head``), the
+    screen, and (once exploration has run) the rendered app knowledge."""
+    sections = [head, "## Current screen", encoded_ui]
     if knowledge is not None:
         sections.append("## Learned app knowledge")
         sections.append(knowledge)
@@ -306,7 +304,8 @@ def run(
 
         Returns the screen after exploration, or None when nothing was
         explored.  The device ends on the explored page: after a truncated
-        exploration it is restored by restart plus the recorded path.
+        exploration it is restored by restart plus the recorded path, as far
+        as the deadline allows.
         """
         signal = detect_stuck(loop.history)
         if signal is None:
@@ -331,9 +330,11 @@ def run(
                 origin_path=tuple(loop.path_from_start),
                 deadline=deadline,
             )
-            if device.capture_state().state_id != graph.origin:
+            if time.monotonic() < deadline and device.capture_state().state_id != graph.origin:
                 device.restart_app()
                 for cmd in loop.path_from_start:
+                    if time.monotonic() >= deadline:
+                        break
                     device.execute(cmd)
             functionality = synthesize_functionality(graph, gateway, deadline)
             knowledge = _render_knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
@@ -345,13 +346,14 @@ def run(
         return device.capture_state()
 
     feedback: str | None = None
+    head = replay_prompt_head(report, script)
     try:
         state = device.capture_state()
         while True:
             iteration = len(loop.trace_records) + 1
             if time.monotonic() >= deadline or (max_iterations is not None and iteration > max_iterations):
                 return loop.result(Outcome.BUDGET_EXHAUSTED)
-            prompt = build_replay_prompt(report, script, encode_state_text(state), loop.knowledge, feedback)
+            prompt = build_replay_prompt(head, encode_state_text(state), loop.knowledge, feedback)
             record: dict = {
                 "iteration": iteration,
                 "state": state.state_id,

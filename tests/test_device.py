@@ -306,3 +306,146 @@ def test_adb_reports_each_crash_once():
     assert crashed.crash.exception_type == "java.lang.IllegalStateException"
     device.restart_app()
     assert device.execute(ActionCommand(action="click", feature="Settings")).crash is None
+
+
+# -- settling ---------------------------------------------------------------------
+
+
+class Clock:
+    """Stands in for ``adb_bridge.time``: sleeps and adb invocations advance it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def page_xml(label: str, button: str = "Next") -> str:
+    return (
+        "<?xml version='1.0' encoding='UTF-8' standalone='yes' ?><hierarchy rotation=\"0\">"
+        '<node class="android.widget.FrameLayout" package="io.github.librenews" bounds="[0,0][1080,1920]">'
+        f'<node class="android.widget.TextView" text="{label}" bounds="[0,0][1080,200]" />'
+        f'<node class="android.widget.Button" text="{button}" clickable="true" bounds="[0,1700][1080,1900]" />'
+        "</node></hierarchy>"
+    )
+
+
+CRASH_DIALOG = page_xml("LibreNews has stopped", button="Close app")
+
+
+class ClockRunner(FakeRunner):
+    """FakeRunner on a clock.  Each invocation takes ``latency`` seconds; the n-th dump
+    after the k-th input event or launch shows ``page(k, n)``.  ``crash_after`` seconds
+    after the first input event the app crashes: the log gains a FATAL block and every
+    later dump shows the crash dialog."""
+
+    def __init__(self, page, clock: Clock, latency: float = 0.005, crash_after: float | None = None):
+        super().__init__(page(0, 1))
+        self.page = page
+        self.clock = clock
+        self.latency = latency
+        self.crash_after = crash_after
+        self.crash_at: float | None = None
+        self.events = 0
+        self.dumps_since_event = 0
+
+    def __call__(self, args, timeout):
+        self.clock.now += self.latency
+        if self.crash_at is not None and self.clock.now >= self.crash_at:
+            self.crash_at = None
+            self.crash_after = None
+            self.log += FATAL_LOG
+            self.page = lambda events, n: CRASH_DIALOG
+        if "input" in args or "start" in args:
+            if self.events == 0 and self.crash_after is not None:
+                self.crash_at = self.clock.now + self.crash_after
+            self.events += 1
+            self.dumps_since_event = 0
+        elif "uiautomator" in args:
+            self.dumps_since_event += 1
+            self.dump_xml = self.page(self.events, self.dumps_since_event)
+        return super().__call__(args, timeout)
+
+
+def label(state: UiState) -> str:
+    return state.root.children[0].text
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    from crashreplay import adb_bridge
+
+    fake = Clock()
+    monkeypatch.setattr(adb_bridge, "time", fake)
+    return fake
+
+
+def clock_adb(page, clock, **runner_options):
+    runner = ClockRunner(page, clock, **runner_options)
+    return AdbDevice("emulator-5554", "io.github.librenews", ".MainFlashActivity", runner=runner), runner
+
+
+PAGES = {
+    "changes at once": lambda events, n: page_xml(f"page {events}"),
+    "still": lambda events, n: page_xml("page 0"),
+    "never settles": lambda events, n: page_xml(f"frame {events}.{n}"),
+}
+
+
+@pytest.mark.parametrize("latency", [0.005, 0.6])
+@pytest.mark.parametrize("motion", list(PAGES))
+def test_adb_command_sleeps_the_settle_interval_then_captures_once(clock, motion, latency):
+    from crashreplay.adb_bridge import SETTLE_INTERVAL_S
+
+    device, runner = clock_adb(PAGES[motion], clock, latency=latency)
+    started = clock.now
+    status = device.execute(ActionCommand(action="click", feature="Next"))
+    assert status.ok and status.crash is None
+    assert label(status.new_state) == label(UiState("x", parse_hierarchy_xml(PAGES[motion](1, 1))))
+    assert clock.sleeps == [SETTLE_INTERVAL_S]
+    assert runner.dumps_since_event == 1
+    # Capture, tap, settle, capture, log poll: 3 + 1 + 3 + 1 invocations.  That is less than
+    # the fixed 0.5 s sleep plus one capture, whatever the screen does.
+    assert clock.now - started == pytest.approx(SETTLE_INTERVAL_S + 8 * latency)
+    assert clock.now - started < 0.5 + 8 * latency
+
+
+def test_adb_restart_sleeps_the_settle_interval_then_captures_once(clock):
+    from crashreplay.adb_bridge import SETTLE_INTERVAL_S
+
+    device, runner = clock_adb(PAGES["changes at once"], clock)
+    state = device.restart_app()
+    assert label(state) == "page 1"
+    assert clock.sleeps == [SETTLE_INTERVAL_S]
+    assert runner.dumps_since_event == 1
+
+
+def test_adb_reports_a_crash_logged_within_the_settle_interval_on_its_command(clock):
+    device, runner = clock_adb(PAGES["changes at once"], clock, crash_after=0.05)
+    status = device.execute(ActionCommand(action="click", feature="Next"))
+    assert status.crash is not None and status.crash.exception_type == "java.lang.IllegalStateException"
+    assert label(status.new_state) == "LibreNews has stopped"
+
+
+@pytest.mark.parametrize("pause", [0.0, 1.0])
+def test_adb_reports_a_crash_logged_after_its_command_on_a_later_one(clock, pause):
+    # The log is read SETTLE_INTERVAL_S plus one capture after the tap, so a crash logged
+    # 0.3 s after it is not seen by that command.  The next commands report it, once,
+    # whether they follow at once or after a pause that leaves the crash dialog on screen.
+    device, runner = clock_adb(PAGES["changes at once"], clock, crash_after=0.3)
+    first = device.execute(ActionCommand(action="click", feature="Next"))
+    assert first.crash is None and label(first.new_state) == "page 1"
+    clock.now += pause
+    statuses = [device.execute(ActionCommand(action="click", feature="Next")) for _ in range(4)]
+    crashes = [status.crash for status in statuses if status.crash is not None]
+    assert len(crashes) == 1
+    assert crashes[0].exception_type == "java.lang.IllegalStateException"
+    assert statuses[0].crash is not None or statuses[1].crash is not None
+    if pause:
+        assert not statuses[0].ok and statuses[0].no_match_feature == "Next"

@@ -23,6 +23,7 @@ from crashreplay.replay import (
     _render_knowledge,
     build_replay_prompt,
     detect_stuck,
+    replay_prompt_head,
     render_feedback,
     run,
 )
@@ -269,7 +270,7 @@ def knowledge_fixture() -> str:
 
 
 def test_prompt_tier1_has_three_labeled_sections():
-    prompt = build_replay_prompt("report text", SCRIPT, "Screen: X")
+    prompt = build_replay_prompt(replay_prompt_head("report text", SCRIPT), "Screen: X")
     assert [line for line in prompt.splitlines() if line.startswith("## ")] == [
         "## Bug report",
         "## Steps to reproduce (extracted)",
@@ -278,7 +279,7 @@ def test_prompt_tier1_has_three_labeled_sections():
 
 
 def test_prompt_tier2_adds_knowledge_section():
-    prompt = build_replay_prompt("report text", SCRIPT, "Screen: X", knowledge=knowledge_fixture())
+    prompt = build_replay_prompt(replay_prompt_head("report text", SCRIPT), "Screen: X", knowledge=knowledge_fixture())
     sections = [line for line in prompt.splitlines() if line.startswith("## ")]
     assert sections == [
         "## Bug report",
@@ -290,7 +291,7 @@ def test_prompt_tier2_adds_knowledge_section():
 
 
 def test_prompt_section_content_order():
-    prompt = build_replay_prompt("THE REPORT", SCRIPT, "Screen: SettingsActivity")
+    prompt = build_replay_prompt(replay_prompt_head("THE REPORT", SCRIPT), "Screen: SettingsActivity")
     assert (
         prompt.index("THE REPORT")
         < prompt.index("[Input] [server URL] [xxyyzz]")
@@ -299,12 +300,12 @@ def test_prompt_section_content_order():
 
 
 def test_prompt_includes_feedback_line():
-    prompt = build_replay_prompt("r", SCRIPT, "Screen: X", feedback="The action failed.")
+    prompt = build_replay_prompt(replay_prompt_head("r", SCRIPT), "Screen: X", feedback="The action failed.")
     assert "Previous action feedback: The action failed." in prompt
 
 
 def test_prompt_golden_bytes():
-    prompt = build_replay_prompt("THE REPORT", SCRIPT, "Screen: SettingsActivity")
+    prompt = build_replay_prompt(replay_prompt_head("THE REPORT", SCRIPT), "Screen: SettingsActivity")
     from conftest import data_path
 
     golden = data_path("golden_replay_prompt.txt").read_text(encoding="utf-8")
@@ -313,8 +314,8 @@ def test_prompt_golden_bytes():
 
 def test_prompt_deterministic():
     knowledge = knowledge_fixture()
-    a = build_replay_prompt("r", SCRIPT, "Screen: X", knowledge=knowledge)
-    b = build_replay_prompt("r", SCRIPT, "Screen: X", knowledge=knowledge)
+    a = build_replay_prompt(replay_prompt_head("r", SCRIPT), "Screen: X", knowledge=knowledge)
+    b = build_replay_prompt(replay_prompt_head("r", SCRIPT), "Screen: X", knowledge=knowledge)
     assert a == b
 
 
@@ -570,27 +571,73 @@ def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action
     assert records[explored + 1]["state"] == graph.origin
 
 
-def test_run_on_a_slow_device_stops_exploring_at_the_deadline(tmp_path):
-    delay = 0.05
+class RecordingSim(SimulatorDevice):
+    """Records when each command starts and sleeps ``delay`` per command; with
+    ``outlast_deadline``, a restart issued after an exploration sleeps until past
+    the run's deadline."""
 
-    class SlowSim(SimulatorDevice):
-        def execute(self, cmd):
-            time.sleep(delay)
-            return super().execute(cmd)
+    def __init__(self, spec, delay: float, outlast_deadline: bool = False):
+        super().__init__(spec)
+        self.delay = delay
+        self.outlast_deadline = outlast_deadline
+        self.started: list[tuple[str, float]] = []
+        self.deadline: float | None = None
 
-        def restart_app(self):
-            time.sleep(delay)
-            return super().restart_app()
+    def execute(self, cmd):
+        self.started.append((cmd.action, time.monotonic()))
+        time.sleep(self.delay)
+        return super().execute(cmd)
 
+    def restart_app(self):
+        self.started.append(("restart", time.monotonic()))
+        time.sleep(self.delay)
+        if self.outlast_deadline and self.deadline is not None:
+            time.sleep(max(0.0, self.deadline - time.monotonic()) + 0.01)
+        return super().restart_app()
+
+
+def deadline_recording_explore(monkeypatch, device: RecordingSim, **overrides) -> None:
+    """Let ``replay.run``'s explorations hand their deadline to ``device`` once they return."""
+    from crashreplay import replay
+
+    def recording_explore(dev, **kwargs):
+        graph = explore(dev, **{**kwargs, **overrides})
+        device.deadline = kwargs["deadline"]
+        return graph
+
+    monkeypatch.setattr(replay, "explore", recording_explore)
+
+
+def test_run_on_a_slow_device_stops_exploring_at_the_deadline(tmp_path, monkeypatch):
     report, gold, _, gateway, _ = load_scenario("hidden_about")
-    device = SlowSim(load_spec(APPS / "hidden_about.json"))
-    budget = 0.156  # two commands reach the stuck page, so the deadline falls inside exploration
+    device = RecordingSim(load_spec(APPS / "hidden_about.json"), delay=0.05)
+    deadline_recording_explore(monkeypatch, device)
+    # Two commands reach the stuck page; the deadline falls inside the first probe, which leaves the page.
+    budget = 2.5 * device.delay
     result = run(report, gold, device, gateway, budget, utg_cache_dir=tmp_path)
     assert result.outcome == Outcome.BUDGET_EXHAUSTED
     assert result.trace_records[-1]["explored"]
-    # The command running at the deadline, then the restore (a restart; the recorded path is empty).
-    assert result.elapsed <= budget + 2 * delay + delay / 2
+    # Only the command running at the deadline overruns it: no restore starts after it.
+    assert [action for action, started in device.started if started >= device.deadline] == []
+    assert result.elapsed <= budget + device.delay + device.delay / 2
     assert list(tmp_path.iterdir()) == []  # knowledge cut short is not cached
+
+
+def test_restore_after_a_cut_exploration_stops_replaying_the_path_at_the_deadline(monkeypatch):
+    # Tools is reached by one click; a feature missing there twice makes the loop explore it.
+    gateway = MockGateway.from_script([
+        {"when": 'text="About"', "response": '[{"action": "click", "feature": "Settings"}]', "times": None},
+        {"response": '[{"action": "click", "feature": "Tools"}]', "times": None},
+    ])
+    report, gold, _, _, _ = load_scenario("hidden_about")
+    device = RecordingSim(load_spec(APPS / "hidden_about.json"), delay=0.0, outlast_deadline=True)
+    deadline_recording_explore(monkeypatch, device, action_budget=4)  # ends on home, off the page
+    result = run(report, gold, device, gateway, 0.5)
+    assert result.outcome == Outcome.BUDGET_EXHAUSTED
+    assert result.trace_records[-1]["explored"]
+    # The restore's restart starts before the deadline and outlasts it; the path's click is not sent.
+    assert device.started[-1][0] == "restart"
+    assert [action for action, started in device.started if started >= device.deadline] == []
 
 
 def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):
@@ -612,3 +659,15 @@ def test_run_survives_a_reply_nested_too_deep_to_decode():
     result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
     assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
     assert [json.loads(line)["no_actionable"] for line in result.trace_text().splitlines()] == [True, True]
+
+
+def test_run_builds_the_prompt_head_once(monkeypatch):
+    from crashreplay import replay
+
+    loaded = []
+    load_template = replay.load_template
+    monkeypatch.setattr(replay, "load_template", lambda name: loaded.append(name) or load_template(name))
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    result = run(report, gold, device, gateway, 10.0)
+    assert result.iterations > 1
+    assert loaded == ["replay_instructions.txt"]
