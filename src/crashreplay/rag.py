@@ -23,6 +23,7 @@ NORM_TOLERANCE = 1e-6
 #: Below this 2-norm the sum of squares nears the subnormal range and loses precision.
 _TINY_NORM = 1e-150
 _UNIT_ROUNDOFF = 2.0**-53
+_LAYOUT = "columns"  #: The index file's ``layout``: its embedding block holds one row per dimension.
 
 
 class RagError(Exception):
@@ -180,16 +181,19 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     """
 
     def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0):
+        import requests
+
         self.endpoint = endpoint
         self.dimension = dimension
         self.provider_id = f"http:{endpoint}"
         self.timeout = timeout
+        self.session = requests.Session()  # one kept-alive connection for every POST
 
     def embed_raw(self, text: str) -> np.ndarray:
         import requests
 
         try:
-            resp = requests.post(self.endpoint, json={"texts": [text]}, timeout=self.timeout)
+            resp = self.session.post(self.endpoint, json={"texts": [text]}, timeout=self.timeout)
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:
@@ -300,7 +304,6 @@ class RagRecord:
     sentence: str
     embedding: np.ndarray
     labels: tuple[S2REntity, ...]
-    source_report: str
 
 
 @dataclass(frozen=True)
@@ -312,10 +315,10 @@ class RetrievalHit:
 class RagIndex:
     """Immutable index over embedded corpus sentences.
 
-    The embeddings live in one contiguous, read-only float64 matrix with one
-    row per record; each record's ``embedding`` is a view of its row.
-    ``entries`` gives each record's ``(record_id, sentence, labels,
-    source_report)``, in row order.
+    The embeddings live in one contiguous, read-only float64 block with one
+    row per dimension (D x N); ``matrix`` is its N x D transposed view, and
+    each record's ``embedding`` is a view of its row.  ``entries`` gives each
+    record's ``(record_id, sentence, labels)``, in row order.
     """
 
     def __init__(self, provider_id: str, matrix: np.ndarray, entries: list[tuple]):
@@ -324,8 +327,8 @@ class RagIndex:
         self.dimension = matrix.shape[1]
         self.matrix = matrix
         self.records = tuple(
-            RagRecord(record_id, sentence, row, labels, source_report)
-            for (record_id, sentence, labels, source_report), row in zip(entries, matrix, strict=True)
+            RagRecord(record_id, sentence, row, labels)
+            for (record_id, sentence, labels), row in zip(entries, matrix, strict=True)
         )
 
     def __len__(self) -> int:
@@ -336,15 +339,14 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
     """Embed every labeled sentence into one record; record order follows the corpus."""
     if not corpus:
         raise EmptyCorpus("corpus has no reports")
+    columns = np.empty((provider.dimension, sum(len(report.sentences) for report in corpus)))
     entries = []
-    vectors = []
     for report in corpus:
         report.validate()
         for ordinal, sentence in enumerate(report.sentences, start=1):
-            vectors.append(embed(sentence.text, provider))
-            entries.append((f"{report.report_id}:{ordinal:04d}", sentence.text, sentence.labels, report.report_id))
-    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), provider.dimension)
-    return RagIndex(provider.provider_id, matrix, entries)
+            columns[:, len(entries)] = embed(sentence.text, provider)
+            entries.append((f"{report.report_id}:{ordinal:04d}", sentence.text, sentence.labels))
+    return RagIndex(provider.provider_id, columns.T, entries)
 
 
 def _score_margin(dimension: int) -> float:
@@ -358,7 +360,9 @@ def _score_margin(dimension: int) -> float:
     * the fast score fl(e.q) from the matrix product, in any summation order
       and with or without fused multiply-add, is within gamma_D*|e|*|q| of
       the real dot product (Higham, Accuracy and Stability of Numerical
-      Algorithms, 2nd ed., section 3.1, and Cauchy-Schwarz);
+      Algorithms, 2nd ed., section 3.1, and Cauchy-Schwarz).  Leaving out
+      the exact zero terms where q_j = 0 gives a dot product of length m <= D
+      in some summation order, so the same bound covers it;
     * the exact score fsum(fl(e_j*q_j)) rounds each product once and the sum
       once, so it is within (2u + u^2)*|e|*|q| of the real dot product;
     * so the two differ by at most
@@ -392,47 +396,40 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
     if not index.records:
         raise EmptyIndex("index has no records")
     query = embed(query_sentence, provider)
-    # Pre-select with one matrix product: every record that can be in the
-    # top k has a fast score within _score_margin of the k-th fast score.
-    fast = index.matrix @ query
+    # Pre-select with one product over the block rows where the query is nonzero: every
+    # record that can be in the top k has a fast score within _score_margin of the k-th.
+    nz = np.flatnonzero(query)
+    fast = query[nz] @ index.matrix.T[nz]
     kth = len(fast) - min(k, len(fast))
     threshold = np.partition(fast, kth)[kth] - _score_margin(index.dimension)
-    # Correctly-rounded exact dot products (fsum) of the candidates only: a
-    # score is a unique, summation-order-independent double, so rankings
-    # and the record-id tie rule are reproducible by any independent
-    # implementation.
-    q = query.tolist()
-    hits = []
-    for row in np.flatnonzero(fast >= threshold):
-        record = index.records[row]
-        hits.append(RetrievalHit(record, math.fsum(e * x for e, x in zip(record.embedding.tolist(), q))))
-    hits.sort(key=lambda hit: (-hit.score, hit.record.record_id))
-    return hits[:k]
+    # Correctly-rounded exact dot products (fsum) of the candidates only, over
+    # the nonzero terms (the rest are exact zeros): a score is a unique,
+    # summation-order-independent double, so rankings and the record-id tie
+    # rule are reproducible by any independent implementation.
+    q = query[nz]
+    candidates = [index.records[row] for row in np.flatnonzero(fast >= threshold)]
+    hits = [RetrievalHit(record, math.fsum((record.embedding[nz] * q).tolist())) for record in candidates]
+    return sorted(hits, key=lambda hit: (-hit.score, hit.record.record_id))[:k]
 
 
 def save_index(index: RagIndex, path: str | Path) -> None:
-    """Write one JSON header line with every record but its embedding, then the matrix as raw ``<f8`` bytes."""
+    """Write one JSON header line with every record but its embedding, then the column block as raw ``<f8`` bytes."""
     records = [
-        {
-            "record_id": r.record_id,
-            "sentence": r.sentence,
-            "labels": [e.to_label() for e in r.labels],
-            "source_report": r.source_report,
-        }
+        {"record_id": r.record_id, "sentence": r.sentence, "labels": [e.to_label() for e in r.labels]}
         for r in index.records
     ]
-    header = {"provider_id": index.provider_id, "dimension": index.dimension, "records": records}
+    header = {"provider_id": index.provider_id, "dimension": index.dimension, "layout": _LAYOUT, "records": records}
     line = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as out:
         # Trailing spaces start the block at a multiple of 8 bytes, so a view of it is aligned for BLAS.
         out.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
-        out.write(index.matrix.astype("<f8", copy=False).tobytes())
+        out.write(np.ascontiguousarray(index.matrix.T, dtype="<f8").data)  # no copy of a built or loaded block
 
 
 def load_index(path: str | Path) -> RagIndex:
-    """Load a persisted index, validating its header, block size and unit norms.
+    """Load a persisted index, validating its header, layout, block size and unit norms.
 
-    The matrix is a read-only view of the file's bytes, copied only if unaligned.
+    The block is a read-only view of the file's bytes, copied only if unaligned.
     """
     try:
         data = Path(path).read_bytes()
@@ -443,22 +440,25 @@ def load_index(path: str | Path) -> RagIndex:
         raw_records = list(header["records"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IndexFormatError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
+    if (layout := header.get("layout")) != _LAYOUT:
+        raise IndexFormatError(f"{path}: index layout {layout!r} is not {_LAYOUT!r}; rebuild it with build-index")
     entries = []
     for i, raw in enumerate(raw_records):
         try:
             labels = tuple(S2REntity.from_label(label) for label in raw.get("labels", []))
-            entries.append((raw["record_id"], raw["sentence"], labels, raw.get("source_report", "")))
+            entries.append((raw["record_id"], raw["sentence"], labels))
         except Exception as exc:
             raise IndexFormatError(f"{path}: record {i}: {exc}") from exc
     block, need = len(data) - end - 1, len(entries) * dimension * 8
     if dimension < 1 or block != need:
         raise IndexFormatError(f"{path}: embedding block is {block} bytes, not {need}; rebuild it with build-index")
-    matrix = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(entries), dimension)
-    if not matrix.flags.aligned:  # an unpadded header; products with an unaligned view run ~5x slower
-        matrix = matrix.copy()
-    index = RagIndex(provider_id, matrix, entries)
-    # Written as "not within" so that a NaN norm fails too.
-    off_norm = np.flatnonzero(~(np.abs(np.linalg.norm(index.matrix, axis=1) - 1.0) <= NORM_TOLERANCE))
+    columns = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(dimension, len(entries))
+    if not columns.flags.aligned:  # an unpadded header; products with an unaligned view run ~5x slower
+        columns = columns.copy()
+    index = RagIndex(provider_id, columns.T, entries)
+    # Written as "not within" so that a NaN norm fails too; einsum sums the squares without a temporary block.
+    norms = np.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix))
+    off_norm = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
     if off_norm.size:
         raise IndexFormatError(f"{path}: record {index.records[off_norm[0]].record_id} is not unit-norm")
     return index

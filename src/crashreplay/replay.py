@@ -330,7 +330,7 @@ def run(
                 origin_path=tuple(loop.path_from_start),
                 deadline=deadline,
             )
-            if time.monotonic() < deadline and device.capture_state().state_id != graph.origin:
+            if graph.truncated and time.monotonic() < deadline:
                 device.restart_app()
                 for cmd in loop.path_from_start:
                     if time.monotonic() >= deadline:

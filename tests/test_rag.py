@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import random
+import struct
+import threading
+from http.server import ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import _EmbedHandler
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     DimensionMismatch,
@@ -238,13 +242,49 @@ def test_mini_corpus_builds_unit_norm_records(mini_corpus, provider):
 # -- retrieval ------------------------------------------------------------------
 
 
-def brute_force_ranking(index: RagIndex, query: np.ndarray) -> list[str]:
+def brute_force_ranking(index: RagIndex, query: np.ndarray) -> list[tuple[str, float]]:
+    """Every record with its D-term ``fsum`` score, best first: the full scan that ``retrieve``'s
+    first k hits must equal, ids and score bits alike."""
     scored = []
     for record in index.records:
         score = math.fsum(float(q) * float(e) for q, e in zip(query, record.embedding))
         scored.append((record.record_id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return [record_id for record_id, _ in scored]
+    return scored
+
+
+def score_bits(hits) -> list[tuple[str, bytes]]:
+    return [(record_id, struct.pack("<d", score)) for record_id, score in hits]
+
+
+@st.composite
+def sparse_and_dense_cases(draw):
+    """Record vectors and a query, each mostly signed zeros or fully dense, with negative components."""
+    dimension = draw(st.sampled_from([1, 3, 16, 384]))
+    zero = st.sampled_from([0.0, -0.0])
+    component = zero | st.integers(-3, 3).map(float) | st.floats(-1.0, 1.0, allow_subnormal=False)
+    sparse = arrays(np.float64, dimension, elements=component, fill=zero)
+    dense = arrays(np.float64, dimension, elements=st.floats(-1.0, 1.0, allow_subnormal=False).filter(bool), fill=st.nothing())
+    vector = (sparse | dense).filter(np.any)
+    vectors = draw(st.lists(vector, min_size=1, max_size=6))
+    return vectors + [v.copy() for v in vectors if draw(st.booleans())], draw(vector)
+
+
+@settings(max_examples=100)
+@given(sparse_and_dense_cases())
+@example(([np.array([0.0, -1.0, 0.0]), np.array([-0.0, 0.0, 2.0])], np.array([1.0, 0.0, 0.0])))
+@example(([np.array([-0.0, 3.0]), np.array([0.5, -0.5])], np.array([2.0, -0.0])))
+def test_retrieve_returns_the_full_scans_ids_and_score_bits(tmp_path_factory, case):
+    vectors, raw_query = case
+    provider = StubProvider({"query": raw_query, **{f"v{i}": v for i, v in enumerate(vectors)}})
+    built = build_index([make_report(f"r{i:02d}", [f"v{i}"]) for i in range(len(vectors))], provider)
+    path = tmp_path_factory.mktemp("index") / "index.bin"
+    save_index(built, path)
+    for index in (built, load_index(path)):
+        expected = brute_force_ranking(index, embed("query", provider))
+        for k in (1, 2, len(index)):
+            got = [(h.record.record_id, h.score) for h in retrieve(index, "query", k, provider)]
+            assert score_bits(got) == score_bits(expected[:k])
 
 
 def test_self_query_ranks_first(mini_corpus, provider):
@@ -260,9 +300,9 @@ def test_retrieve_matches_brute_force_on_random_corpora(provider):
     index = build_index(corpus, provider)
     queries = [random_sentence(rng) for _ in range(8)] + [corpus[0].sentences[0].text]
     for query in queries:
-        expected = brute_force_ranking(index, embed(query, provider))
-        got = [h.record.record_id for h in retrieve(index, query, len(index), provider)]
-        assert got == expected
+        assert np.count_nonzero(embed(query, provider)) < provider.dimension  # a sparse trigram query
+        got = [(h.record.record_id, h.score) for h in retrieve(index, query, len(index), provider)]
+        assert score_bits(got) == score_bits(brute_force_ranking(index, embed(query, provider)))
 
 
 @st.composite
@@ -302,10 +342,8 @@ def test_retrieve_matches_brute_force_on_near_ties(case, rng):
     query = embed("query", provider)
     expected = brute_force_ranking(index, query)
     for k in (1, 2, len(index)):
-        hits = retrieve(index, "query", k, provider)
-        assert [h.record.record_id for h in hits] == expected[:k]
-        for hit in hits:
-            assert hit.score == math.fsum(float(q) * float(e) for q, e in zip(query, hit.record.embedding))
+        got = [(h.record.record_id, h.score) for h in retrieve(index, "query", k, provider)]
+        assert score_bits(got) == score_bits(expected[:k])
 
 
 def test_retrieve_breaks_exact_ties_by_record_id(provider):
@@ -387,9 +425,9 @@ def test_load_names_first_record_off_unit_norm(tmp_path, provider, mini_corpus):
     path = tmp_path / "index.bin"
     save_index(index, path)
     header, block = split_index_file(path)
-    rows = block.reshape(len(index), index.dimension)
-    rows[3, 0] = float("nan")
-    rows[7, 0] += 0.5
+    columns = block.reshape(index.dimension, len(index))
+    columns[0, 3] = float("nan")
+    columns[0, 7] += 0.5
     path.write_bytes(header + block.tobytes())
     with pytest.raises(IndexFormatError, match=f"record {index.records[3].record_id} is not unit-norm"):
         load_index(path)
@@ -434,7 +472,7 @@ def old_json_index(index: RagIndex, one_record_per_line: bool) -> str:
             "sentence": r.sentence,
             "embedding": r.embedding.tolist(),
             "labels": [e.to_label() for e in r.labels],
-            "source_report": r.source_report,
+            "source_report": r.record_id.rpartition(":")[0],
         }
         for r in index.records
     ]
@@ -442,6 +480,34 @@ def old_json_index(index: RagIndex, one_record_per_line: bool) -> str:
         return json.dumps({"provider_id": index.provider_id, "dimension": index.dimension, "records": records})
     lines = ",\n".join(json.dumps(r) for r in records)
     return f'{{"provider_id": "{index.provider_id}", "dimension": {index.dimension}, "records": [\n{lines}\n]}}\n'
+
+
+def write_row_major_index(index: RagIndex, path) -> None:
+    """An index in the format before the column block: no layout, a source_report per record, the block row by row."""
+    records = [
+        {"record_id": r.record_id, "sentence": r.sentence, "labels": [], "source_report": r.record_id.rpartition(":")[0]}
+        for r in index.records
+    ]
+    line = json.dumps({"provider_id": index.provider_id, "dimension": index.dimension, "records": records}).encode()
+    path.write_bytes(line + b" " * (-(len(line) + 1) % 8) + b"\n" + np.ascontiguousarray(index.matrix).tobytes())
+
+
+def test_load_rejects_the_row_major_block_and_names_build_index(tmp_path, provider, mini_corpus):
+    index = build_index(mini_corpus, provider)
+    path = tmp_path / "index.bin"
+    write_row_major_index(index, path)
+    with pytest.raises(IndexFormatError, match="layout None is not 'columns'; rebuild it with build-index"):
+        load_index(path)
+
+
+def test_saved_block_holds_one_row_per_dimension(tmp_path, provider, mini_corpus):
+    index = build_index(mini_corpus, provider)
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    header, block = split_index_file(path)
+    assert json.loads(header)["layout"] == "columns"
+    assert np.array_equal(block.reshape(index.dimension, len(index)), index.matrix.T)
+    assert index.matrix.T.flags.c_contiguous and load_index(path).matrix.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("one_record_per_line", [True, False])
@@ -471,7 +537,7 @@ def indexes(draw):
     vectors = draw(st.lists(vector, max_size=5))
     matrix = np.array([embed("query", StubProvider({"query": v})) for v in vectors]).reshape(len(vectors), dimension)
     entries = [
-        (draw(st.text()), draw(st.text()), tuple(draw(st.lists(st.sampled_from(LABELS), max_size=3))), draw(st.text()))
+        (draw(st.text()), draw(st.text()), tuple(draw(st.lists(st.sampled_from(LABELS), max_size=3))))
         for _ in vectors
     ]
     return RagIndex(draw(st.text()), matrix, entries)
@@ -479,7 +545,7 @@ def indexes(draw):
 
 @settings(max_examples=100)
 @given(indexes())
-@example(RagIndex("hashed-trigram-2", np.array([[0.6, 0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", (), "r")]))
+@example(RagIndex("hashed-trigram-2", np.array([[0.6, 0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", ())]))
 def test_save_load_round_trip_is_exact(tmp_path_factory, index):
     path = tmp_path_factory.mktemp("index") / "index.bin"
     save_index(index, path)
@@ -489,8 +555,9 @@ def test_save_load_round_trip_is_exact(tmp_path_factory, index):
     assert not loaded.matrix.flags.writeable
     assert loaded.matrix.flags.aligned and (path.read_bytes().index(b"\n") + 1) % 8 == 0
     assert all(np.shares_memory(r.embedding, loaded.matrix) for r in loaded.records)
-    fields = [(r.record_id, r.sentence, r.labels, r.source_report) for r in loaded.records]
-    assert fields == [(r.record_id, r.sentence, r.labels, r.source_report) for r in index.records]
+    fields = [(r.record_id, r.sentence, r.labels) for r in loaded.records]
+    assert fields == [(r.record_id, r.sentence, r.labels) for r in index.records]
+    assert b"source_report" not in path.read_bytes()
 
 
 def test_script_from_report(mini_corpus):
@@ -514,6 +581,33 @@ def test_http_provider_dimension_check(embed_server):
     provider = HttpEmbeddingProvider(embed_server, dimension=16)
     with pytest.raises(DimensionMismatch):
         embed("tap button", provider)
+
+
+class _KeepAliveEmbedHandler(_EmbedHandler):
+    protocol_version = "HTTP/1.1"
+
+
+class _ConnectionCountingServer(ThreadingHTTPServer):
+    daemon_threads = True
+    connections = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1
+        return request
+
+
+def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
+    server = _ConnectionCountingServer(("127.0.0.1", 0), _KeepAliveEmbedHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
+        assert len(build_index(mini_corpus, provider)) == 20
+        assert server.connections == 1
+        provider.session.close()
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_http_provider_unreachable():

@@ -640,6 +640,26 @@ def test_restore_after_a_cut_exploration_stops_replaying_the_path_at_the_deadlin
     assert [action for action, started in device.started if started >= device.deadline] == []
 
 
+def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(monkeypatch):
+    from crashreplay import replay
+
+    graphs = []
+    monkeypatch.setattr(replay, "explore", lambda *args, **kwargs: graphs.append(explore(*args, **kwargs)) or graphs[-1])
+    # Tools is reached by one click; a feature missing there twice makes the loop explore it.
+    gateway = MockGateway.from_script([
+        {"when": "Learned app knowledge", "response": '[{"action": "click", "feature": "About"}]', "times": None},
+        {"when": 'text="About"', "response": '[{"action": "click", "feature": "Settings"}]', "times": None},
+        {"response": '[{"action": "click", "feature": "Tools"}]', "times": None},
+    ])
+    report, gold, device, _, _ = load_scenario("hidden_about")
+    # The third probe clicks About and crashes the app; the budget ends before exploration restores.
+    result = run(report, gold, device, gateway, 10.0, explore_action_budget=3, max_iterations=8)
+    (graph,) = graphs
+    assert graph.truncated and graph.actions_used == 3
+    assert result.outcome == Outcome.REPRODUCED
+    assert all(len(rec["statuses"]) == len(rec["commands"]) for rec in result.trace_records)
+
+
 def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):
     report, gold, device, gateway, _ = load_scenario("url_crash")
     result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
