@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or crash reproduced), 1 domain failure (not
 reproduced, no entities, scoring failure), 2 usage error, 3 environment
-error (missing files, missing env vars, unreachable endpoint/device).
+error (a missing, unreadable or malformed input file, missing env vars,
+unreachable endpoint/device).
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NoReturn, TypeVar
 
 import click
 
 from . import evaluator, replay
 from .gateway import GatewayError, HttpGateway, LlmConfig, MockGateway
-from .grammar import NoEntitiesFound, S2RScript, parse_extraction_response
+from .grammar import GrammarError, NoEntitiesFound, S2RScript, parse_extraction_response
 from .rag import (
     HashedTrigramProvider,
     HttpEmbeddingProvider,
@@ -34,7 +36,6 @@ from .simulator import SimulatorDevice, SpecInvalid, load_spec
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_ENVIRONMENT = 3
 
 #: Default wall-clock replay budget (seconds) and exploration depth.
@@ -43,36 +44,42 @@ DEFAULT_DEPTH = 1
 DEFAULT_RETRIEVAL_K = 1
 DEFAULT_EXPLORE_ACTIONS = 40
 
+#: What a parser raises for an input it cannot read; any other exception is a bug and keeps its traceback.
+_INPUT_ERRORS = (OSError, ValueError, GrammarError, RagError, SpecInvalid)
+T = TypeVar("T")
+
 
 def fixtures_path() -> Path:
     """Directory of the bundled corpora, app specs and scenarios."""
     return Path(str(resources.files("crashreplay").joinpath("fixtures")))
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _read_file(path: str, what: str) -> str:
+def _load(what: str, path, parse: Callable[[str], T]) -> T:
+    """``parse(path)``; a missing, unreadable or malformed file exits 3 naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return parse(path)
+    except _INPUT_ERRORS as exc:
         _fail(EXIT_ENVIRONMENT, f"cannot read {what} {path}: {exc}")
-        raise AssertionError  # unreachable
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_ENVIRONMENT, f"cannot read config {path}: {exc}")
-        raise AssertionError
-    if not isinstance(config, dict):
-        _fail(EXIT_ENVIRONMENT, f"config {path} is not a JSON object")
-    return config
+def _read_text(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _read_object(path) -> dict:
+    value = json.loads(_read_text(path))
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
+
+
+def _read_script(path) -> S2RScript:
+    return S2RScript.from_dict(json.loads(_read_text(path)))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -98,15 +105,11 @@ def _make_gateway(mode: str, mock_script: str | None):
     if mode == "mock":
         if not mock_script:
             raise click.UsageError("mock gateway mode requires --mock-script")
-        try:
-            return MockGateway.from_script_file(mock_script)
-        except (OSError, ValueError) as exc:
-            _fail(EXIT_ENVIRONMENT, f"cannot load mock script {mock_script}: {exc}")
+        return _load("mock script", mock_script, MockGateway.from_script_file)
     try:
         return HttpGateway(LlmConfig.from_env())
     except GatewayError as exc:
         _fail(EXIT_ENVIRONMENT, str(exc))
-    raise AssertionError
 
 
 @click.group()
@@ -118,7 +121,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     Exit codes: 0 success / crash reproduced, 1 domain failure (not
     reproduced, no steps extracted), 2 usage error, 3 environment error.
     """
-    config = _load_config_file(config_path)
+    config = _load("config", config_path, _read_object) if config_path else {}
     ctx.default_map = {name: config for name in main.commands}
 
 
@@ -129,14 +132,9 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.option("--embed-endpoint", default=None, help="Remote embedding endpoint (optional).")
 def cmd_build_index(corpus_path, index_path, dimension, embed_endpoint):
     """Embed a labeled corpus into a persisted retrieval index."""
-    if not Path(corpus_path).exists():
-        _fail(EXIT_ENVIRONMENT, f"corpus file not found: {corpus_path}")
+    corpus = _load("corpus", corpus_path, load_corpus)
     try:
-        corpus = load_corpus(corpus_path)
-        if embed_endpoint:
-            provider = HttpEmbeddingProvider(embed_endpoint, dimension)
-        else:
-            provider = HashedTrigramProvider(dimension)
+        provider = HttpEmbeddingProvider(embed_endpoint, dimension) if embed_endpoint else HashedTrigramProvider(dimension)
         index = build_index(corpus, provider)
         Path(index_path).parent.mkdir(parents=True, exist_ok=True)
         save_index(index, index_path)
@@ -178,16 +176,13 @@ def run_extraction(report_text: str, index: RagIndex, gateway, k: int) -> tuple[
 @click.option("--out", "output_dir", default="out", help="Output directory.")
 def cmd_extract(report_path, index_path, gateway_mode, mock_script_path, retrieval_k, output_dir):
     """Extract a reproduction script from a bug report."""
-    if not Path(index_path).exists():
-        _fail(EXIT_ENVIRONMENT, f"index file not found: {index_path}")
-    report_text = _read_file(report_path, "report")
+    index = _load("index", index_path, load_index)
+    report_text = _load("report", report_path, _read_text)
     gateway = _make_gateway(gateway_mode, mock_script_path)
     try:
-        index = load_index(index_path)
         script, log = run_extraction(report_text, index, gateway, retrieval_k)
     except (NoEntitiesFound, RagError, GatewayError) as exc:
         _fail(EXIT_DOMAIN, str(exc))
-        raise AssertionError
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "script.json", script.to_dict())
@@ -197,13 +192,7 @@ def cmd_extract(report_path, index_path, gateway_mode, mock_script_path, retriev
 
 def _make_device(sim_spec_path, device_serial, app_package, app_activity):
     if sim_spec_path:
-        if not Path(sim_spec_path).exists():
-            _fail(EXIT_ENVIRONMENT, f"app spec not found: {sim_spec_path}")
-        try:
-            return SimulatorDevice(load_spec(sim_spec_path))
-        except SpecInvalid as exc:
-            _fail(EXIT_ENVIRONMENT, str(exc))
-            raise AssertionError
+        return SimulatorDevice(_load("app spec", sim_spec_path, load_spec))
     from .adb_bridge import AdbDevice
 
     if not app_package:
@@ -234,15 +223,8 @@ def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_packa
     if bool(sim_spec_path) == bool(device_serial):
         raise click.UsageError("exactly one of --sim-spec / --device-serial is required")
     gateway = _make_gateway(gateway_mode, mock_script_path)
-    report_text = _read_file(report_path, "report")
-    if script_path:
-        try:
-            script = S2RScript.from_dict(json.loads(_read_file(script_path, "script")))
-        except (ValueError, KeyError) as exc:
-            _fail(EXIT_ENVIRONMENT, f"bad script file {script_path}: {exc}")
-            raise AssertionError
-    else:
-        script = S2RScript(steps=())
+    report_text = _load("report", report_path, _read_text)
+    script = _load("script", script_path, _read_script) if script_path else S2RScript(steps=())
     device = _make_device(sim_spec_path, device_serial, app_package, app_activity)
 
     result = replay.run(
@@ -277,32 +259,34 @@ def _scenario_option(raw: dict, name: str, default, command: click.Command = cmd
 
 
 def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
-    """Run one scenario directory; returns (score or None, ReplayResult)."""
-    spec_file = scenario_dir / "scenario.json"
-    raw = json.loads(spec_file.read_text(encoding="utf-8"))
-    report_text = (scenario_dir / raw["report"]).read_text(encoding="utf-8")
-    app_spec = load_spec(scenario_dir / raw["app"])
+    """Run one scenario directory, writing its artifacts to ``out_dir``; returns (score or None, ReplayResult)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    raw = _read_object(scenario_dir / "scenario.json")
+
+    def named_file(key: str) -> Path:
+        if not isinstance(raw.get(key), str):
+            raise ValueError(f"{key!r} names no file")
+        return scenario_dir / raw[key]
+
+    report_text = _read_text(named_file("report"))
+    app_spec = load_spec(named_file("app"))
 
     score = None
     script = S2RScript(steps=())
     if raw.get("extract_mock"):
-        gateway = MockGateway.from_script_file(scenario_dir / raw["extract_mock"])
+        gateway = MockGateway.from_script_file(named_file("extract_mock"))
         k = _scenario_option(raw, "k", DEFAULT_RETRIEVAL_K, cmd_extract, "retrieval_k")
         script, log = run_extraction(report_text, index, gateway, k)
         _write_json(out_dir / "script.json", script.to_dict())
         _write_json(out_dir / "extraction_log.json", log)
         if raw.get("gold_script"):
-            gold = S2RScript.from_dict(
-                json.loads((scenario_dir / raw["gold_script"]).read_text(encoding="utf-8"))
-            )
-            score = evaluator.score_extraction(script, gold)
+            score = evaluator.score_extraction(script, _read_script(named_file("gold_script")))
 
-    gateway = MockGateway.from_script_file(scenario_dir / raw["replay_mock"])
     result = replay.run(
         report_text,
         script,
         SimulatorDevice(app_spec),
-        gateway,
+        MockGateway.from_script_file(named_file("replay_mock")),
         _scenario_option(raw, "budget_s", 10.0),
         explore_enabled=_scenario_option(raw, "exploration", True),
         explore_depth=_scenario_option(raw, "depth", DEFAULT_DEPTH),
@@ -326,29 +310,19 @@ def cmd_eval(scenarios_dir, corpus_path, output_dir):
     scenarios_root = Path(scenarios_dir)
     if not scenarios_root.is_dir():
         _fail(EXIT_ENVIRONMENT, f"scenario directory not found: {scenarios_dir}")
-    if not Path(corpus_path).exists():
-        _fail(EXIT_ENVIRONMENT, f"corpus file not found: {corpus_path}")
-
-    corpus = load_corpus(corpus_path)
-    index = build_index(corpus, HashedTrigramProvider())
+    index = _load("corpus", corpus_path, lambda path: build_index(load_corpus(path), HashedTrigramProvider()))
 
     scores = []
     results = []
     hashes = {"corpus": hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest()}
     out.mkdir(parents=True, exist_ok=True)
-    for scenario_dir in sorted(p for p in scenarios_root.iterdir() if p.is_dir()):
-        if not (scenario_dir / "scenario.json").exists():
-            continue
-        scenario_out = out / scenario_dir.name
-        scenario_out.mkdir(parents=True, exist_ok=True)
+    for spec_file in sorted(scenarios_root.glob("*/scenario.json")):
+        scenario_dir = spec_file.parent
         try:
-            score, result = _run_scenario(scenario_dir, index, scenario_out)
-        except (OSError, ValueError, KeyError, SpecInvalid, RagError, GatewayError, NoEntitiesFound) as exc:
-            _fail(EXIT_DOMAIN, f"scenario {scenario_dir / 'scenario.json'}: {exc}")
-            raise AssertionError
-        hashes[scenario_dir.name] = hashlib.sha256(
-            (scenario_dir / "scenario.json").read_bytes()
-        ).hexdigest()
+            score, result = _run_scenario(scenario_dir, index, out / scenario_dir.name)
+        except (*_INPUT_ERRORS, GatewayError) as exc:
+            _fail(EXIT_DOMAIN, f"scenario {spec_file}: {exc}")
+        hashes[scenario_dir.name] = hashlib.sha256(spec_file.read_bytes()).hexdigest()
         if score is not None:
             scores.append(score)
         results.append(result)

@@ -240,8 +240,6 @@ def synthesize_functionality(
     failure leaves only that entry's summary None; there is always one entry
     per interactable element of the origin page.
     """
-    if not graph.nodes:
-        raise ExplorerError("graph is empty")
     template = load_template("functionality_summary.txt")
     origin_state = graph.nodes[graph.origin]
     first_edges: dict[str | None, UtgEdge] = {}
@@ -274,8 +272,6 @@ def synthesize_ui_functions(
 
     Returns state id -> description, None where the gateway failed.
     """
-    if not graph.nodes:
-        raise ExplorerError("graph is empty")
     template = load_template("state_summary.txt")
     descriptions: dict[str, str | None] = {}
     for state_id in graph.bfs():

@@ -27,10 +27,6 @@ class TransportError(GatewayError):
     pass
 
 
-class GatewayTimeout(TransportError):
-    pass
-
-
 class BudgetExceeded(GatewayError):
     """The caller-supplied deadline passed before the call could be made."""
 
@@ -54,6 +50,8 @@ class MalformedCommandError(GatewayError):
 ENV_ENDPOINT = "CRASHREPLAY_LLM_ENDPOINT"
 ENV_MODEL = "CRASHREPLAY_LLM_MODEL"
 ENV_API_KEY = "CRASHREPLAY_LLM_API_KEY"
+#: Seconds one HTTP completion request may take before it fails as a transport error.
+REQUEST_TIMEOUT_S = 30.0
 
 
 @functools.cache
@@ -65,13 +63,10 @@ def load_template(name: str) -> str:
 class LlmConfig:
     endpoint: str
     model_name: str
-    request_timeout: float = 30.0
     max_retries: int = 2
     api_key: str | None = None
 
     def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -283,49 +278,45 @@ class LlmGateway:
 class MockEntry:
     """One scripted mock behaviour.
 
-    Bare-string script lines become one-shot FIFO entries; object lines may
-    carry a ``when`` substring or ``when_sha256`` prompt fingerprint and an
-    optional ``times`` budget (default unlimited), or a scripted ``error``.
+    Bare-string script lines become one-shot FIFO entries.  Object lines hold
+    exactly one of a ``response`` or a scripted ``error``, and may carry a
+    ``when`` substring of the prompt and a ``times`` budget (default unlimited).
     """
 
     response: str | None = None
     when: str | None = None
-    when_sha256: str | None = None
     times: int | None = None
     error: str | None = None
     used: int = field(default=0, compare=False)
 
-    def matches(self, prompt: str, prompt_sha256: str) -> bool:
+    def matches(self, prompt: str) -> bool:
         if self.times is not None and self.used >= self.times:
             return False
-        if self.when is not None and self.when not in prompt:
-            return False
-        if self.when_sha256 is not None and self.when_sha256 != prompt_sha256:
-            return False
-        return True
+        return self.when is None or self.when in prompt
+
+
+#: The type of each key a mock-script object may carry; null stands for an absent key.
+_ENTRY_KEYS = {"response": str, "when": str, "times": int, "error": str}
 
 
 def _entry_from_value(value) -> MockEntry:
+    """The entry one script value describes; raises ValueError for any other value."""
     if isinstance(value, str):
         return MockEntry(response=value, times=1)
-    if isinstance(value, dict):
-        return MockEntry(
-            response=value.get("response"),
-            when=value.get("when"),
-            when_sha256=value.get("when_sha256"),
-            times=value.get("times"),
-            error=value.get("error"),
-        )
-    raise ValueError(f"bad mock entry: {value!r}")
+    if not (
+        isinstance(value, dict)
+        and all(key in _ENTRY_KEYS and (item is None or type(item) is _ENTRY_KEYS[key]) for key, item in value.items())
+        and (value.get("response") is None) != (value.get("error") is None)
+    ):
+        raise ValueError(f"bad mock entry: {value!r}")
+    return MockEntry(**value)
 
 
 class MockGateway(LlmGateway):
     """Deterministic scripted gateway; latency is always reported as zero."""
 
     def __init__(self, entries: list[MockEntry]):
-        super().__init__(
-            LlmConfig(endpoint="mock", model_name="scripted", max_retries=0)
-        )
+        super().__init__(LlmConfig(endpoint="mock", model_name="scripted", max_retries=0))
         self.entries = entries
 
     @classmethod
@@ -346,15 +337,11 @@ class MockGateway(LlmGateway):
         return cls(entries)
 
     def _complete_once(self, prompt: str) -> tuple[str, float]:
-        import hashlib
-
-        fingerprint = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
         for entry in self.entries:
-            if entry.matches(prompt, fingerprint):
+            if entry.matches(prompt):
                 entry.used += 1
                 if entry.error is not None:
                     raise TransportError(f"scripted failure: {entry.error}")
-                assert entry.response is not None
                 return entry.response, 0.0
         raise ExhaustedScript("no scripted response left for this prompt")
 
@@ -376,12 +363,10 @@ class HttpGateway(LlmGateway):
         start = time.monotonic()
         try:
             resp = requests.post(
-                self.config.endpoint, json=body, headers=headers, timeout=self.config.request_timeout
+                self.config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
             )
             resp.raise_for_status()
             payload = resp.json()
-        except requests.Timeout as exc:
-            raise GatewayTimeout(str(exc)) from exc
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         latency = time.monotonic() - start

@@ -105,6 +105,9 @@ ACTION_PRIMITIVES_TEXT = (
 )
 
 
+_TEXT = (str, type(None))  #: The types a label's component and value may have.
+
+
 @dataclass(frozen=True)
 class S2REntity:
     """One structured reproduction step.
@@ -147,6 +150,9 @@ class S2REntity:
 
     @classmethod
     def from_label(cls, raw: dict) -> "S2REntity":
+        """The entity a corpus or script label describes; raises InvariantViolation for any other value."""
+        if not (isinstance(raw, dict) and isinstance(raw.get("component"), _TEXT) and isinstance(raw.get("value"), _TEXT)):
+            raise InvariantViolation(f"bad label: {raw!r}")
         try:
             action = ActionType(str(raw["action"]).lower())
         except (KeyError, ValueError) as exc:
@@ -278,11 +284,11 @@ class S2RScript:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "S2RScript":
-        steps = tuple(
-            ScriptStep(S2REntity.from_label(entry), entry.get("sentence_index"))
-            for entry in raw.get("steps", [])
-        )
-        return cls(steps=steps)
+        """The script a ``to_dict`` object describes; raises InvariantViolation for any other value."""
+        entries = raw.get("steps", []) if isinstance(raw, dict) else None
+        if not isinstance(entries, list):
+            raise InvariantViolation(f"a script is a JSON object with a list of steps, not {raw!r}")
+        return cls(steps=tuple(ScriptStep(S2REntity.from_label(entry), entry.get("sentence_index")) for entry in entries))
 
 
 def build_extraction_prompt(

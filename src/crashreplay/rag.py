@@ -20,6 +20,8 @@ import numpy as np
 from .grammar import S2REntity, S2RScript, ScriptStep
 
 NORM_TOLERANCE = 1e-6
+#: Seconds one embedding request may take before the endpoint counts as unavailable.
+EMBED_TIMEOUT_S = 30.0
 #: Below this 2-norm the sum of squares nears the subnormal range and loses precision.
 _TINY_NORM = 1e-150
 _UNIT_ROUNDOFF = 2.0**-53
@@ -180,20 +182,19 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     Request: ``{"texts": ["..."]}``; response: ``{"embeddings": [[...]]}``.
     """
 
-    def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0):
+    def __init__(self, endpoint: str, dimension: int):
         import requests
 
         self.endpoint = endpoint
         self.dimension = dimension
         self.provider_id = f"http:{endpoint}"
-        self.timeout = timeout
         self.session = requests.Session()  # one kept-alive connection for every POST
 
     def embed_raw(self, text: str) -> np.ndarray:
         import requests
 
         try:
-            resp = self.session.post(self.endpoint, json={"texts": [text]}, timeout=self.timeout)
+            resp = self.session.post(self.endpoint, json={"texts": [text]}, timeout=EMBED_TIMEOUT_S)
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:
@@ -249,11 +250,11 @@ class LabeledReport:
     sentences: tuple[LabeledSentence, ...]
 
     def validate(self) -> None:
-        if not self.report_id:
-            raise CorpusError("report_id must be nonempty")
+        if not isinstance(self.report_id, str) or not self.report_id:
+            raise CorpusError("report_id must be a nonempty string")
         for i, sentence in enumerate(self.sentences):
-            if not sentence.text.strip():
-                raise CorpusError(f"report {self.report_id}: sentence {i} is empty")
+            if not isinstance(sentence.text, str) or not sentence.text.strip():
+                raise CorpusError(f"report {self.report_id}: sentence {i} is not a nonempty string")
 
 
 def load_corpus(path: str | Path) -> list[LabeledReport]:
@@ -275,9 +276,9 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
             report = LabeledReport(
                 report_id=raw["report_id"], app_id=raw.get("app_id", ""), sentences=sentences
             )
+            report.validate()
         except Exception as exc:
             raise CorpusError(f"{path}:{line_no}: {exc}") from exc
-        report.validate()
         if report.report_id in seen:
             raise CorpusError(f"{path}:{line_no}: duplicate report_id {report.report_id!r}")
         seen.add(report.report_id)

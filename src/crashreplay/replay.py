@@ -41,7 +41,6 @@ from .gateway import (
     BudgetExceeded,
     GatewayError,
     LlmGateway,
-    NoActionableOutput,
     load_template,
 )
 from .grammar import S2RScript, format_entity
@@ -191,11 +190,6 @@ def _render_knowledge(
 ) -> str:
     """The learned-knowledge prompt section for one explored page."""
     origin_activity = graph.nodes[graph.origin].activity_name
-
-    def describe(state_id: str) -> str:
-        state = graph.nodes.get(state_id)
-        return state.activity_name if state is not None else state_id
-
     lines = [f"Functionality of the elements on the {origin_activity} screen:"]
     for entry in functionality:
         if entry.synthesized_functionality is None:
@@ -203,13 +197,13 @@ def _render_knowledge(
         else:
             summary = entry.synthesized_functionality or "(no summary)"
         if entry.destination is not None:
-            path = f"{origin_activity} > {describe(entry.destination)}"
+            path = f"{origin_activity} > {graph.nodes[entry.destination].activity_name}"
             lines.append(f'- "{entry.element}": {summary} Path: {path} via [{entry.element}].')
         else:
             lines.append(f'- "{entry.element}": {summary}')
     lines.append("Screen functions:")
     for state_id, description in ui_functions.items():
-        lines.append(f"- {describe(state_id)}: {description or '(description unavailable)'}")
+        lines.append(f"- {graph.nodes[state_id].activity_name}: {description or '(description unavailable)'}")
     return "\n".join(lines)
 
 
@@ -374,7 +368,7 @@ def run(
                 commands = gateway.request_actions(prompt, deadline=deadline)
             except BudgetExceeded:
                 return loop.result(Outcome.BUDGET_EXHAUSTED)
-            except (NoActionableOutput, GatewayError):
+            except GatewayError:
                 commands = None
             record["responses"] = [ex.raw_response for ex in gateway.exchanges[exchanges_before:]]
             record["llm_latency_s"] = round(

@@ -130,19 +130,34 @@ def _parse_trigger(raw: dict, where: str, spec_states: dict[str, StateSpec], fro
     )
 
 
+def _objects(raw: dict, key: str, kind: type, violations: list[str], where: str = ""):
+    """The (name or index, object) pairs of ``raw[key]``, a dict or list; anything else is a violation."""
+    items = raw.get(key, kind())
+    if not isinstance(items, kind):
+        violations.append(f"{where}{key} is not a JSON {'object' if kind is dict else 'array'}")
+        return
+    for name, value in items.items() if kind is dict else enumerate(items):
+        if isinstance(value, dict):
+            yield name, value
+        else:
+            violations.append(f"{where}{key} {name!r} is not a JSON object")
+
+
 def load_spec(path: str | Path) -> SimAppSpec:
     """Load and fully validate an app spec file; raises :class:`SpecInvalid`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise SpecInvalid([f"{path}: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise SpecInvalid([f"{path}: the top level is not a JSON object"])
 
     violations: list[str] = []
     states: dict[str, StateSpec] = {}
-    for name, body in raw.get("states", {}).items():
+    for name, body in _objects(raw, "states", dict, violations):
         elements = []
         seen_ids: set[str] = set()
-        for i, entry in enumerate(body.get("elements", [])):
+        for i, entry in _objects(body, "elements", list, violations, f"state {name!r} "):
             where = f"state {name!r} element {i}"
             try:
                 element = UiElement.from_dict(entry)
@@ -162,7 +177,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
         violations.append(f"initial_state {initial!r} is not a declared state")
 
     transitions = []
-    for i, entry in enumerate(raw.get("transitions", [])):
+    for i, entry in _objects(raw, "transitions", list, violations):
         where = f"transition {i}"
         from_state = entry.get("from", "")
         to_state = entry.get("to", "")
@@ -184,15 +199,16 @@ def load_spec(path: str | Path) -> SimAppSpec:
         e.element_id for state in states.values() for e in state.elements if e.editable
     }
     crash_rules = []
-    for i, entry in enumerate(raw.get("crash_rules", [])):
+    for i, entry in _objects(raw, "crash_rules", list, violations):
         where = f"crash rule {i}"
         state_name = entry.get("state", "")
         if state_name not in states:
             violations.append(f"{where}: unknown state {state_name!r}")
         trigger = _parse_trigger(entry, where, states, state_name, violations)
-        condition = None
-        if "requires_field" in entry:
-            cond = entry["requires_field"]
+        condition, cond = None, entry.get("requires_field")
+        if cond is not None and not isinstance(cond, dict):
+            violations.append(f"{where}: requires_field is not a JSON object")
+        elif cond is not None:
             op = cond.get("op", "")
             if op not in _FIELD_OPS:
                 violations.append(f"{where}: unknown field op {op!r}")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from crashreplay.cli import fixtures_path
 from crashreplay.gateway import MockGateway
@@ -21,6 +22,19 @@ DATA_DIR = Path(__file__).parent / "data"
 # time limit, so a slow or loaded host neither changes nor fails them.
 settings.register_profile("crashreplay", derandomize=True, deadline=None)
 settings.load_profile("crashreplay")
+
+
+def json_values(keys: list[str], words: list[str] = ()):
+    """Any JSON value; object keys are drawn mostly from ``keys`` and strings partly from ``words``."""
+    leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
+    if words:
+        leaves |= st.sampled_from(words)
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), children, max_size=4),
+        max_leaves=10,
+    )
 
 
 def data_path(name: str) -> Path:

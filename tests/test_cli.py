@@ -23,6 +23,17 @@ def file_hash(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_cannot_read(result, what: str, path) -> None:
+    """The command exited 3 with one error line naming the input file, and no traceback."""
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot read {what} {path}"), result.output
+
+
+BAD_LABEL_CORPUS = json.dumps({"report_id": "r1", "sentences": [{"text": "Tap OK.", "labels": [{"action": "fly"}]}]})
+
+
 # -- build-index -------------------------------------------------------------
 
 
@@ -47,6 +58,22 @@ def test_build_index_missing_corpus_fails(runner, tmp_path):
         main, ["build-index", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "i.json")]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        BAD_LABEL_CORPUS,
+        json.dumps({"report_id": "r1", "sentences": [{"text": 5}]}),
+        json.dumps({"report_id": ["r1"], "sentences": [{"text": "Tap OK."}]}),
+    ],
+    ids=["bad label", "text not a string", "report_id not a string"],
+)
+def test_build_index_malformed_corpus_exits_3(runner, tmp_path, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(line + "\n")
+    result = runner.invoke(main, ["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "i.bin")])
+    assert_cannot_read(result, "corpus", corpus)
 
 
 def test_build_index_requires_corpus_flag(runner):
@@ -128,6 +155,17 @@ def test_extract_queries_an_index_built_with_an_embed_endpoint(runner, tmp_path,
     assert result.output.startswith("4 steps")
 
 
+def test_extract_malformed_index_exits_3(runner, tmp_path):
+    index = tmp_path / "index.bin"
+    index.write_text("not an index")
+    result = runner.invoke(
+        main,
+        ["extract", "--report", str(SCENARIOS / "url_crash" / "report.txt"), "--index", str(index),
+         "--mock-script", str(SCENARIOS / "url_crash" / "extract_mock.jsonl"), "--out", str(tmp_path / "out")],
+    )
+    assert_cannot_read(result, "index", index)
+
+
 def test_extract_live_mode_without_env_fails(runner, tmp_path, index_file, monkeypatch):
     monkeypatch.delenv(ENV_ENDPOINT, raising=False)
     monkeypatch.delenv(ENV_MODEL, raising=False)
@@ -205,6 +243,39 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
     args = replay_args("url_crash", tmp_path / "out", extra=["--device-serial", "emulator-5554"])
     result = runner.invoke(main, args)
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "option, what, text",
+    [
+        ("--report", "report", None),
+        ("--script", "script", None),
+        ("--script", "script", '{"steps": [{"action": "fly"}]}'),
+        ("--script", "script", "[1]"),
+        ("--script", "script", '{"steps": "x"}'),
+        ("--sim-spec", "app spec", None),
+        ("--sim-spec", "app spec", "[1]"),
+        ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": 5}}'),
+        ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [5]}'),
+        ("--mock-script", "mock script", None),
+        ("--mock-script", "mock script", '{"when": "Screen"}'),
+        ("--mock-script", "mock script", '{"response": 5}'),
+        ("--mock-script", "mock script", '{"response": "x", "times": "2"}'),
+    ],
+)
+def test_replay_missing_or_malformed_input_exits_3_naming_it(runner, tmp_path, option, what, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text + "\n")
+    args = replay_args("url_crash", tmp_path / "out")
+    args[args.index(option) + 1] = str(path)
+    assert_cannot_read(runner.invoke(main, args), what, path)
+
+
+def test_config_file_that_is_malformed_exits_3_naming_it(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("{")
+    assert_cannot_read(runner.invoke(main, ["--config", str(config), "build-index"]), "config", config)
 
 
 # -- eval --------------------------------------------------------------------
@@ -292,6 +363,35 @@ def test_eval_bad_scenario_value_names_file_and_key(runner, tmp_path, key, value
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert str(suite / "hidden_about_noexplore" / "scenario.json") in result.output
     assert repr(key) in result.output
+
+
+def test_eval_malformed_corpus_exits_3_naming_it(runner, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(BAD_LABEL_CORPUS + "\n")
+    suite = one_scenario_suite(tmp_path)
+    result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+    assert_cannot_read(result, "corpus", corpus)
+
+
+def test_eval_scenario_that_is_no_object_exits_1_naming_it(runner, tmp_path):
+    suite = one_scenario_suite(tmp_path)
+    spec_file = suite / "hidden_about_noexplore" / "scenario.json"
+    spec_file.write_text("[1]")
+    result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: scenario {spec_file}: " in result.output
+
+
+@pytest.mark.parametrize("gold", ['{"steps": [{"action": "fly"}]}', "[1]"])
+def test_eval_malformed_gold_script_exits_1_naming_the_scenario(runner, tmp_path, gold):
+    gold_file = tmp_path / "gold.json"
+    gold_file.write_text(gold)
+    suite = one_scenario_suite(tmp_path, gold_script=str(gold_file))
+    result = runner.invoke(main, ["eval", "--scenarios", str(suite), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: scenario {suite / 'hidden_about_noexplore' / 'scenario.json'}: " in result.output
 
 
 def test_eval_missing_directory_fails_environment(runner, tmp_path):

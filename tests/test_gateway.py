@@ -4,6 +4,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crashreplay.gateway import (
     MAX_REPLY_CHARS,
@@ -11,6 +13,7 @@ from crashreplay.gateway import (
     ActionCommand,
     BudgetExceeded,
     ExhaustedScript,
+    GatewayError,
     HttpGateway,
     LlmConfig,
     LlmGateway,
@@ -21,7 +24,7 @@ from crashreplay.gateway import (
     filter_json_payload,
     parse_action_sequence,
 )
-from conftest import unstructured_example
+from conftest import json_values, unstructured_example
 
 TABLE_SINGLE = """[
     {
@@ -199,16 +202,30 @@ def test_mock_when_rules_match_substring():
     assert gateway.complete("settings again") == "S"
 
 
-def test_mock_when_sha256_matches_fingerprint():
-    import hashlib
+@pytest.mark.parametrize(
+    "entry",
+    [{"when": "Screen"}, {"response": 5}, {"response": "x", "times": "2"}, {"response": "x", "times": True},
+     {"response": "x", "error": "boom"}, {"response": "x", "when_sha256": "00"}, 5, None, ["x"]],
+)
+def test_mock_script_rejects_an_entry_of_another_form(entry):
+    with pytest.raises(ValueError):
+        MockGateway.from_script([entry])
 
-    prompt = "exact prompt"
-    fingerprint = hashlib.sha256(prompt.encode()).hexdigest()
-    gateway = MockGateway.from_script(
-        [{"when_sha256": fingerprint, "response": "hit"}, {"response": "miss"}]
-    )
-    assert gateway.complete(prompt) == "hit"
-    assert gateway.complete("other") == "miss"
+
+@given(st.lists(json_values(["response", "when", "times", "error"], ["a", "b"]), max_size=4), st.sampled_from(["a", "ab"]))
+def test_any_json_mock_script_loads_or_raises_value_error(tmp_path_factory, lines, prompt):
+    """Every line either loads or is rejected, and a loaded script answers with a string or a gateway error."""
+    path = tmp_path_factory.mktemp("mock") / "script.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    try:
+        gateway = MockGateway.from_script_file(path)
+    except ValueError:
+        return
+    for _ in range(len(lines) + 1):
+        try:
+            assert isinstance(gateway.complete(prompt), str)
+        except GatewayError:
+            pass
 
 
 def test_mock_scripted_error_raises_transport():
@@ -276,8 +293,9 @@ def test_deadline_checked_before_every_retry():
     assert gateway.attempts == 1
 
 
-def test_http_gateway_unreachable_endpoint():
-    config = LlmConfig(endpoint="http://127.0.0.1:9/v1", model_name="m", request_timeout=0.5, max_retries=1)
+def test_http_gateway_unreachable_endpoint(monkeypatch):
+    monkeypatch.setattr("crashreplay.gateway.REQUEST_TIMEOUT_S", 0.5)
+    config = LlmConfig(endpoint="http://127.0.0.1:9/v1", model_name="m", max_retries=1)
     with pytest.raises(TransportError):
         HttpGateway(config).complete("p")
 
@@ -325,8 +343,6 @@ def test_request_actions_malformed_commands_surface_as_no_actionable():
 
 def test_llm_config_validation():
     with pytest.raises(ValueError):
-        LlmConfig(endpoint="x", model_name="m", request_timeout=0)
-    with pytest.raises(ValueError):
         LlmConfig(endpoint="x", model_name="m", max_retries=-1)
 
 
@@ -360,7 +376,6 @@ def test_http_gateway_parses_chat_completion_reply():
         config = LlmConfig(
             endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
             model_name="test-model",
-            request_timeout=5.0,
             api_key="sk-test",
         )
         gateway = HttpGateway(config)

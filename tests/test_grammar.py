@@ -3,20 +3,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
 
 from crashreplay.grammar import (
     ACTION_PRIMITIVES_TEXT,
     AVAILABLE_ACTIONS_TEXT,
     ActionType,
     Direction,
+    InvariantViolation,
     NoEntitiesFound,
     S2REntity,
+    S2RScript,
     build_extraction_prompt,
     format_entity,
     parse_entity_notation,
     parse_extraction_response,
 )
-from conftest import data_path
+from conftest import data_path, json_values
 
 WORDS = ["search", "icon", "playlist", "add", "to", "option", "category", "note", "URL", "OK"]
 
@@ -260,3 +263,26 @@ def test_component_action_rejects_direction(action):
     with pytest.raises(InvariantViolation):
         S2REntity(action, component="x", value="v" if action == ActionType.INPUT else None,
                   direction=Direction.UP).validate()
+
+
+# -- script files ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [[1], {"steps": "x"}, {"steps": [5]}, {"steps": [{"action": "fly"}]}, {"steps": [{"action": "tap", "component": 5}]}],
+)
+def test_script_of_another_form_is_an_invariant_violation(raw):
+    with pytest.raises(InvariantViolation):
+        S2RScript.from_dict(raw)
+
+
+@given(json_values(["steps", "action", "component", "value", "direction", "sentence_index"], ["tap", "input", "scroll", "up", "OK"]))
+def test_any_json_script_loads_or_raises_invariant_violation(raw):
+    """A value either is rejected or loads a script whose every step renders in bracket notation."""
+    try:
+        script = S2RScript.from_dict(raw)
+    except InvariantViolation:
+        return
+    for step in script.steps:
+        assert format_entity(step.entity).startswith("[")

@@ -610,8 +610,9 @@ def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
         server.server_close()
 
 
-def test_http_provider_unreachable():
-    provider = HttpEmbeddingProvider("http://127.0.0.1:9/embed", dimension=8, timeout=0.5)
+def test_http_provider_unreachable(monkeypatch):
+    monkeypatch.setattr("crashreplay.rag.EMBED_TIMEOUT_S", 0.5)
+    provider = HttpEmbeddingProvider("http://127.0.0.1:9/embed", dimension=8)
     with pytest.raises(ProviderUnavailable):
         embed("tap button", provider)
 

@@ -118,6 +118,28 @@ def test_ambiguous_trigger_feature_reported(tmp_path):
     assert any("ambiguous" in v for v in excinfo.value.violations)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda body: [body],
+        lambda body: body.update(states=["a", "b"]),
+        lambda body: body["states"].update(b=5),
+        lambda body: body["states"]["a"].update(elements=5),
+        lambda body: body["states"]["a"]["elements"].append("x"),
+        lambda body: body.update(transitions={"from": "a"}),
+        lambda body: body["transitions"].append(5),
+        lambda body: body["crash_rules"].append("boom"),
+        lambda body: body["crash_rules"][0].update(requires_field=["field"]),
+    ],
+    ids=["top level", "states", "state body", "elements", "element", "transitions", "transition", "crash rule", "requires_field"],
+)
+def test_spec_part_that_is_no_object_is_a_violation(tmp_path, change):
+    body = json.loads(json.dumps(MINIMAL))
+    body = change(body) or body
+    with pytest.raises(SpecInvalid):
+        load_spec(write_spec(tmp_path, body))
+
+
 def test_all_violations_collected(tmp_path):
     body = {
         "app_id": "x",
