@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or crash reproduced), 1 domain failure (not
 reproduced, no entities, scoring failure), 2 usage error, 3 environment
-error (a missing, unreadable or malformed input file, missing env vars,
-unreachable endpoint/device).
+error (a missing, unreadable or malformed input file, an output that cannot
+be written, missing env vars, unreachable endpoint/device).
 """
 
 from __future__ import annotations
@@ -82,13 +82,26 @@ def _read_script(path) -> S2RScript:
     return S2RScript.from_dict(json.loads(_read_text(path)))
 
 
+def _write(path: Path, write: Callable[[Path], object]) -> None:
+    """``write(path)`` after making ``path``'s directory; an output that cannot be written exits 3 naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        _fail(EXIT_ENVIRONMENT, f"cannot write {path}: {exc}")
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write(path, lambda path: path.write_text(text, encoding="utf-8"))
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=1, ensure_ascii=False) + "\n")
 
 
 def _write_replay_artifacts(out_dir: Path, result: replay.ReplayResult) -> None:
     """``trace.jsonl`` and ``result.json``: the reproducible record of one replay."""
-    (out_dir / "trace.jsonl").write_text(result.trace_text(), encoding="utf-8")
+    _write_text(out_dir / "trace.jsonl", result.trace_text())
     _write_json(out_dir / "result.json", result.summary_dict())
 
 
@@ -136,10 +149,9 @@ def cmd_build_index(corpus_path, index_path, dimension, embed_endpoint):
     try:
         provider = HttpEmbeddingProvider(embed_endpoint, dimension) if embed_endpoint else HashedTrigramProvider(dimension)
         index = build_index(corpus, provider)
-        Path(index_path).parent.mkdir(parents=True, exist_ok=True)
-        save_index(index, index_path)
     except RagError as exc:
         _fail(EXIT_DOMAIN, str(exc))
+    _write(Path(index_path), lambda path: save_index(index, path))
     click.echo(f"{len(index)} records")
 
 
@@ -184,7 +196,6 @@ def cmd_extract(report_path, index_path, gateway_mode, mock_script_path, retriev
     except (NoEntitiesFound, RagError, GatewayError) as exc:
         _fail(EXIT_DOMAIN, str(exc))
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "script.json", script.to_dict())
     _write_json(out_dir / "extraction_log.json", log)
     click.echo(f"{len(script.steps)} steps -> {out_dir / 'script.json'}")
@@ -239,9 +250,7 @@ def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_packa
         max_iterations=max_iterations,
         utg_cache_dir=utg_cache,
     )
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_replay_artifacts(out, result)
+    _write_replay_artifacts(Path(output_dir), result)
     click.echo(
         f"{result.outcome.value} after {result.steps_executed} commands "
         f"in {result.elapsed:.2f}s (llm {result.llm_time:.2f}s)"
@@ -260,7 +269,6 @@ def _scenario_option(raw: dict, name: str, default, command: click.Command = cmd
 
 def _run_scenario(scenario_dir: Path, index: RagIndex, out_dir: Path):
     """Run one scenario directory, writing its artifacts to ``out_dir``; returns (score or None, ReplayResult)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_object(scenario_dir / "scenario.json")
 
     def named_file(key: str) -> Path:
@@ -315,7 +323,6 @@ def cmd_eval(scenarios_dir, corpus_path, output_dir):
     scores = []
     results = []
     hashes = {"corpus": hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest()}
-    out.mkdir(parents=True, exist_ok=True)
     for spec_file in sorted(scenarios_root.glob("*/scenario.json")):
         scenario_dir = spec_file.parent
         try:
@@ -334,7 +341,7 @@ def cmd_eval(scenarios_dir, corpus_path, output_dir):
         json.dumps({"scenarios": str(scenarios_root), "corpus": str(corpus_path)}).encode()
     ).hexdigest()
     payload = evaluator.report_payload(merged, aggregate, config_fingerprint=fingerprint, input_hashes=hashes)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    _write_text(out / "report.txt", text)
     _write_json(out / "report.json", payload)
     click.echo(text, nl=False)
     sys.exit(EXIT_OK)

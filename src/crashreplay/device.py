@@ -118,14 +118,15 @@ class UiState:
 
     Siblings are canonicalized by position before hashing, so the fingerprint
     does not depend on observation order.  Bounds themselves are not hashed.
-    Frozen, so one snapshot can be shared; the fingerprint and the encoded
-    text are computed once and cached on it.
+    Frozen, so one snapshot can be shared; the fingerprint, the encoded
+    text and the feature resolution tables are computed once and cached on it.
     """
 
     activity_name: str
     root: UiElement
     _state_id: str | None = field(default=None, repr=False, compare=False)
     _text: str | None = field(default=None, repr=False, compare=False)
+    _tables: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def state_id(self) -> str:
@@ -133,9 +134,6 @@ class UiState:
             blob = json.dumps([self.activity_name, _skeleton(self.root)], separators=(",", ":"))
             object.__setattr__(self, "_state_id", hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
         return self._state_id
-
-    def all_elements(self) -> list[UiElement]:
-        return list(self.root.iter_tree())
 
 
 @dataclass(frozen=True)
@@ -215,6 +213,36 @@ def feature_for_element(element: UiElement) -> str | None:
     return None
 
 
+_TIERS = (
+    "exact text", "exact description", "resource id suffix", "case-insensitive text", "substring of text or description"
+)
+
+
+def _resolution_tables(state: UiState) -> tuple:
+    """Tiers 1-4 as dicts from key to element, and tier 5's folded (text, description, element) list.
+
+    Built once per screen and cached on it.  Elements are visited by
+    (top, left, element id), in tree order on an exact tie, and each key keeps
+    its first element, so a lookup returns the topmost-then-leftmost match.
+    """
+    if state._tables is None:
+        text, desc, rid, folded_text = {}, {}, {}, {}
+        scan = []
+        for e in sorted(state.root.iter_tree(), key=lambda e: (e.bounds.top, e.bounds.left, e.element_id)):
+            if e.text is not None:
+                text.setdefault(e.text, e)
+                folded_text.setdefault(e.text.lower(), e)
+            if e.content_desc is not None:
+                desc.setdefault(e.content_desc, e)
+            if e.resource_id is not None:  # the full id and every suffix after a "/"
+                parts = e.resource_id.split("/")
+                for i in range(len(parts)):
+                    rid.setdefault("/".join(parts[i:]), e)
+            scan.append(((e.text or "").lower(), (e.content_desc or "").lower(), e))
+        object.__setattr__(state, "_tables", ((text, desc, rid, folded_text), scan))
+    return state._tables
+
+
 def resolve_feature(state: UiState, feature: str) -> UiElement:
     """Resolve a feature string to one element via a fixed matching cascade.
 
@@ -225,29 +253,15 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
     """
     if not feature:
         raise ValueError("feature must be nonempty")
-    elements = state.all_elements()
+    lookups, scan = _resolution_tables(state)
     folded = feature.lower()
-    tiers = (
-        ("exact text", lambda e: e.text == feature),
-        ("exact description", lambda e: e.content_desc == feature),
-        (
-            "resource id suffix",
-            lambda e: e.resource_id is not None
-            and (e.resource_id == feature or e.resource_id.endswith("/" + feature)),
-        ),
-        ("case-insensitive text", lambda e: (e.text or "").lower() == folded),
-        (
-            "substring of text or description",
-            lambda e: folded in (e.text or "").lower() or folded in (e.content_desc or "").lower(),
-        ),
-    )
-    misses = []
-    for name, matches in tiers:
-        candidates = [e for e in elements if matches(e)]
-        if candidates:
-            return min(candidates, key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
-        misses.append(f"no {name} match")
-    raise NoMatchError(feature, misses)
+    for table, key in zip(lookups, (feature, feature, feature, folded)):
+        if (element := table.get(key)) is not None:
+            return element
+    for text, desc, element in scan:
+        if folded in text or folded in desc:
+            return element
+    raise NoMatchError(feature, [f"no {name} match" for name in _TIERS])
 
 
 class Device:

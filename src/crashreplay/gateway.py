@@ -349,6 +349,12 @@ class MockGateway(LlmGateway):
 class HttpGateway(LlmGateway):
     """Chat-completions style HTTP gateway."""
 
+    def __init__(self, config: LlmConfig):
+        import requests
+
+        super().__init__(config)
+        self.session = requests.Session()  # one kept-alive connection for every model call
+
     def _complete_once(self, prompt: str) -> tuple[str, float]:
         import requests
 
@@ -362,9 +368,7 @@ class HttpGateway(LlmGateway):
         }
         start = time.monotonic()
         try:
-            resp = requests.post(
-                self.config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
-            )
+            resp = self.session.post(self.config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:

@@ -94,6 +94,27 @@ class SimAppSpec:
 
 _FIELD_OPS = ("equals", "not_equals", "prefix", "not_prefix")
 
+#: The string fields of each kind of spec object, and those of them that may be null.
+_STRING_FIELDS = {
+    "spec": ("app_id", "initial_state"),
+    "state": ("activity",),
+    "element": ("id", "class", "text", "content_desc", "resource_id"),
+    "rule": ("from", "to", "state", "verb", "feature", "required_text", "direction"),
+    "requires_field": ("element", "op", "value"),
+}
+_NULLABLE = {"text", "content_desc", "resource_id", "feature", "required_text", "direction"}
+
+
+def _strings_ok(raw: dict, kind: str, where: str, violations: list[str]) -> bool:
+    """Whether each of ``kind``'s fields in ``raw`` is a string, or null where allowed; a violation per other value."""
+    ok = True
+    for key in _STRING_FIELDS[kind]:
+        value = raw.get(key, "")
+        if not isinstance(value, str) and not (value is None and key in _NULLABLE):
+            violations.append(f"{where}: {key} {value!r} is not a string")
+            ok = False
+    return ok
+
 
 def _bind_feature(state: StateSpec, feature: str) -> list[str]:
     """Element ids in ``state`` that a trigger feature names (id, text or resource id)."""
@@ -159,6 +180,8 @@ def load_spec(path: str | Path) -> SimAppSpec:
         seen_ids: set[str] = set()
         for i, entry in _objects(body, "elements", list, violations, f"state {name!r} "):
             where = f"state {name!r} element {i}"
+            if not _strings_ok(entry, "element", where, violations):
+                continue
             try:
                 element = UiElement.from_dict(entry)
             except (KeyError, TypeError) as exc:
@@ -167,18 +190,25 @@ def load_spec(path: str | Path) -> SimAppSpec:
             if element.element_id in seen_ids:
                 violations.append(f"{where}: duplicate element id {element.element_id!r}")
             seen_ids.add(element.element_id)
-            if not element.bounds.well_formed():
+            try:
+                well_formed = element.bounds.well_formed()
+            except TypeError:  # a bound that is no number
+                well_formed = False
+            if not well_formed:
                 violations.append(f"{where}: bounds {tuple(element.bounds)} are not well-ordered")
             elements.append(element)
-        states[name] = StateSpec(name=name, activity=body.get("activity", name), elements=tuple(elements))
+        activity = body.get("activity", name) if _strings_ok(body, "state", f"state {name!r}", violations) else name
+        states[name] = StateSpec(name=name, activity=activity, elements=tuple(elements))
 
     initial = raw.get("initial_state", "")
-    if initial not in states:
+    if _strings_ok(raw, "spec", "spec", violations) and initial not in states:
         violations.append(f"initial_state {initial!r} is not a declared state")
 
     transitions = []
     for i, entry in _objects(raw, "transitions", list, violations):
         where = f"transition {i}"
+        if not _strings_ok(entry, "rule", where, violations):
+            continue
         from_state = entry.get("from", "")
         to_state = entry.get("to", "")
         if from_state not in states:
@@ -201,6 +231,8 @@ def load_spec(path: str | Path) -> SimAppSpec:
     crash_rules = []
     for i, entry in _objects(raw, "crash_rules", list, violations):
         where = f"crash rule {i}"
+        if not _strings_ok(entry, "rule", where, violations):
+            continue
         state_name = entry.get("state", "")
         if state_name not in states:
             violations.append(f"{where}: unknown state {state_name!r}")
@@ -208,7 +240,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
         condition, cond = None, entry.get("requires_field")
         if cond is not None and not isinstance(cond, dict):
             violations.append(f"{where}: requires_field is not a JSON object")
-        elif cond is not None:
+        elif cond is not None and _strings_ok(cond, "requires_field", f"{where} requires_field", violations):
             op = cond.get("op", "")
             if op not in _FIELD_OPS:
                 violations.append(f"{where}: unknown field op {op!r}")

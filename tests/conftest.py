@@ -3,7 +3,8 @@ from __future__ import annotations
 import json
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,28 @@ def embed_server():
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
     server.server_close()
+
+
+class ConnectionCountingServer(ThreadingHTTPServer):
+    """A local HTTP server that counts the connections it accepts."""
+
+    daemon_threads = True
+    connections = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1
+        return request
+
+
+@contextmanager
+def counting_server(handler: type[BaseHTTPRequestHandler]):
+    """A running :class:`ConnectionCountingServer` whose ``handler`` speaks HTTP/1.1, so a client may keep one connection."""
+    keep_alive = type(f"KeepAlive{handler.__name__}", (handler,), {"protocol_version": "HTTP/1.1"})
+    server = ConnectionCountingServer(("127.0.0.1", 0), keep_alive)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -257,6 +257,8 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--sim-spec", "app spec", "[1]"),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": 5}}'),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [5]}'),
+        ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [{"from": ["a"], "to": "a", "verb": "back"}]}'),
+        ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {"elements": [{"id": "go", "class": "Button", "text": ["Go"]}]}}}'),
         ("--mock-script", "mock script", None),
         ("--mock-script", "mock script", '{"when": "Screen"}'),
         ("--mock-script", "mock script", '{"response": 5}'),
@@ -476,3 +478,27 @@ def test_config_file_must_hold_a_json_object(runner, tmp_path):
         main, ["--config", str(config), "build-index", "--corpus", str(CORPUS), "--out", str(tmp_path / "i.json")]
     )
     assert result.exit_code == 3
+
+
+# -- outputs -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["build-index", "extract", "replay", "eval"])
+def test_output_path_that_cannot_be_written_exits_3(runner, tmp_path, index_file, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    scenario = SCENARIOS / "url_crash"
+    args = {
+        "build-index": ["build-index", "--corpus", str(CORPUS), "--out", str(blocker / "i.bin")],
+        "extract": [
+            "extract", "--report", str(scenario / "report.txt"), "--index", str(index_file),
+            "--mock-script", str(scenario / "extract_mock.jsonl"), "--out", str(blocker / "out"),
+        ],
+        "replay": replay_args("url_crash", blocker / "out"),
+        "eval": ["eval", "--scenarios", str(SCENARIOS), "--out", str(blocker / "out")],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {blocker}/"), result.output

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crashreplay.adb_bridge import AdbDevice, parse_crash_from_logcat, parse_hierarchy_xml
 from crashreplay.device import (
@@ -150,6 +153,88 @@ def test_resolve_no_match_reports_all_tiers():
 def test_resolve_rejects_empty_feature():
     with pytest.raises(ValueError):
         resolve_feature(cascade_screen(), "")
+
+
+def scan_cascade(state: UiState, feature: str) -> UiElement:
+    """The oracle: the five tier scans over every element, each tier's matches reduced by ``min``."""
+    elements = list(state.root.iter_tree())
+    folded = feature.lower()
+    tiers = (
+        ("exact text", lambda e: e.text == feature),
+        ("exact description", lambda e: e.content_desc == feature),
+        (
+            "resource id suffix",
+            lambda e: e.resource_id is not None
+            and (e.resource_id == feature or e.resource_id.endswith("/" + feature)),
+        ),
+        ("case-insensitive text", lambda e: (e.text or "").lower() == folded),
+        (
+            "substring of text or description",
+            lambda e: folded in (e.text or "").lower() or folded in (e.content_desc or "").lower(),
+        ),
+    )
+    misses = []
+    for name, matches in tiers:
+        candidates = [e for e in elements if matches(e)]
+        if candidates:
+            return min(candidates, key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
+        misses.append(f"no {name} match")
+    raise NoMatchError(feature, misses)
+
+
+# Few values per field, so texts, descriptions, ids and whole (top, left, id) keys repeat.
+WORDS = ["Save", "save", "SAVE", "Save file", "file", "OK", "ok", "", "İd"]
+RESOURCE_IDS = ["app:id/save", "a/b/save", "save", "a//save", "app:id/", "/save", "b/SAVE", "app:id/ok"]
+leaf_elements = st.builds(
+    button,
+    st.sampled_from(["a", "b"]),
+    st.none() | st.sampled_from(WORDS),
+    st.none() | st.sampled_from(WORDS),
+    st.none() | st.sampled_from(RESOURCE_IDS),
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(100), st.just(100)),
+)
+elements = st.recursive(
+    leaf_elements,
+    lambda children: st.builds(
+        lambda element, kids: dataclasses.replace(element, children=tuple(kids)),
+        leaf_elements,
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def screens_and_features(draw):
+    state = screen(*draw(st.lists(elements, max_size=4)))
+    fields = [s for e in state.root.iter_tree() for s in (e.text, e.content_desc, e.resource_id) if s]
+    source = draw(st.sampled_from([*fields, "absent"]))
+    shape = draw(st.sampled_from(["as is", "lower", "upper", "substring", "id suffix"]))
+    if shape == "lower":
+        source = source.lower()
+    elif shape == "upper":
+        source = source.upper()
+    elif shape == "substring":
+        start = draw(st.integers(0, len(source) - 1))
+        source = source[start:draw(st.integers(start + 1, len(source)))]
+    elif shape == "id suffix":
+        parts = source.split("/")
+        source = "/".join(parts[draw(st.integers(0, len(parts) - 1)):])
+    return state, source or "absent"
+
+
+@given(screens_and_features())
+def test_resolve_matches_the_scan_cascade(case):
+    state, feature = case
+    try:
+        expected = scan_cascade(state, feature)
+    except NoMatchError as miss:
+        with pytest.raises(NoMatchError) as excinfo:
+            resolve_feature(state, feature)
+        assert excinfo.value.misses == miss.misses
+        return
+    assert resolve_feature(state, feature) is expected
+    assert resolve_feature(state, feature) is expected
 
 
 def test_interactable_elements_order_and_filter():

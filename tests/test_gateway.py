@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from hypothesis import given
@@ -24,7 +25,7 @@ from crashreplay.gateway import (
     filter_json_payload,
     parse_action_sequence,
 )
-from conftest import json_values, unstructured_example
+from conftest import counting_server, json_values, unstructured_example
 
 TABLE_SINGLE = """[
     {
@@ -346,41 +347,46 @@ def test_llm_config_validation():
         LlmConfig(endpoint="x", model_name="m", max_retries=-1)
 
 
+class _ChatHandler(BaseHTTPRequestHandler):
+    """A chat-completions endpoint that always replies with one ``back`` action."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        request = json.loads(self.rfile.read(length))
+        assert request["model"] == "test-model"
+        assert request["temperature"] == 0.0
+        body = json.dumps({"choices": [{"message": {"content": '[{"action": "back"}]'}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def chat_config(server) -> LlmConfig:
+    return LlmConfig(
+        endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        model_name="test-model",
+        api_key="sk-test",
+    )
+
+
 def test_http_gateway_parses_chat_completion_reply():
-    import json as jsonlib
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            request = jsonlib.loads(self.rfile.read(length))
-            assert request["model"] == "test-model"
-            assert request["temperature"] == 0.0
-            body = jsonlib.dumps(
-                {"choices": [{"message": {"content": '[{"action": "back"}]'}}]}
-            ).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        config = LlmConfig(
-            endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-            model_name="test-model",
-            api_key="sk-test",
-        )
-        gateway = HttpGateway(config)
+    with counting_server(_ChatHandler) as server:
+        gateway = HttpGateway(chat_config(server))
         commands = gateway.request_actions("go back")
         assert commands == [ActionCommand(action="back")]
         assert gateway.exchanges[0].latency > 0.0
-    finally:
-        server.shutdown()
+        gateway.session.close()
+
+
+def test_http_gateway_reuses_one_connection_for_every_call():
+    with counting_server(_ChatHandler) as server:
+        gateway = HttpGateway(chat_config(server))
+        for _ in range(3):
+            assert gateway.complete("go back") == '[{"action": "back"}]'
+        assert server.connections == 1
+        gateway.session.close()

@@ -5,8 +5,6 @@ import json
 import math
 import random
 import struct
-import threading
-from http.server import ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import _EmbedHandler
+from conftest import _EmbedHandler, counting_server
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     DimensionMismatch,
@@ -583,31 +581,12 @@ def test_http_provider_dimension_check(embed_server):
         embed("tap button", provider)
 
 
-class _KeepAliveEmbedHandler(_EmbedHandler):
-    protocol_version = "HTTP/1.1"
-
-
-class _ConnectionCountingServer(ThreadingHTTPServer):
-    daemon_threads = True
-    connections = 0
-
-    def get_request(self):
-        request = super().get_request()
-        self.connections += 1
-        return request
-
-
 def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
-    server = _ConnectionCountingServer(("127.0.0.1", 0), _KeepAliveEmbedHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
+    with counting_server(_EmbedHandler) as server:
         provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
         assert len(build_index(mini_corpus, provider)) == 20
         assert server.connections == 1
         provider.session.close()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_http_provider_unreachable(monkeypatch):

@@ -140,6 +140,58 @@ def test_spec_part_that_is_no_object_is_a_violation(tmp_path, change):
         load_spec(write_spec(tmp_path, body))
 
 
+STRING_FIELDS = [
+    ("spec", "app_id"),
+    ("spec", "initial_state"),
+    ("state", "activity"),
+    *(("element", key) for key in ("id", "class", "text", "content_desc", "resource_id")),
+    *(("transition", key) for key in ("from", "to", "verb", "feature", "required_text", "direction")),
+    *(("crash rule", key) for key in ("state", "verb", "feature", "required_text", "direction")),
+    *(("requires_field", key) for key in ("element", "op", "value")),
+]
+
+
+def guarded_spec() -> tuple[dict, dict]:
+    """A copy of MINIMAL whose crash rule also has a field guard, and its parts by name."""
+    body = json.loads(json.dumps(MINIMAL))
+    rule = body["crash_rules"][0]
+    rule["requires_field"] = {"element": "field", "op": "equals", "value": "x"}
+    parts = {
+        "spec": body,
+        "state": body["states"]["a"],
+        "element": body["states"]["a"]["elements"][0],
+        "transition": body["transitions"][0],
+        "crash rule": rule,
+        "requires_field": rule["requires_field"],
+    }
+    return body, parts
+
+
+@pytest.mark.parametrize("value", [["x"], {"x": "y"}], ids=["list", "object"])
+@pytest.mark.parametrize("part, key", STRING_FIELDS, ids=[f"{part} {key}" for part, key in STRING_FIELDS])
+def test_spec_field_that_is_no_string_is_a_violation(tmp_path, part, key, value):
+    body, parts = guarded_spec()
+    parts[part][key] = value
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert f"{key} {value!r} is not a string" in str(excinfo.value)
+
+
+def test_spec_optional_strings_may_be_null(tmp_path):
+    body, parts = guarded_spec()
+    parts["element"].update(content_desc=None, resource_id=None)
+    parts["transition"].update(required_text=None, direction=None)
+    assert load_spec(write_spec(tmp_path, body)).crash_rules[0].requires_field.value == "x"
+
+
+def test_spec_bounds_that_are_no_numbers_are_a_violation(tmp_path):
+    body, parts = guarded_spec()
+    parts["element"]["bounds"] = ["0", "0", "1", "1"]
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert "bounds ('0', '0', '1', '1') are not well-ordered" in str(excinfo.value)
+
+
 def test_all_violations_collected(tmp_path):
     body = {
         "app_id": "x",
@@ -176,7 +228,7 @@ def test_set_text_updates_field_without_transition(tmp_path):
     status = session.step(ActionCommand(action="set_text", feature="hello", input_text="typed"))
     assert status.ok and session.current == "a"
     state = session.build_state()
-    field = next(e for e in state.all_elements() if e.element_id == "field")
+    field = next(e for e in state.root.iter_tree() if e.element_id == "field")
     assert field.text == "typed"
 
 
