@@ -73,22 +73,6 @@ class UiElement:
         for child in self.children:
             yield from child.iter_tree()
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "UiElement":
-        return cls(
-            element_id=raw["id"],
-            class_name=raw["class"],
-            text=raw.get("text"),
-            content_desc=raw.get("content_desc"),
-            resource_id=raw.get("resource_id"),
-            bounds=Bounds(*raw.get("bounds", (0, 0, 0, 0))),
-            clickable=bool(raw.get("clickable", False)),
-            long_clickable=bool(raw.get("long_clickable", False)),
-            editable=bool(raw.get("editable", False)),
-            scrollable=bool(raw.get("scrollable", False)),
-            children=tuple(cls.from_dict(c) for c in raw.get("children", [])),
-        )
-
 
 def _sort_key(element: UiElement):
     return (

@@ -9,7 +9,7 @@ experiments possible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .device import (
@@ -94,74 +94,68 @@ class SimAppSpec:
 
 _FIELD_OPS = ("equals", "not_equals", "prefix", "not_prefix")
 
-#: The string fields of each kind of spec object, and those of them that may be null.
-_STRING_FIELDS = {
-    "spec": ("app_id", "initial_state"),
-    "state": ("activity",),
-    "element": ("id", "class", "text", "content_desc", "resource_id"),
-    "rule": ("from", "to", "state", "verb", "feature", "required_text", "direction"),
-    "requires_field": ("element", "op", "value"),
+_TEXT, _GUARD = (str, type(None)), (dict, type(None))
+_TRIGGER = {"verb": str, "feature": _TEXT, "required_text": _TEXT, "direction": _TEXT}
+_FLAGS = dict.fromkeys(("clickable", "long_clickable", "editable", "scrollable"), bool)
+#: Each kind of spec object: where its violations point, the JSON type of
+#: each key it may hold (a tuple admits null), and the keys it must hold.
+_KINDS = {
+    "spec": ("spec", {"app_id": str, "initial_state": str, "states": dict, "transitions": list, "crash_rules": list}, ()),
+    "state": ("state {!r}", {"activity": str, "elements": list}, ()),
+    "element": ("state {!r} element {}", {"id": str, "class": str, "text": _TEXT, "content_desc": _TEXT,
+                "resource_id": _TEXT, "bounds": list, **_FLAGS}, ("id", "class")),
+    "transition": ("transition {}", {"from": str, "to": str, **_TRIGGER}, ()),
+    "crash rule": ("crash rule {}", {"state": str, **_TRIGGER, "requires_field": _GUARD, "crash": dict}, ("crash",)),
+    "requires_field": ("crash rule {} requires_field", {"element": str, "op": str, "value": str}, ()),
+    "crash": ("crash rule {} crash", {"exception_type": str, "message": str, "activity": str}, ("exception_type",)),
 }
-_NULLABLE = {"text", "content_desc", "resource_id", "feature", "required_text", "direction"}
+_TYPE_NAMES = {str: "a string", _TEXT: "a string or null", bool: "a boolean", list: "a JSON array",
+               dict: "a JSON object", _GUARD: "a JSON object or null"}
 
 
-def _strings_ok(raw: dict, kind: str, where: str, violations: list[str]) -> bool:
-    """Whether each of ``kind``'s fields in ``raw`` is a string, or null where allowed; a violation per other value."""
-    ok = True
-    for key in _STRING_FIELDS[kind]:
-        value = raw.get(key, "")
-        if not isinstance(value, str) and not (value is None and key in _NULLABLE):
-            violations.append(f"{where}: {key} {value!r} is not a string")
-            ok = False
-    return ok
+def _fields(raw, kind: str, where: tuple, violations: list[str]) -> bool:
+    """Whether ``raw`` is a ``kind`` object of known keys, each of its type, and the required keys.
+
+    Appends a violation per fault, and builds no message otherwise."""
+    template, types, required = _KINDS[kind]
+    if not isinstance(raw, dict):
+        violations.append(f"{template.format(*where)} is not a JSON object")
+        return False
+    faults = []
+    for key, value in raw.items():
+        expected = types.get(key)
+        if expected is None:
+            faults.append(f"unknown key {key!r}")
+        elif not isinstance(value, expected):
+            faults.append(f"{key} {value!r} is not {_TYPE_NAMES[expected]}")
+    for key in required:
+        if key not in raw:
+            faults.append(f"missing key {key!r}")
+    for fault in faults:
+        violations.append(f"{template.format(*where)}: {fault}")
+    return not faults
 
 
-def _bind_feature(state: StateSpec, feature: str) -> list[str]:
-    """Element ids in ``state`` that a trigger feature names (id, text or resource id)."""
-    hits = []
-    for element in state.elements:
-        if (
-            element.element_id == feature
-            or element.text == feature
-            or (element.resource_id or "").rsplit("/", 1)[-1] == feature
-        ):
-            hits.append(element.element_id)
-    return hits
+def _container(raw: dict, key: str, empty):
+    """``raw[key]`` if it has the type of ``empty``, else ``empty``; :func:`_fields` reports the fault."""
+    value = raw.get(key, empty)
+    return value if isinstance(value, type(empty)) else empty
 
 
-def _parse_trigger(raw: dict, where: str, spec_states: dict[str, StateSpec], from_state: str, violations: list[str]) -> Trigger:
-    verb = raw.get("verb", "")
-    element_id = None
-    feature = raw.get("feature")
-    if feature is not None:
-        state = spec_states.get(from_state)
-        if state is not None:
-            hits = _bind_feature(state, feature)
-            if len(hits) == 1:
-                element_id = hits[0]
-            elif not hits:
-                violations.append(f"{where}: feature {feature!r} matches no element of {from_state!r}")
-            else:
-                violations.append(f"{where}: feature {feature!r} is ambiguous in {from_state!r}")
-    return Trigger(
-        verb=verb,
-        element_id=element_id,
-        required_text=raw.get("required_text"),
-        direction=raw.get("direction"),
-    )
-
-
-def _objects(raw: dict, key: str, kind: type, violations: list[str], where: str = ""):
-    """The (name or index, object) pairs of ``raw[key]``, a dict or list; anything else is a violation."""
-    items = raw.get(key, kind())
-    if not isinstance(items, kind):
-        violations.append(f"{where}{key} is not a JSON {'object' if kind is dict else 'array'}")
-        return
-    for name, value in items.items() if kind is dict else enumerate(items):
-        if isinstance(value, dict):
-            yield name, value
+def _parse_trigger(
+    raw: dict, kind: str, where: tuple, states: dict[str, StateSpec], from_state: str, violations: list[str]
+) -> Trigger:
+    """A checked rule's trigger; its feature binds to the one element of ``from_state`` of that id, text or resource id."""
+    element_id, feature, state = None, raw.get("feature"), states.get(from_state)
+    if feature is not None and state is not None:
+        hits = [e.element_id for e in state.elements
+                if e.element_id == feature or e.text == feature or (e.resource_id or "").rsplit("/", 1)[-1] == feature]
+        if len(hits) == 1:
+            element_id = hits[0]
         else:
-            violations.append(f"{where}{key} {name!r} is not a JSON object")
+            fault = "is ambiguous in" if hits else "matches no element of"
+            violations.append(f"{_KINDS[kind][0].format(*where)}: feature {feature!r} {fault} {from_state!r}")
+    return Trigger(raw.get("verb", ""), element_id, raw.get("required_text"), raw.get("direction"))
 
 
 def load_spec(path: str | Path) -> SimAppSpec:
@@ -174,101 +168,81 @@ def load_spec(path: str | Path) -> SimAppSpec:
         raise SpecInvalid([f"{path}: the top level is not a JSON object"])
 
     violations: list[str] = []
+    _fields(raw, "spec", (), violations)
     states: dict[str, StateSpec] = {}
-    for name, body in _objects(raw, "states", dict, violations):
-        elements = []
-        seen_ids: set[str] = set()
-        for i, entry in _objects(body, "elements", list, violations, f"state {name!r} "):
-            where = f"state {name!r} element {i}"
-            if not _strings_ok(entry, "element", where, violations):
+    for name, body in _container(raw, "states", {}).items():
+        if not _fields(body, "state", (name,), violations) and not isinstance(body, dict):
+            continue
+        elements, seen_ids = [], set()
+        for i, entry in enumerate(_container(body, "elements", [])):
+            if not _fields(entry, "element", (name, i), violations):
                 continue
+            element_id = entry["id"]
+            if element_id in seen_ids:
+                violations.append(f"state {name!r} element {i}: duplicate element id {element_id!r}")
+            seen_ids.add(element_id)
             try:
-                element = UiElement.from_dict(entry)
-            except (KeyError, TypeError) as exc:
-                violations.append(f"{where}: {exc}")
-                continue
-            if element.element_id in seen_ids:
-                violations.append(f"{where}: duplicate element id {element.element_id!r}")
-            seen_ids.add(element.element_id)
-            try:
-                well_formed = element.bounds.well_formed()
-            except TypeError:  # a bound that is no number
+                bounds = Bounds(*entry.get("bounds", (0, 0, 0, 0)))
+                well_formed = bounds.well_formed()
+            except TypeError:  # not four numbers
                 well_formed = False
             if not well_formed:
-                violations.append(f"{where}: bounds {tuple(element.bounds)} are not well-ordered")
-            elements.append(element)
-        activity = body.get("activity", name) if _strings_ok(body, "state", f"state {name!r}", violations) else name
-        states[name] = StateSpec(name=name, activity=activity, elements=tuple(elements))
+                violations.append(f"state {name!r} element {i}: bounds {tuple(entry['bounds'])} are not well-ordered")
+                continue
+            elements.append(UiElement(
+                element_id, entry["class"], entry.get("text"), entry.get("content_desc"), entry.get("resource_id"), bounds,
+                entry.get("clickable", False), entry.get("long_clickable", False), entry.get("editable", False),
+                entry.get("scrollable", False),
+            ))
+        states[name] = StateSpec(name=name, activity=body.get("activity", name), elements=tuple(elements))
 
     initial = raw.get("initial_state", "")
-    if _strings_ok(raw, "spec", "spec", violations) and initial not in states:
+    if isinstance(initial, str) and initial not in states:
         violations.append(f"initial_state {initial!r} is not a declared state")
 
-    transitions = []
-    for i, entry in _objects(raw, "transitions", list, violations):
-        where = f"transition {i}"
-        if not _strings_ok(entry, "rule", where, violations):
+    transitions, seen_triggers = [], set()
+    for i, entry in enumerate(_container(raw, "transitions", [])):
+        if not _fields(entry, "transition", (i,), violations):
             continue
-        from_state = entry.get("from", "")
-        to_state = entry.get("to", "")
+        from_state, to_state = entry.get("from", ""), entry.get("to", "")
         if from_state not in states:
-            violations.append(f"{where}: unknown from-state {from_state!r}")
+            violations.append(f"transition {i}: unknown from-state {from_state!r}")
         if to_state not in states:
-            violations.append(f"{where}: unknown to-state {to_state!r}")
-        trigger = _parse_trigger(entry, where, states, from_state, violations)
+            violations.append(f"transition {i}: unknown to-state {to_state!r}")
+        trigger = _parse_trigger(entry, "transition", (i,), states, from_state, violations)
+        if (from_state, trigger) in seen_triggers:
+            violations.append(f"transition {i}: duplicate trigger {trigger} from {from_state!r}")
+        seen_triggers.add((from_state, trigger))
         transitions.append(TransitionRule(from_state, trigger, to_state))
 
-    seen_triggers: set[tuple] = set()
-    for rule in transitions:
-        key = (rule.from_state, rule.trigger.verb, rule.trigger.element_id, rule.trigger.required_text, rule.trigger.direction)
-        if key in seen_triggers:
-            violations.append(f"duplicate trigger {key} declared twice")
-        seen_triggers.add(key)
-
-    editable_ids = {
-        e.element_id for state in states.values() for e in state.elements if e.editable
-    }
+    editable_ids = {e.element_id for state in states.values() for e in state.elements if e.editable}
     crash_rules = []
-    for i, entry in _objects(raw, "crash_rules", list, violations):
-        where = f"crash rule {i}"
-        if not _strings_ok(entry, "rule", where, violations):
+    for i, entry in enumerate(_container(raw, "crash_rules", [])):
+        if not _fields(entry, "crash rule", (i,), violations):
+            continue
+        cond, crash = entry.get("requires_field"), entry["crash"]
+        cond_ok = cond is None or _fields(cond, "requires_field", (i,), violations)
+        if not (_fields(crash, "crash", (i,), violations) and cond_ok):
             continue
         state_name = entry.get("state", "")
         if state_name not in states:
-            violations.append(f"{where}: unknown state {state_name!r}")
-        trigger = _parse_trigger(entry, where, states, state_name, violations)
-        condition, cond = None, entry.get("requires_field")
-        if cond is not None and not isinstance(cond, dict):
-            violations.append(f"{where}: requires_field is not a JSON object")
-        elif cond is not None and _strings_ok(cond, "requires_field", f"{where} requires_field", violations):
+            violations.append(f"crash rule {i}: unknown state {state_name!r}")
+        trigger = _parse_trigger(entry, "crash rule", (i,), states, state_name, violations)
+        condition = None
+        if cond is not None:
             op = cond.get("op", "")
             if op not in _FIELD_OPS:
-                violations.append(f"{where}: unknown field op {op!r}")
+                violations.append(f"crash rule {i}: unknown field op {op!r}")
             if cond.get("element") not in editable_ids:
-                violations.append(f"{where}: requires_field names no editable element")
+                violations.append(f"crash rule {i}: requires_field names no editable element")
             condition = FieldCondition(cond.get("element", ""), op, cond.get("value", ""))
-        try:
-            crash = CrashInfo(
-                exception_type=entry["crash"]["exception_type"],
-                message=entry["crash"].get("message", ""),
-                raised_in_activity=entry["crash"].get(
-                    "activity", states[state_name].activity if state_name in states else ""
-                ),
-            )
-        except (KeyError, TypeError):
-            violations.append(f"{where}: missing crash info")
-            crash = CrashInfo("unknown", "", "")
-        crash_rules.append(CrashRule(state_name, trigger, crash, condition))
+        activity = crash.get("activity", states[state_name].activity if state_name in states else "")
+        crash_info = CrashInfo(crash["exception_type"], crash.get("message", ""), activity)
+        crash_rules.append(CrashRule(state_name, trigger, crash_info, condition))
 
     if violations:
         raise SpecInvalid(violations)
-    return SimAppSpec(
-        app_id=raw.get("app_id", "sim.app"),
-        initial_state=initial,
-        states=states,
-        transitions=tuple(transitions),
-        crash_rules=tuple(crash_rules),
-    )
+    return SimAppSpec(raw.get("app_id", "sim.app"), initial, states, tuple(transitions), tuple(crash_rules))
 
 
 _SCREEN_BOUNDS = Bounds(0, 0, 1080, 1920)
@@ -312,7 +286,7 @@ class SimSession:
         if memo is not None and memo[0] == values:
             return memo[1]
         children = tuple(
-            replace(e, text=self._effective_text(e), children=()) for e in state_spec.elements
+            replace(e, text=self._effective_text(e)) for e in state_spec.elements
         )
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
         screen = UiState(activity_name=state_spec.activity, root=root)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crashreplay.cli import fixtures_path
 from crashreplay.device import AlreadyCrashed, encode_state_text, feature_for_element
 from crashreplay.gateway import ActionCommand
+from conftest import json_values
 from crashreplay.simulator import (
     SimAppSpec,
     SimSession,
@@ -148,6 +149,7 @@ STRING_FIELDS = [
     *(("transition", key) for key in ("from", "to", "verb", "feature", "required_text", "direction")),
     *(("crash rule", key) for key in ("state", "verb", "feature", "required_text", "direction")),
     *(("requires_field", key) for key in ("element", "op", "value")),
+    *(("crash", key) for key in ("exception_type", "message", "activity")),
 ]
 
 
@@ -163,6 +165,7 @@ def guarded_spec() -> tuple[dict, dict]:
         "transition": body["transitions"][0],
         "crash rule": rule,
         "requires_field": rule["requires_field"],
+        "crash": rule["crash"],
     }
     return body, parts
 
@@ -202,6 +205,148 @@ def test_all_violations_collected(tmp_path):
     with pytest.raises(SpecInvalid) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert len(excinfo.value.violations) >= 3
+
+
+@pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "number", "null"])
+@pytest.mark.parametrize("flag", ["clickable", "long_clickable", "editable", "scrollable"])
+def test_element_flag_that_is_no_boolean_is_a_violation(tmp_path, flag, value):
+    body, parts = guarded_spec()
+    parts["element"][flag] = value
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert f"{flag} {value!r} is not a boolean" in str(excinfo.value)
+
+
+UNKNOWN_KEYS = [
+    ("element", "clikable"),
+    ("element", "children"),
+    ("spec", "state"),
+    ("state", "element"),
+    ("transition", "from_state"),
+    ("crash rule", "requires"),
+    ("requires_field", "id"),
+    ("crash", "activity_name"),
+]
+
+
+@pytest.mark.parametrize("part, key", UNKNOWN_KEYS, ids=[f"{part} {key}" for part, key in UNKNOWN_KEYS])
+def test_spec_key_that_is_unknown_is_a_violation(tmp_path, part, key):
+    body, parts = guarded_spec()
+    parts[part][key] = [] if key == "children" else True
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert f"unknown key {key!r}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "part, key", [("crash rule", "crash"), ("crash", "exception_type"), ("element", "id"), ("element", "class")]
+)
+def test_spec_object_without_a_required_key_is_a_violation(tmp_path, part, key):
+    body, parts = guarded_spec()
+    del parts[part][key]
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert f"missing key {key!r}" in str(excinfo.value)
+
+
+def test_a_mistyped_top_level_key_does_not_stop_the_walk(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["app_id"] = ["t.app"]
+    body["transitions"][1]["to"] = "nowhere"
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    violations = "\n".join(excinfo.value.violations)
+    assert "app_id ['t.app'] is not a string" in violations
+    assert "unknown to-state 'nowhere'" in violations
+
+
+STRING, TEXT, FLAG = "a string", "a string or null", "a boolean"
+HAS_TYPE = {
+    STRING: lambda v: isinstance(v, str),
+    TEXT: lambda v: v is None or isinstance(v, str),
+    FLAG: lambda v: isinstance(v, bool),
+}
+#: README's type of each scalar spec key, and the attribute that holds it once loaded: the oracle below.
+DOCUMENTED = {
+    "spec": {"app_id": (STRING, "app_id"), "initial_state": (STRING, "initial_state")},
+    "state": {"activity": (STRING, "activity")},
+    "element": {
+        "id": (STRING, "element_id"),
+        "class": (STRING, "class_name"),
+        **{key: (TEXT, key) for key in ("text", "content_desc", "resource_id")},
+        **{key: (FLAG, key) for key in ("clickable", "long_clickable", "editable", "scrollable")},
+    },
+    "transition": {"from": (STRING, "from_state"), "to": (STRING, "to_state")},
+    "crash rule": {"state": (STRING, "state")},
+    "requires_field": {"element": (STRING, "element_id"), "op": (STRING, "op"), "value": (STRING, "value")},
+    "crash": {
+        "exception_type": (STRING, "exception_type"),
+        "message": (STRING, "message"),
+        "activity": (STRING, "raised_in_activity"),
+    },
+}
+for rule in ("transition", "crash rule"):
+    DOCUMENTED[rule].update(verb=(STRING, "trigger.verb"), feature=(TEXT, "trigger.element_id"))
+    DOCUMENTED[rule].update({key: (TEXT, f"trigger.{key}") for key in ("required_text", "direction")})
+FIELDS = [(part, key) for part, keys in DOCUMENTED.items() for key in keys]
+
+
+def spec_and_loaded_parts() -> tuple[dict, dict, dict]:
+    """A valid spec, its parts, and where a loaded spec holds each part.
+
+    The parts sit on state ``b``, whose one element nothing else names, so a
+    changed value breaks nothing but itself.
+    """
+    body, parts = guarded_spec()
+    body["crash_rules"].append({"state": "b", "verb": "rotate", "crash": {"exception_type": "java.lang.Error"}})
+    parts.update(
+        {
+            "state": body["states"]["b"],
+            "element": body["states"]["b"]["elements"][0],
+            "transition": body["transitions"][1],
+            "crash rule": body["crash_rules"][1],
+            "crash": body["crash_rules"][1]["crash"],
+        }
+    )
+    loaded = {
+        "spec": lambda spec: spec,
+        "state": lambda spec: spec.states["b"],
+        "element": lambda spec: spec.states["b"].elements[0],
+        "transition": lambda spec: spec.transitions[1],
+        "crash rule": lambda spec: spec.crash_rules[1],
+        "requires_field": lambda spec: spec.crash_rules[0].requires_field,
+        "crash": lambda spec: spec.crash_rules[1].crash,
+    }
+    return body, parts, loaded
+
+
+@given(
+    st.sampled_from(FIELDS),
+    json_values(["id", "text", "x"], ["a", "b", "field", "back_btn", "BACK", "equals", "click"]),
+)
+def test_a_spec_field_loads_only_as_its_documented_type(tmp_path_factory, field, value):
+    part, key = field
+    kind, attribute = DOCUMENTED[part][key]
+    body, parts, loaded = spec_and_loaded_parts()
+    parts[part][key] = value
+    path = tmp_path_factory.mktemp("spec") / "app.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    try:
+        spec = load_spec(path)
+    except SpecInvalid as exc:
+        assert any(key in violation for violation in exc.violations), exc.violations
+        if not HAS_TYPE[kind](value):
+            assert f"{key} {value!r} is not {kind}" in str(exc)
+        return
+    assert HAS_TYPE[kind](value)
+    held = loaded[part](spec)
+    for name in attribute.split("."):
+        held = getattr(held, name)
+    if key == "feature" and value is not None:
+        element = next(e for e in spec.states["b"].elements if e.element_id == held)
+        assert value in (element.element_id, element.text, (element.resource_id or "").rsplit("/", 1)[-1])
+    else:
+        assert held == value and type(held) is type(value)
 
 
 # -- stepping ----------------------------------------------------------------------
