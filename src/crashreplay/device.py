@@ -47,7 +47,10 @@ class Bounds(NamedTuple):
         return (self.left + self.right) // 2, (self.top + self.bottom) // 2
 
     def well_formed(self) -> bool:
-        return 0 <= self.left <= self.right and 0 <= self.top <= self.bottom
+        """Four integers, none a boolean, with 0 <= left <= right and 0 <= top <= bottom."""
+        left, top, right, bottom = self
+        integers = type(left) is type(top) is type(right) is type(bottom) is int
+        return integers and 0 <= left <= right and 0 <= top <= bottom
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ class UiState:
     Siblings are canonicalized by position before hashing, so the fingerprint
     does not depend on observation order.  Bounds themselves are not hashed.
     Frozen, so one snapshot can be shared; the fingerprint, the encoded
-    text and the feature resolution tables are computed once and cached on it.
+    text, the feature resolution tables and the interactable elements are
+    computed once and cached on it.
     """
 
     activity_name: str
@@ -111,6 +115,7 @@ class UiState:
     _state_id: str | None = field(default=None, repr=False, compare=False)
     _text: str | None = field(default=None, repr=False, compare=False)
     _tables: tuple | None = field(default=None, repr=False, compare=False)
+    _interactable: tuple[UiElement, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def state_id(self) -> str:
@@ -180,10 +185,12 @@ def encode_state_text(state: UiState) -> str:
     return state._text
 
 
-def interactable_elements(state: UiState) -> list[UiElement]:
-    """Interactable elements of a screen in canonical (top, left) order."""
-    found = [e for e, _ in _canonical_walk(state.root, 0) if e.interactable]
-    return found
+def interactable_elements(state: UiState) -> tuple[UiElement, ...]:
+    """Interactable elements of a screen in canonical (top, left) order; computed once per screen."""
+    if state._interactable is None:
+        found = tuple(e for e, _ in _canonical_walk(state.root, 0) if e.interactable)
+        object.__setattr__(state, "_interactable", found)
+    return state._interactable
 
 
 def feature_for_element(element: UiElement) -> str | None:

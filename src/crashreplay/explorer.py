@@ -55,7 +55,6 @@ class UtgGraph:
     nodes: dict[str, UiState]
     edges: list[UtgEdge]
     truncated: bool = False
-    actions_used: int = 0
 
     def out_edges(self, state_id: str) -> list[UtgEdge]:
         return [e for e in self.edges if e.from_state == state_id]
@@ -192,7 +191,6 @@ def explore(
             current_id = origin.state_id
     except (_BudgetDone, ExplorerError):
         graph.truncated = True
-    graph.actions_used = used
     return graph
 
 

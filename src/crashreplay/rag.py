@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grammar import S2REntity, S2RScript, ScriptStep
+from .grammar import S2REntity
 
 NORM_TOLERANCE = 1e-6
 #: Seconds one embedding request may take before the endpoint counts as unavailable.
@@ -284,15 +284,6 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
         seen.add(report.report_id)
         reports.append(report)
     return reports
-
-
-def script_from_report(report: LabeledReport) -> S2RScript:
-    """Flatten a report's per-sentence labels into a gold script."""
-    steps = []
-    for index, sentence in enumerate(report.sentences, start=1):
-        for entity in sentence.labels:
-            steps.append(ScriptStep(entity, index))
-    return S2RScript(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

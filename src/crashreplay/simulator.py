@@ -184,10 +184,11 @@ def load_spec(path: str | Path) -> SimAppSpec:
             try:
                 bounds = Bounds(*entry.get("bounds", (0, 0, 0, 0)))
                 well_formed = bounds.well_formed()
-            except TypeError:  # not four numbers
+            except TypeError:  # not four values
                 well_formed = False
             if not well_formed:
-                violations.append(f"state {name!r} element {i}: bounds {tuple(entry['bounds'])} are not well-ordered")
+                given = tuple(entry["bounds"])
+                violations.append(f"state {name!r} element {i}: bounds {given} are not well-ordered integers")
                 continue
             elements.append(UiElement(
                 element_id, entry["class"], entry.get("text"), entry.get("content_desc"), entry.get("resource_id"), bounds,
@@ -256,17 +257,20 @@ class SimSession:
         self.current = spec.initial_state
         self.field_values: dict[str, str] = {}
         self.crashed: CrashInfo | None = None
-        # Rules per state in spec order (the first match wins), each element
-        # id's text in the first state that declares it, and one built
-        # screen per state with the editable values it was built from.
-        self._transitions: dict[str, list[TransitionRule]] = {}
+        # Rules per (state, verb) in spec order (the first match wins), each
+        # state's editable elements, each element id's text in the first state
+        # that declares it, and one built screen per state with the editable
+        # values it was built from.
+        self._transitions: dict[tuple[str, str], list[TransitionRule]] = {}
         for rule in spec.transitions:
-            self._transitions.setdefault(rule.from_state, []).append(rule)
-        self._crash_rules: dict[str, list[CrashRule]] = {}
+            self._transitions.setdefault((rule.from_state, rule.trigger.verb), []).append(rule)
+        self._crash_rules: dict[tuple[str, str], list[CrashRule]] = {}
         for crash_rule in spec.crash_rules:
-            self._crash_rules.setdefault(crash_rule.state, []).append(crash_rule)
+            self._crash_rules.setdefault((crash_rule.state, crash_rule.trigger.verb), []).append(crash_rule)
+        self._editable: dict[str, tuple[UiElement, ...]] = {}
         self._initial_text: dict[str, str] = {}
-        for state in spec.states.values():
+        for name, state in spec.states.items():
+            self._editable[name] = tuple(e for e in state.elements if e.editable)
             for element in state.elements:
                 self._initial_text.setdefault(element.element_id, element.text or "")
         self._screens: dict[str, tuple[tuple[str | None, ...], UiState]] = {}
@@ -280,14 +284,13 @@ class SimSession:
 
     def build_state(self) -> UiState:
         name = self.current
-        state_spec = self.spec.states[name]
-        values = tuple(self._effective_text(e) for e in state_spec.elements if e.editable)
+        editable = self._editable[name]
+        values = tuple(self.field_values.get(e.element_id, e.text) for e in editable) if editable else ()
         memo = self._screens.get(name)
         if memo is not None and memo[0] == values:
             return memo[1]
-        children = tuple(
-            replace(e, text=self._effective_text(e)) for e in state_spec.elements
-        )
+        state_spec = self.spec.states[name]
+        children = tuple(replace(e, text=self._effective_text(e)) for e in state_spec.elements)
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
         screen = UiState(activity_name=state_spec.activity, root=root)
         self._screens[name] = (values, screen)
@@ -335,7 +338,7 @@ class SimSession:
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)
 
-        for rule in self._crash_rules.get(self.current, ()):
+        for rule in self._crash_rules.get((self.current, cmd.action), ()):
             if not self._trigger_matches(rule.trigger, cmd, element):
                 continue
             if rule.requires_field is not None:
@@ -359,7 +362,7 @@ class SimSession:
             self.field_values[element.element_id] = cmd.input_text or ""
             applied = True
 
-        for rule in self._transitions.get(self.current, ()):
+        for rule in self._transitions.get((self.current, cmd.action), ()):
             if self._trigger_matches(rule.trigger, cmd, element):
                 self.current = rule.to_state
                 new_state = self.build_state()

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from crashreplay.cli import fixtures_path
 from crashreplay.gateway import MockGateway
-from crashreplay.grammar import S2RScript
-from crashreplay.rag import HashedTrigramProvider, load_corpus
+from crashreplay.grammar import S2RScript, ScriptStep
+from crashreplay.rag import HashedTrigramProvider, LabeledReport, load_corpus
 from crashreplay.simulator import SimulatorDevice, load_spec
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -44,6 +44,15 @@ def data_path(name: str) -> Path:
 
 def unstructured_example(number: int) -> str:
     return (DATA_DIR / "unstructured" / f"example{number}.txt").read_text(encoding="utf-8")
+
+
+def script_from_report(report: LabeledReport) -> S2RScript:
+    """Flatten a report's per-sentence labels into a gold script."""
+    steps = []
+    for index, sentence in enumerate(report.sentences, start=1):
+        for entity in sentence.labels:
+            steps.append(ScriptStep(entity, index))
+    return S2RScript(steps=tuple(steps))
 
 
 def scenario_dir(name: str) -> Path:

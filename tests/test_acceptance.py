@@ -36,12 +36,11 @@ from crashreplay.rag import (
     embed,
     load_corpus,
     retrieve,
-    script_from_report,
 )
 from crashreplay.replay import Outcome, run
 from crashreplay.simulator import SimulatorDevice, load_spec
 
-from conftest import load_scenario, unstructured_example
+from conftest import load_scenario, script_from_report, unstructured_example
 from test_evaluator import CATEGORY_GOLD, CATEGORY_TWO_STEP
 from test_explorer import depth1_oracle, edge_set, synthetic_graph
 from test_grammar import random_entity

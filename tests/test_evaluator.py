@@ -20,8 +20,9 @@ from crashreplay.evaluator import (
 )
 from crashreplay.grammar import ActionType, Direction, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import Outcome, ReplayResult
-from crashreplay.rag import load_corpus, script_from_report
+from crashreplay.rag import load_corpus
 from crashreplay.cli import fixtures_path
+from conftest import script_from_report
 
 
 def script(*steps: tuple) -> S2RScript:

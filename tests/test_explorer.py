@@ -129,8 +129,8 @@ def test_depth1_from_non_initial_state_with_origin_path():
     assert device.capture_state().state_id == graph.origin
 
 
-def explore_one_screen(tmp_path, elements: list[dict]) -> UtgGraph:
-    """Explore, at depth 1, an app of one screen holding ``elements`` and no transitions."""
+def explore_one_screen(tmp_path, elements: list[dict]) -> tuple[UtgGraph, "CountingDevice"]:
+    """Explore, at depth 1, an app of one screen holding ``elements`` and no transitions; the graph and the device."""
     body = {
         "app_id": "t",
         "initial_state": "only",
@@ -140,39 +140,47 @@ def explore_one_screen(tmp_path, elements: list[dict]) -> UtgGraph:
     }
     path = tmp_path / "app.json"
     path.write_text(json.dumps(body))
-    return explore(SimulatorDevice(load_spec(path)), depth=1, action_budget=10)
+    device = CountingDevice(load_spec(path))
+    return explore(device, depth=1, action_budget=10), device
 
 
 def test_origin_without_interactables_yields_single_node(tmp_path):
-    graph = explore_one_screen(tmp_path, [{"id": "t1", "class": "TextView", "text": "static", "bounds": [0, 0, 10, 10]}])
+    graph, _ = explore_one_screen(tmp_path, [{"id": "t1", "class": "TextView", "text": "static", "bounds": [0, 0, 10, 10]}])
     assert len(graph.nodes) == 1 and graph.edges == []
 
 
 def test_an_element_whose_resource_id_names_nothing_is_not_probed(tmp_path):
     button = {"id": "b1", "class": "Button", "resource_id": "app:id/", "bounds": [0, 0, 10, 10], "clickable": True}
-    graph = explore_one_screen(tmp_path, [button])
-    assert len(graph.nodes) == 1 and graph.edges == [] and graph.actions_used == 0
+    graph, device = explore_one_screen(tmp_path, [button])
+    assert len(graph.nodes) == 1 and graph.edges == [] and device.log == []
 
 
 def test_exploration_deterministic():
     def once():
-        graph = explore(SimulatorDevice(load_spec(APPS / "hidden_about.json")), depth=1, action_budget=60)
-        return set(graph.nodes), edge_set(graph), graph.actions_used
+        device = CountingDevice(load_spec(APPS / "hidden_about.json"))
+        graph = explore(device, depth=1, action_budget=60)
+        return set(graph.nodes), edge_set(graph), device.log
 
     assert once() == once()
 
 
 class CountingDevice(SimulatorDevice):
-    """Counts the device commands issued: every execute and every restart."""
+    """Logs the device commands issued: every executed command, and "restart" for every restart."""
 
-    commands = 0
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.log: list[ActionCommand | str] = []
+
+    @property
+    def commands(self) -> int:
+        return len(self.log)
 
     def execute(self, cmd):
-        self.commands += 1
+        self.log.append(cmd)
         return super().execute(cmd)
 
     def restart_app(self):
-        self.commands += 1
+        self.log.append("restart")
         return super().restart_app()
 
 
@@ -181,14 +189,22 @@ def test_exploration_respects_action_budget():
         device = CountingDevice(load_spec(APPS / "hidden_about.json"))
         graph = explore(device, depth=1, action_budget=budget)
         assert device.commands <= budget
-        assert graph.actions_used <= budget
         assert graph.truncated
 
 
 def test_exploration_action_count_matches_simulator_log():
-    device = CountingDevice(load_spec(APPS / "hidden_about.json"))
+    # The oracle: each origin probe in plan order, then one restart if, from a fresh start, it leaves the origin.
+    spec = load_spec(APPS / "hidden_about.json")
+    device = CountingDevice(spec)
     graph = explore(device, depth=1, action_budget=60)
-    assert graph.actions_used == device.commands
+    expected: list[ActionCommand | str] = []
+    for probe in probe_plan(graph.nodes[graph.origin]):
+        status = SimSession(spec).step(probe)
+        expected.append(probe)
+        if status.crash or status.new_state.state_id != graph.origin:
+            expected.append("restart")
+    assert "restart" in expected
+    assert device.log == expected
 
 
 def test_depth2_discovers_second_layer():
@@ -380,7 +396,7 @@ def test_functionality_gateway_failure_marks_single_entry_unavailable():
 
 
 def test_functionality_element_without_edge_gets_static_note(tmp_path):
-    graph = explore_one_screen(
+    graph, _ = explore_one_screen(
         tmp_path, [{"id": "dead", "class": "Button", "text": "DEAD", "bounds": [0, 0, 10, 10], "clickable": True}]
     )
     gateway = MockGateway.from_script([])
@@ -401,7 +417,7 @@ def test_ui_function_table_covers_every_node_in_bfs_order():
 
 
 def test_ui_function_table_single_node(tmp_path):
-    graph = explore_one_screen(tmp_path, [])
+    graph, _ = explore_one_screen(tmp_path, [])
     table = synthesize_ui_functions(graph, MockGateway.from_script([{"response": "only"}]))
     assert len(table) == 1
 
@@ -487,5 +503,4 @@ def test_explore_past_its_deadline_issues_no_command():
     graph = explore(device, depth=1, action_budget=60, deadline=time.monotonic())
     assert commands == []
     assert graph.truncated
-    assert graph.actions_used == 0
     assert list(graph.nodes) == [graph.origin]

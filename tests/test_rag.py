@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import _EmbedHandler, counting_server
+from conftest import _EmbedHandler, counting_server, script_from_report
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     DimensionMismatch,
@@ -33,7 +33,6 @@ from crashreplay.rag import (
     load_index,
     retrieve,
     save_index,
-    script_from_report,
     segment_report,
 )
 

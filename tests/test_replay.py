@@ -643,8 +643,19 @@ def test_restore_after_a_cut_exploration_stops_replaying_the_path_at_the_deadlin
 def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(monkeypatch):
     from crashreplay import replay
 
-    graphs = []
-    monkeypatch.setattr(replay, "explore", lambda *args, **kwargs: graphs.append(explore(*args, **kwargs)) or graphs[-1])
+    graphs, explored = [], []
+
+    def counted_explore(device, *args, **kwargs):
+        """explore, with the device commands it issues logged in ``explored``."""
+        device.execute = lambda cmd: explored.append(cmd) or type(device).execute(device, cmd)
+        device.restart_app = lambda: explored.append("restart") or type(device).restart_app(device)
+        try:
+            graphs.append(explore(device, *args, **kwargs))
+        finally:
+            del device.execute, device.restart_app
+        return graphs[-1]
+
+    monkeypatch.setattr(replay, "explore", counted_explore)
     # Tools is reached by one click; a feature missing there twice makes the loop explore it.
     gateway = MockGateway.from_script([
         {"when": "Learned app knowledge", "response": '[{"action": "click", "feature": "About"}]', "times": None},
@@ -655,7 +666,7 @@ def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(
     # The third probe clicks About and crashes the app; the budget ends before exploration restores.
     result = run(report, gold, device, gateway, 10.0, explore_action_budget=3, max_iterations=8)
     (graph,) = graphs
-    assert graph.truncated and graph.actions_used == 3
+    assert graph.truncated and len(explored) == 3
     assert result.outcome == Outcome.REPRODUCED
     assert all(len(rec["statuses"]) == len(rec["commands"]) for rec in result.trace_records)
 

@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crashreplay.cli import fixtures_path
-from crashreplay.device import AlreadyCrashed, encode_state_text, feature_for_element
+from crashreplay.device import (
+    AlreadyCrashed,
+    NoMatchError,
+    encode_state_text,
+    feature_for_element,
+    interactable_elements,
+    resolve_feature,
+)
 from crashreplay.gateway import ActionCommand
+from crashreplay.grammar import VERB_SPECS
 from conftest import json_values
 from crashreplay.simulator import (
     SimAppSpec,
@@ -193,6 +203,19 @@ def test_spec_bounds_that_are_no_numbers_are_a_violation(tmp_path):
     with pytest.raises(SpecInvalid) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert "bounds ('0', '0', '1', '1') are not well-ordered" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [[False, False, True, True], [0.5, 0, 10.25, 3], [0, 0, math.inf, math.inf], [0, 0, 10], [0, 0, 10, 10, 10]],
+    ids=["booleans", "fractions", "infinite", "three", "five"],
+)
+def test_spec_bounds_that_are_not_four_integers_are_a_violation(tmp_path, bounds):
+    body, parts = guarded_spec()
+    parts["element"]["bounds"] = bounds
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))  # json writes math.inf as Infinity, which json reads back
+    assert f"state 'a' element 0: bounds {tuple(bounds)} are not well-ordered integers" in excinfo.value.violations
 
 
 def test_all_violations_collected(tmp_path):
@@ -530,6 +553,150 @@ def test_memoized_screens_equal_a_cold_build(run):
 
 def test_a_screen_cannot_be_changed_once_built(url_crash_device):
     screen = url_crash_device.capture_state()
-    for attribute in ("activity_name", "root", "_state_id", "_text"):
+    for attribute in ("activity_name", "root", "_state_id", "_text", "_tables", "_interactable"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(screen, attribute, None)
+
+
+def test_changing_the_interactable_elements_returned_does_not_change_the_next_call(url_crash_device):
+    screen = url_crash_device.capture_state()
+    returned = interactable_elements(screen)
+    expected = list(returned)
+    assert expected
+    with contextlib.suppress(TypeError):  # a tuple cannot be changed at all
+        returned[:] = []
+    assert list(interactable_elements(screen)) == expected
+
+
+# -- the rule index: the first matching rule in spec order, as a scan of every rule finds it ------------
+
+RULE_STATES = ["s0", "s1", "s2", "s3", "s4"]
+RULE_VERBS = ["click", "long_click", "set_text", "scroll", "back"]
+RULE_TEXTS = ["", "x", "boom"]
+#: One screen layout for every state; each element's id is also its resource id suffix, so a rule's feature binds to it.
+RULE_ELEMENTS = [
+    {"id": "btn", "class": "Button", "text": "Go", "resource_id": "app:id/btn", "bounds": [0, 0, 100, 100],
+     "clickable": True, "long_clickable": True},
+    {"id": "field", "class": "EditText", "resource_id": "app:id/field", "bounds": [0, 200, 100, 300], "editable": True},
+    {"id": "list", "class": "ListView", "resource_id": "app:id/list", "bounds": [0, 400, 100, 900], "scrollable": True},
+]
+
+
+@st.composite
+def rule_runs(draw):
+    """A spec of 2-5 states with rules of several verbs, with and without a
+    feature, text or direction, guarded crash rules, and a run of commands."""
+    states = RULE_STATES[: draw(st.integers(2, 5))]
+    state = st.sampled_from(states)
+    trigger = st.fixed_dictionaries(
+        {"verb": st.sampled_from(RULE_VERBS)},
+        optional={
+            "feature": st.sampled_from(["btn", "field", "list"]),
+            "required_text": st.sampled_from(RULE_TEXTS),
+            "direction": st.sampled_from(["up", "down"]),
+        },
+    )
+    transitions = draw(st.lists(st.tuples(state, trigger, state), min_size=4, max_size=14,
+                                unique_by=lambda rule: (rule[0], tuple(sorted(rule[1].items())))))
+    guard = st.fixed_dictionaries({"element": st.just("field"), "op": st.sampled_from(["equals", "not_equals", "prefix",
+                                   "not_prefix"]), "value": st.sampled_from(RULE_TEXTS)})
+    crash_rules = draw(st.lists(st.tuples(state, trigger, st.none() | guard), max_size=6))
+    body = {
+        "app_id": "t.rules",
+        "initial_state": "s0",
+        "states": {name: {"activity": f"{name}Activity", "elements": RULE_ELEMENTS} for name in states},
+        "transitions": [{"from": source, **rule, "to": target} for source, rule, target in transitions],
+        "crash_rules": [
+            {"state": name, **rule, "requires_field": guarded, "crash": {"exception_type": f"E{i}"}}
+            for i, (name, rule, guarded) in enumerate(crash_rules)
+        ],
+    }
+    command = st.builds(
+        ActionCommand,
+        action=st.sampled_from(RULE_VERBS + ["restart"]),
+        feature=st.none() | st.sampled_from(["Go", "field", "list", "nothing"]),
+        input_text=st.none() | st.sampled_from(RULE_TEXTS),
+        direction=st.none() | st.sampled_from(["up", "down"]),
+    )
+    # Commands that fire a declared rule where its state is current; a rule without a feature is also fired by one that names any.
+    triggers = [rule for _, rule, _ in transitions] + [rule for _, rule, _ in crash_rules]
+    if triggers:
+        command |= st.builds(
+            lambda rule, feature: ActionCommand(rule["verb"], rule.get("feature", feature), rule.get("required_text"),
+                                                rule.get("direction")),
+            st.sampled_from(triggers), st.sampled_from(["btn", "field", "list"]),
+        )
+    return body, draw(st.lists(command, min_size=10, max_size=30))
+
+
+class ScanningSession:
+    """The reference for ``SimSession.step``: every rule of the current state, in spec order, whatever its verb."""
+
+    def __init__(self, spec: SimAppSpec):
+        self.spec, self.current, self.field_values = spec, spec.initial_state, {}
+
+    def restart(self) -> None:
+        self.current, self.field_values = self.spec.initial_state, {}
+
+    def screen(self):
+        builder = SimSession(self.spec)
+        builder.current, builder.field_values = self.current, dict(self.field_values)
+        return builder.build_state()
+
+    def field(self, element_id: str) -> str:
+        declared = (e.text or "" for state in self.spec.states.values() for e in state.elements if e.element_id == element_id)
+        return self.field_values.get(element_id, next(declared, ""))
+
+    def step(self, cmd: ActionCommand) -> tuple:
+        """(ok, detail, state id, crash, no_match_feature) of one command."""
+        if cmd.action == "restart":
+            self.restart()
+            return True, "app restarted", self.screen().state_id, None, None
+        screen, element = self.screen(), None
+        if cmd.feature is not None:
+            try:
+                element = resolve_feature(screen, cmd.feature)
+            except NoMatchError as exc:
+                return False, str(exc), screen.state_id, None, cmd.feature
+        elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
+            return False, f"{cmd.action} needs a feature", screen.state_id, None, None
+
+        def fires(trigger) -> bool:
+            return (
+                trigger.verb == cmd.action
+                and (trigger.element_id is None or (element is not None and element.element_id == trigger.element_id))
+                and trigger.required_text in (None, cmd.input_text)
+                and trigger.direction in (None, cmd.direction)
+            )
+
+        for rule in self.spec.crash_rules:
+            guard = rule.requires_field
+            if rule.state == self.current and fires(rule.trigger) and (guard is None or guard.holds(self.field(guard.element_id))):
+                return True, f"app crashed: {rule.crash.exception_type}", screen.state_id, rule.crash, None
+        if cmd.action == "set_text":
+            if not element.editable:
+                return False, f"element {cmd.feature!r} is not editable", screen.state_id, None, None
+            self.field_values[element.element_id] = cmd.input_text or ""
+        for rule in self.spec.transitions:
+            if rule.from_state == self.current and fires(rule.trigger):
+                self.current = rule.to_state
+                moved = self.screen()
+                return True, f"moved to {moved.activity_name}", moved.state_id, None, None
+        if cmd.action == "set_text":
+            return True, "text set", self.screen().state_id, None, None
+        return False, f"{cmd.action} had no effect here", self.screen().state_id, None, None
+
+
+@given(rule_runs())
+def test_indexed_rules_step_as_a_scan_of_every_rule_in_spec_order(tmp_path_factory, run):
+    body, commands = run
+    path = tmp_path_factory.getbasetemp() / "rules.json"  # one file, rewritten per example
+    path.write_text(json.dumps(body), encoding="utf-8")
+    spec = load_spec(path)
+    session, reference = SimSession(spec), ScanningSession(spec)
+    for cmd in commands:
+        if session.crashed is not None:
+            session.restart()
+            reference.restart()
+        status = session.step(cmd)
+        assert (status.ok, status.detail, status.new_state.state_id, status.crash, status.no_match_feature) == reference.step(cmd)
