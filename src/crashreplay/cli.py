@@ -222,7 +222,7 @@ def _make_device(sim_spec_path, device_serial, app_package, app_activity):
 @click.option("--mock-script", "mock_script_path", default=None)
 @click.option("--budget", "budget_s", type=click.FloatRange(min=0), default=DEFAULT_BUDGET_S, help="Wall-clock budget (s).")
 @click.option("--depth", type=click.IntRange(min=1), default=DEFAULT_DEPTH, help="Exploration depth.")
-@click.option("--explore-actions", type=click.IntRange(min=1), default=DEFAULT_EXPLORE_ACTIONS, help="Exploration action budget.")
+@click.option("--explore-actions", type=click.IntRange(min=1), default=DEFAULT_EXPLORE_ACTIONS, help="Device commands for probing a page; the return to it is extra.")
 @click.option("--exploration/--no-exploration", default=True)
 @click.option("--max-iterations", type=click.IntRange(min=0), default=None, help="Deterministic iteration cap.")
 @click.option("--utg-cache", default=None, help="Directory for cached exploration knowledge.")
@@ -237,7 +237,8 @@ def cmd_replay(report_path, script_path, sim_spec_path, device_serial, app_packa
     report_text = _load("report", report_path, _read_text)
     script = _load("script", script_path, _read_script) if script_path else S2RScript(steps=())
     device = _make_device(sim_spec_path, device_serial, app_package, app_activity)
-
+    if utg_cache:
+        _write(Path(utg_cache), lambda path: path.mkdir(exist_ok=True))
     result = replay.run(
         report_text,
         script,

@@ -9,6 +9,7 @@ does; those tables re-ground the replay prompts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -118,9 +119,11 @@ def explore(
 
     ``origin_path`` is the recorded command path from app start to the
     current screen; the explorer restores with restart + that path before
-    each probe that left the page.  Never issues more than ``action_budget``
-    device commands, nor one once ``deadline`` (a ``time.monotonic()`` value)
-    has passed; a graph cut short by either is flagged truncated.
+    each probe that left the page.  Probing (the probes and the restores
+    between them) issues at most ``action_budget`` device commands, and none
+    once ``deadline`` (a ``time.monotonic()`` value) has passed; a graph cut
+    short by either is flagged truncated.  Cut short or not, the device then
+    returns to the origin page, a return charged only to the deadline.
 
     Probing is systematic (element position order) so runs are reproducible.
     """
@@ -142,17 +145,16 @@ def explore(
         used += 1
 
     def restore_to(rel_path: tuple[ActionCommand, ...]) -> None:
-        """restart + origin path + relative path; leaves current_id updated."""
+        """restart + origin path + relative path; the caller sets current_id once it returns."""
         nonlocal current_id
+        current_id = None
         spend_one()
         device.restart_app()
         for cmd in tuple(origin_path) + rel_path:
             spend_one()
             status = device.execute(cmd)
             if not status.ok or status.crash:
-                current_id = None
                 raise ExplorerError(f"restore path failed at {cmd.to_dict()}")
-        current_id = None  # recomputed by the caller when needed
 
     frontier: list[tuple[str, tuple[ActionCommand, ...]]] = [(origin.state_id, ())]
     probed: set[str] = set()
@@ -186,11 +188,12 @@ def explore(
                     if level + 1 < depth and dest.state_id not in probed:
                         next_frontier.append((dest.state_id, rel_path + (probe,)))
             frontier = next_frontier
-        if current_id != origin.state_id:
-            restore_to(())
-            current_id = origin.state_id
     except (_BudgetDone, ExplorerError):
         graph.truncated = True
+    action_budget = used + 1 + len(origin_path)  # the return is charged only to the deadline
+    with contextlib.suppress(_BudgetDone, ExplorerError):  # past the deadline, or the path failed
+        if current_id != origin.state_id:
+            restore_to(())
     return graph
 
 

@@ -9,6 +9,7 @@ exhaustion.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -284,7 +285,8 @@ def run(
 
     The wall-clock budget is checked before every gateway call and every
     device command; ``max_iterations`` optionally caps loop iterations so a
-    run that cannot succeed ends deterministically.
+    run that cannot succeed ends deterministically.  ``utg_cache_dir``, an
+    existing directory, caches each explored page's knowledge.
     """
     started_at = time.monotonic()
     deadline = started_at + budget
@@ -297,9 +299,8 @@ def run(
         """Flag a stuck loop in ``record``; explore a newly stuck page once.
 
         Returns the screen after exploration, or None when nothing was
-        explored.  The device ends on the explored page: after a truncated
-        exploration it is restored by restart plus the recorded path, as far
-        as the deadline allows.
+        explored.  ``explore`` returns the device to the explored page, as
+        far as the deadline allows.
         """
         signal = detect_stuck(loop.history)
         if signal is None:
@@ -310,7 +311,6 @@ def run(
         loop.explored_states.add(signal.state)
         cache_path = knowledge = None
         if utg_cache_dir is not None:
-            Path(utg_cache_dir).mkdir(parents=True, exist_ok=True)
             cache_path = Path(utg_cache_dir) / f"{device.app_id}__{signal.state}__{settings_key}.json"
             try:
                 knowledge = load_knowledge(cache_path)
@@ -324,17 +324,12 @@ def run(
                 origin_path=tuple(loop.path_from_start),
                 deadline=deadline,
             )
-            if graph.truncated and time.monotonic() < deadline:
-                device.restart_app()
-                for cmd in loop.path_from_start:
-                    if time.monotonic() >= deadline:
-                        break
-                    device.execute(cmd)
             functionality = synthesize_functionality(graph, gateway, deadline)
             knowledge = _render_knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
             # Knowledge the deadline may have cut short is not served to later runs.
             if cache_path is not None and time.monotonic() < deadline:
-                save_knowledge(cache_path, knowledge)
+                with contextlib.suppress(OSError):  # an unwritable file is skipped, as an unreadable one is a miss
+                    save_knowledge(cache_path, knowledge)
         loop.knowledge = knowledge
         record["explored"] = True
         return device.capture_state()

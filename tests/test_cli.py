@@ -483,7 +483,7 @@ def test_config_file_must_hold_a_json_object(runner, tmp_path):
 # -- outputs -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["build-index", "extract", "replay", "eval"])
+@pytest.mark.parametrize("command", ["build-index", "extract", "replay", "replay-utg-cache", "eval"])
 def test_output_path_that_cannot_be_written_exits_3(runner, tmp_path, index_file, command):
     blocker = tmp_path / "afile"
     blocker.write_text("")
@@ -495,6 +495,7 @@ def test_output_path_that_cannot_be_written_exits_3(runner, tmp_path, index_file
             "--mock-script", str(scenario / "extract_mock.jsonl"), "--out", str(blocker / "out"),
         ],
         "replay": replay_args("url_crash", blocker / "out"),
+        "replay-utg-cache": replay_args("url_crash", tmp_path / "out", ["--utg-cache", str(blocker / "cache")]),
         "eval": ["eval", "--scenarios", str(SCENARIOS), "--out", str(blocker / "out")],
     }[command]
     result = runner.invoke(main, args)

@@ -185,11 +185,81 @@ class CountingDevice(SimulatorDevice):
 
 
 def test_exploration_respects_action_budget():
-    for budget in (1, 2, 3, 5):
+    for budget in (1, 2, 3, 4, 5):
         device = CountingDevice(load_spec(APPS / "hidden_about.json"))
         graph = explore(device, depth=1, action_budget=budget)
-        assert device.commands <= budget
-        assert graph.truncated
+        # Probing ends with the last probe, or with a restore cut short after it; the return is one restart.
+        last_probe = max(i for i, cmd in enumerate(device.log) if cmd != "restart")
+        assert last_probe + 1 <= budget and device.commands <= budget + 1
+        # Probing home takes five commands: three probes and the two restores between them.
+        assert graph.truncated == (budget < 5)
+        assert device.capture_state().state_id == graph.origin
+
+
+#: An app whose start page opens a hub; the hub's child pages link back to it, and one of its buttons crashes the app.
+LINKED_BACK_APP = {
+    "app_id": "linked.back",
+    "initial_state": "start",
+    "states": {
+        "start": {"activity": "StartActivity", "elements": [
+            {"id": "open", "class": "Button", "text": "Open", "bounds": [0, 0, 100, 50], "clickable": True},
+            {"id": "idle", "class": "Button", "text": "Idle", "bounds": [0, 100, 100, 150], "clickable": True},
+        ]},
+        "hub": {"activity": "HubActivity", "elements": [
+            {"id": "child", "class": "Button", "text": "Child", "bounds": [0, 0, 100, 50], "clickable": True},
+            {"id": "up", "class": "Button", "text": "Up", "bounds": [0, 100, 100, 150], "clickable": True},
+            {"id": "stay", "class": "Button", "text": "Stay", "bounds": [0, 200, 100, 250], "clickable": True},
+            {"id": "boom", "class": "Button", "text": "Boom", "bounds": [0, 300, 100, 350], "clickable": True},
+            {"id": "leaf", "class": "Button", "text": "Leaf", "bounds": [0, 400, 100, 450], "clickable": True},
+        ]},
+        "child": {"activity": "ChildActivity", "elements": [
+            {"id": "hub_link", "class": "Button", "text": "Hub", "bounds": [0, 0, 100, 50], "clickable": True},
+            {"id": "note", "class": "Button", "text": "Note", "bounds": [0, 100, 100, 150], "clickable": True},
+        ]},
+        "leaf": {"activity": "LeafActivity", "elements": [
+            {"id": "nothing", "class": "Button", "text": "Nothing", "bounds": [0, 0, 100, 50], "clickable": True},
+        ]},
+    },
+    "transitions": [
+        {"from": "start", "verb": "click", "feature": "open", "to": "hub"},
+        {"from": "hub", "verb": "click", "feature": "child", "to": "child"},
+        {"from": "hub", "verb": "click", "feature": "up", "to": "start"},
+        {"from": "hub", "verb": "click", "feature": "leaf", "to": "leaf"},
+        {"from": "child", "verb": "click", "feature": "hub_link", "to": "hub"},
+    ],
+    "crash_rules": [
+        {"state": "hub", "verb": "click", "feature": "boom",
+         "crash": {"exception_type": "java.lang.IllegalStateException", "message": "boom", "activity": "HubActivity"}},
+    ],
+}
+
+
+def origin_cases(tmp_path_factory):
+    """(spec, origin path): origins reached by an empty path and by a nonempty one, each with a page linking back."""
+    path = tmp_path_factory.getbasetemp() / "linked_back.json"
+    path.write_text(json.dumps(LINKED_BACK_APP), encoding="utf-8")
+    linked_back, hidden_about = load_spec(path), load_spec(APPS / "hidden_about.json")
+    open_hub = (ActionCommand(action="click", feature="Open"),)
+    tools = (ActionCommand(action="click", feature="Tools"),)
+    return [(linked_back, ()), (linked_back, open_hub), (hidden_about, ()), (hidden_about, tools)]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_explore_ends_on_its_origin_at_every_action_budget(tmp_path_factory, depth):
+    for spec, origin_path in origin_cases(tmp_path_factory):
+
+        def explored(budget: int) -> tuple[UtgGraph, CountingDevice]:
+            device = CountingDevice(spec)
+            for cmd in origin_path:
+                assert device.execute(cmd).ok
+            device.log.clear()
+            return explore(device, depth=depth, action_budget=budget, origin_path=origin_path), device
+
+        full = explored(1000)[1].commands
+        for budget in range(1, full + 1):
+            graph, device = explored(budget)
+            assert device.capture_state().state_id == graph.origin, (origin_path, budget)
+            assert device.commands <= budget + 1 + len(origin_path), (origin_path, budget)
 
 
 def test_exploration_action_count_matches_simulator_log():

@@ -216,7 +216,7 @@ def test_mock_script_rejects_an_entry_of_another_form(entry):
 @given(st.lists(json_values(["response", "when", "times", "error"], ["a", "b"]), max_size=4), st.sampled_from(["a", "ab"]))
 def test_any_json_mock_script_loads_or_raises_value_error(tmp_path_factory, lines, prompt):
     """Every line either loads or is rejected, and a loaded script answers with a string or a gateway error."""
-    path = tmp_path_factory.mktemp("mock") / "script.jsonl"
+    path = tmp_path_factory.getbasetemp() / "any_json_mock_script.jsonl"  # one file, rewritten per example
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     try:
         gateway = MockGateway.from_script_file(path)

@@ -275,7 +275,7 @@ def test_retrieve_returns_the_full_scans_ids_and_score_bits(tmp_path_factory, ca
     vectors, raw_query = case
     provider = StubProvider({"query": raw_query, **{f"v{i}": v for i, v in enumerate(vectors)}})
     built = build_index([make_report(f"r{i:02d}", [f"v{i}"]) for i in range(len(vectors))], provider)
-    path = tmp_path_factory.mktemp("index") / "index.bin"
+    path = tmp_path_factory.getbasetemp() / "full_scan_index.bin"  # one file, rewritten per example
     save_index(built, path)
     for index in (built, load_index(path)):
         expected = brute_force_ranking(index, embed("query", provider))
@@ -544,7 +544,7 @@ def indexes(draw):
 @given(indexes())
 @example(RagIndex("hashed-trigram-2", np.array([[0.6, 0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", ())]))
 def test_save_load_round_trip_is_exact(tmp_path_factory, index):
-    path = tmp_path_factory.mktemp("index") / "index.bin"
+    path = tmp_path_factory.getbasetemp() / "round_trip_index.bin"  # one file, rewritten per example
     save_index(index, path)
     loaded = load_index(path)
     assert (loaded.provider_id, loaded.dimension) == (index.provider_id, index.dimension)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
 from crashreplay.explorer import explore, synthesize_functionality, synthesize_ui_functions
-from crashreplay.gateway import MockGateway
+from crashreplay.gateway import ActionCommand, MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
     NO_ACTIONABLE_THRESHOLD,
@@ -533,6 +533,22 @@ def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
     assert cached.read_bytes() == built  # rebuilt and overwritten
 
 
+def test_run_skips_a_utg_cache_file_that_cannot_be_written(tmp_path):
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    uncached = run(report, gold, device, gateway, 10.0)
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+    (cached,) = tmp_path.glob("*.json")
+    cached.unlink()
+    cached.mkdir()  # a directory where the file goes
+
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    result = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+    assert result.outcome == Outcome.REPRODUCED
+    assert result.trace_text() == uncached.trace_text()
+    assert cached.is_dir() and list(tmp_path.iterdir()) == [cached]
+
+
 @pytest.mark.parametrize(
     "setting", [{"explore_depth": 2}, {"explore_action_budget": 39}, {"model_name": "another-model"}]
 )
@@ -573,8 +589,8 @@ def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action
 
 class RecordingSim(SimulatorDevice):
     """Records when each command starts and sleeps ``delay`` per command; with
-    ``outlast_deadline``, a restart issued after an exploration sleeps until past
-    the run's deadline."""
+    ``outlast_deadline``, a restart issued once an exploration has started sleeps
+    until past the run's deadline."""
 
     def __init__(self, spec, delay: float, outlast_deadline: bool = False):
         super().__init__(spec)
@@ -597,13 +613,12 @@ class RecordingSim(SimulatorDevice):
 
 
 def deadline_recording_explore(monkeypatch, device: RecordingSim, **overrides) -> None:
-    """Let ``replay.run``'s explorations hand their deadline to ``device`` once they return."""
+    """Let ``replay.run``'s explorations hand their deadline to ``device`` as they start."""
     from crashreplay import replay
 
     def recording_explore(dev, **kwargs):
-        graph = explore(dev, **{**kwargs, **overrides})
         device.deadline = kwargs["deadline"]
-        return graph
+        return explore(dev, **{**kwargs, **overrides})
 
     monkeypatch.setattr(replay, "explore", recording_explore)
 
@@ -631,11 +646,12 @@ def test_restore_after_a_cut_exploration_stops_replaying_the_path_at_the_deadlin
     ])
     report, gold, _, _, _ = load_scenario("hidden_about")
     device = RecordingSim(load_spec(APPS / "hidden_about.json"), delay=0.0, outlast_deadline=True)
-    deadline_recording_explore(monkeypatch, device, action_budget=4)  # ends on home, off the page
+    # The third probe crashes the app, so exploration's only restart is its return to the page.
+    deadline_recording_explore(monkeypatch, device)
     result = run(report, gold, device, gateway, 0.5)
     assert result.outcome == Outcome.BUDGET_EXHAUSTED
     assert result.trace_records[-1]["explored"]
-    # The restore's restart starts before the deadline and outlasts it; the path's click is not sent.
+    # The return's restart starts before the deadline and outlasts it; the path's click is not sent.
     assert device.started[-1][0] == "restart"
     assert [action for action, started in device.started if started >= device.deadline] == []
 
@@ -663,10 +679,11 @@ def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(
         {"response": '[{"action": "click", "feature": "Tools"}]', "times": None},
     ])
     report, gold, device, _, _ = load_scenario("hidden_about")
-    # The third probe clicks About and crashes the app; the budget ends before exploration restores.
+    # The third probe clicks About and crashes the app; the return to the page, restart and path, is not charged
+    # to the three-command budget.
     result = run(report, gold, device, gateway, 10.0, explore_action_budget=3, max_iterations=8)
     (graph,) = graphs
-    assert graph.truncated and len(explored) == 3
+    assert not graph.truncated and explored[3:] == ["restart", ActionCommand(action="click", feature="Tools")]
     assert result.outcome == Outcome.REPRODUCED
     assert all(len(rec["statuses"]) == len(rec["commands"]) for rec in result.trace_records)
 

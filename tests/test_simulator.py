@@ -352,7 +352,7 @@ def test_a_spec_field_loads_only_as_its_documented_type(tmp_path_factory, field,
     kind, attribute = DOCUMENTED[part][key]
     body, parts, loaded = spec_and_loaded_parts()
     parts[part][key] = value
-    path = tmp_path_factory.mktemp("spec") / "app.json"
+    path = tmp_path_factory.getbasetemp() / "documented_type.json"  # one file, rewritten per example
     path.write_text(json.dumps(body), encoding="utf-8")
     try:
         spec = load_spec(path)
