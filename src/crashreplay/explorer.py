@@ -168,6 +168,8 @@ def explore(
                 state = graph.nodes[state_id]
                 for probe in _probe_commands(state):
                     if current_id != state_id:
+                        if used + 1 + len(origin_path) + len(rel_path) + 1 > action_budget:
+                            raise _BudgetDone  # a restore only pays if the probe it serves fits too
                         restore_to(rel_path)
                         current_id = state_id
                     spend_one()

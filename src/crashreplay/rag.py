@@ -25,6 +25,7 @@ EMBED_TIMEOUT_S = 30.0
 #: Below this 2-norm the sum of squares nears the subnormal range and loses precision.
 _TINY_NORM = 1e-150
 _UNIT_ROUNDOFF = 2.0**-53
+EMBED_CHUNK = 256  #: Sentences per ``embed_raw_batch`` call in ``build_index``; it bounds the batch's temporaries.
 _LAYOUT = "columns"  #: The index file's ``layout``: its embedding block holds one row per dimension.
 
 
@@ -147,6 +148,10 @@ class EmbeddingProvider:
     def embed_raw(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
+    def embed_raw_batch(self, texts: list[str]) -> np.ndarray:
+        """The raw vectors of ``texts`` as the columns of one D x n block; by default one ``embed_raw`` each."""
+        return np.stack([_raw_vector(text, self) for text in texts], axis=1)
+
 
 class HashedTrigramProvider(EmbeddingProvider):
     """Deterministic offline embedder.
@@ -167,6 +172,26 @@ class HashedTrigramProvider(EmbeddingProvider):
         grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)] or [lowered]
         buckets = [_trigram_bucket(gram, self.dimension) for gram in grams]
         return np.bincount(buckets, minlength=self.dimension).astype(np.float64)
+
+    def embed_raw_batch(self, texts: list[str]) -> np.ndarray:
+        """``embed_raw`` of every text in one vectorized pass that hashes each distinct trigram once."""
+        n, lowered = len(texts), [text.lower() for text in texts]
+        joined = "".join(lowered)
+        lengths = np.array([len(text) for text in lowered], dtype=np.int64)
+        grams = np.maximum(lengths - 2, 0)
+        skipped = lengths - grams  # the characters of each text that start no trigram
+        # Each trigram's start in ``joined``; its three code points, 21 bits each, pack into one int64 key.
+        starts = np.arange(grams.sum()) + np.repeat(np.cumsum(skipped) - skipped, grams)
+        points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+        keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
+        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        buckets = [_trigram_bucket(joined[i : i + 3], self.dimension) for i in starts[first].tolist()]
+        cells = np.asarray(buckets, dtype=np.int64)[slot] * n + np.repeat(np.arange(n), grams)
+        # A text under three characters is its one gram.
+        short = [_trigram_bucket(lowered[j], self.dimension) * n + j for j in np.flatnonzero(grams == 0).tolist()]
+        cells = np.concatenate([cells, np.asarray(short, dtype=np.int64)])
+        # Weights of ones count straight into float64, the type of ``embed_raw``'s counts.
+        return np.bincount(cells, weights=np.ones(len(cells)), minlength=self.dimension * n).reshape(-1, n)
 
 
 # Module-level because a provider is made per extraction (``cli.provider_for_index``).
@@ -191,46 +216,62 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.session = requests.Session()  # one kept-alive connection for every POST
 
     def embed_raw(self, text: str) -> np.ndarray:
+        return self.embed_raw_batch([text])[:, 0]
+
+    def embed_raw_batch(self, texts: list[str]) -> np.ndarray:
+        """One POST for all of ``texts``."""
         import requests
 
         try:
-            resp = self.session.post(self.endpoint, json={"texts": [text]}, timeout=EMBED_TIMEOUT_S)
+            resp = self.session.post(self.endpoint, json={"texts": texts}, timeout=EMBED_TIMEOUT_S)
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:
             raise ProviderUnavailable(f"embedding endpoint failed: {exc}") from exc
         try:
-            vec = np.asarray(payload["embeddings"][0], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            rows = np.asarray(payload["embeddings"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailable(f"bad embedding payload: {exc}") from exc
-        if vec.shape != (self.dimension,):
-            raise DimensionMismatch(
-                f"endpoint returned dimension {vec.shape}, expected ({self.dimension},)"
-            )
-        return vec
+        if rows.ndim != 2 or len(rows) != len(texts):
+            raise ProviderUnavailable(f"endpoint returned embeddings of shape {rows.shape} for {len(texts)} texts")
+        if rows.shape[1] != self.dimension:
+            raise DimensionMismatch(f"endpoint returned dimension {rows.shape[1]}, expected {self.dimension}")
+        return rows.T
 
 
 def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """Embed ``text`` and L2-normalize the result, whatever the provider returned."""
+    vec = _raw_vector(text, provider)
+    _normalize_columns(vec[:, None], provider.provider_id)
+    return vec
+
+
+def _raw_vector(text: str, provider: EmbeddingProvider) -> np.ndarray:
+    """``provider``'s raw vector for ``text``, as a float64 array of its own."""
     if not text.strip():
         raise EmptyText("cannot embed empty text")
-    vec = np.asarray(provider.embed_raw(text), dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != provider.dimension:
+    vec = np.array(provider.embed_raw(text), dtype=np.float64)
+    if vec.shape != (provider.dimension,):
         raise DimensionMismatch(
             f"provider {provider.provider_id} returned shape {vec.shape}, expected ({provider.dimension},)"
         )
-    norm = float(np.linalg.norm(vec))
-    if not (_TINY_NORM < norm and math.isfinite(norm)):
+    return vec
+
+
+def _normalize_columns(block: np.ndarray, provider_id: str) -> None:
+    """Scale each column of the D x n ``block`` to unit 2-norm in place, to the same bytes at any width n."""
+    norms = np.sqrt(np.square(block.T, order="C").sum(axis=1))  # each column's squares summed along a contiguous row
+    for j in [j for j, norm in enumerate(norms.tolist()) if not _TINY_NORM < norm < math.inf]:
         # The plain norm lost precision, overflowed or is NaN: rescale by the
         # largest component first.  Ordinary vectors skip this and keep their bytes.
-        scale = float(np.max(np.abs(vec)))
+        scale = float(np.max(np.abs(block[:, j])))
         if not math.isfinite(scale):
-            raise ProviderUnavailable(f"provider {provider.provider_id} returned a non-finite vector")
+            raise ProviderUnavailable(f"provider {provider_id} returned a non-finite vector")
         if scale == 0.0:
-            raise ProviderUnavailable(f"provider {provider.provider_id} returned a zero vector")
-        vec = vec / scale
-        norm = float(np.linalg.norm(vec))
-    return vec / norm
+            raise ProviderUnavailable(f"provider {provider_id} returned a zero vector")
+        block[:, j] /= scale
+        norms[j] = math.sqrt(np.square(block[:, j]).sum())
+    block /= norms
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +372,20 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
     """Embed every labeled sentence into one record; record order follows the corpus."""
     if not corpus:
         raise EmptyCorpus("corpus has no reports")
-    columns = np.empty((provider.dimension, sum(len(report.sentences) for report in corpus)))
     entries = []
     for report in corpus:
         report.validate()
         for ordinal, sentence in enumerate(report.sentences, start=1):
-            columns[:, len(entries)] = embed(sentence.text, provider)
             entries.append((f"{report.report_id}:{ordinal:04d}", sentence.text, sentence.labels))
+    columns = np.empty((provider.dimension, len(entries)))
+    for lo in range(0, len(entries), EMBED_CHUNK):
+        texts = [sentence for _, sentence, _ in entries[lo : lo + EMBED_CHUNK]]
+        block = np.asarray(provider.embed_raw_batch(texts), dtype=np.float64)
+        if block.shape != (provider.dimension, len(texts)):
+            raise DimensionMismatch(f"provider {provider.provider_id} returned {block.shape} for {len(texts)} texts")
+        chunk = columns[:, lo : lo + len(texts)]
+        chunk[...] = block
+        _normalize_columns(chunk, provider.provider_id)
     return RagIndex(provider.provider_id, columns.T, entries)
 
 

@@ -98,15 +98,18 @@ def checkout_device():
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
+    """Embeds every text of a POST as a vector seeded by the text."""
+
     dimension = 8
+
+    def embeddings(self, texts: list[str]) -> list[list[float]]:
+        rngs = [random.Random(text) for text in texts]
+        return [[rng.random() for _ in range(self.dimension)] for rng in rngs]
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        text = payload["texts"][0]
-        rng = random.Random(text)
-        vector = [rng.random() for _ in range(self.dimension)]
-        body = json.dumps({"embeddings": [vector]}).encode()
+        body = json.dumps({"embeddings": self.embeddings(payload["texts"])}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -255,11 +255,38 @@ def test_explore_ends_on_its_origin_at_every_action_budget(tmp_path_factory, dep
             device.log.clear()
             return explore(device, depth=depth, action_budget=budget, origin_path=origin_path), device
 
-        full = explored(1000)[1].commands
-        for budget in range(1, full + 1):
+        graph, device = explored(1000)
+        origin_probes = len(probe_plan(graph.nodes[graph.origin]))
+        for budget in range(1, device.commands + 1):
             graph, device = explored(budget)
             assert device.capture_state().state_id == graph.origin, (origin_path, budget)
             assert device.commands <= budget + 1 + len(origin_path), (origin_path, budget)
+            assert restores_are_whole(device.log, origin_path, origin_probes), (origin_path, budget, device.log)
+
+
+def restores_are_whole(log: list, origin_path: tuple, origin_probes: int) -> bool:
+    """Whether every restart in ``log`` but the return is followed by its whole path and one probe.
+
+    A restore replays ``origin_path``; once the origin's ``origin_probes``
+    probes are done, a restore also takes the one step to the page it
+    restores (depth 2).  The return is a last restart followed by
+    ``origin_path`` alone.
+    """
+    segments: list[list] = [[]]
+    for cmd in log:
+        if cmd == "restart":
+            segments.append([])
+        else:
+            segments[-1].append(cmd)
+    if len(segments) > 1 and segments[-1] == list(origin_path):
+        segments.pop()
+    probes = len(segments[0])
+    for segment in segments[1:]:
+        path = len(origin_path) + (probes >= origin_probes)
+        if segment[: len(origin_path)] != list(origin_path) or len(segment) < path + 1:
+            return False
+        probes += len(segment) - path
+    return True
 
 
 def test_exploration_action_count_matches_simulator_log():

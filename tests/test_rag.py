@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import _EmbedHandler, counting_server, script_from_report
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
+    EMBED_CHUNK,
     DimensionMismatch,
     EmbeddingProvider,
     EmptyCorpus,
@@ -187,15 +188,26 @@ def test_embed_keeps_the_bytes_of_ordinary_vectors(provider):
 
 
 @settings(max_examples=300)
-@given(st.text(max_size=2) | st.text(max_size=40) | st.text(alphabet="abcİßΣ ", max_size=12))
-@example("İ")
-@example("")
-def test_trigram_embedding_matches_reference(text):
+@given(
+    st.lists(
+        st.text(max_size=2) | st.text(max_size=40) | st.text(alphabet="abcİßΣ ", max_size=12), min_size=1, max_size=6
+    )
+)
+@example(["İ"])
+@example([""])
+@example(["😀ab", "a", "ab", "😀", "Σς"])
+# Longer than a chunk, with texts of 0 to 8 characters.
+@example(["tap İß Σ 😀 ok"[: i % 9] for i in range(EMBED_CHUNK + 40)])
+def test_trigram_embedding_matches_reference(texts):
     # Two dimensions per text: a memo keyed on the trigram alone would serve one's buckets to the other.
     for dimension in (384, 97):
-        got = HashedTrigramProvider(dimension).embed_raw(text)
-        assert got.dtype == np.float64
-        assert got.tobytes() == reference_trigram_embedding(text, dimension).tobytes()
+        provider = HashedTrigramProvider(dimension)
+        block = provider.embed_raw_batch(texts)
+        assert block.dtype == np.float64 and block.shape == (dimension, len(texts))
+        for j, text in enumerate(texts):
+            expected = reference_trigram_embedding(text, dimension).tobytes()
+            assert provider.embed_raw(text).tobytes() == expected
+            assert block[:, j].tobytes() == expected
 
 
 def test_embed_similarity_ordering(provider):
@@ -229,11 +241,33 @@ def test_duplicate_sentences_kept_as_distinct_records(provider):
     assert index.records[0].record_id != index.records[1].record_id
 
 
-def test_mini_corpus_builds_unit_norm_records(mini_corpus, provider):
+def test_mini_corpus_builds_unit_norm_records(mini_corpus, provider, tmp_path):
     index = build_index(mini_corpus, provider)
     assert len(index) == 20
     for record in index.records:
         assert abs(np.linalg.norm(record.embedding) - 1.0) <= 1e-6
+    save_index(index, tmp_path / "index.bin")
+    digest = hashlib.sha256((tmp_path / "index.bin").read_bytes()).hexdigest()
+    assert digest == "3ed36ddd181e332ecc7f096063f6d72002384686aaed1fda7b61ba2427358199"
+
+
+def test_build_index_records_equal_embed_across_chunks():
+    rng = np.random.default_rng(5)
+    vectors = {f"v{i}": rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8) for i in range(EMBED_CHUNK + 60)}
+    # Rows whose plain norm underflows or overflows, on both sides of the chunk boundary.
+    rescued = ([5.5e-248, 0.0], [1e-160, 0.0], [1e200, 1e200], [-1e-160, 1e-170])
+    for i, raw in zip((3, EMBED_CHUNK - 1, EMBED_CHUNK, EMBED_CHUNK + 7), rescued):
+        vectors[f"v{i}"] = np.array(raw)
+    provider = StubProvider({"query": vectors["v0"], **vectors})
+    texts = list(vectors)
+    index = build_index([make_report("a", texts[:100]), make_report("b", texts[100:])], provider)
+    assert [record.sentence for record in index.records] == texts
+    for record in index.records:
+        assert record.embedding.tobytes() == embed(record.sentence, provider).tobytes()
+    for bad in ([0.0, 0.0], [np.inf, 1.0], [1e200, np.nan]):
+        stub = StubProvider({**provider.vectors, texts[EMBED_CHUNK + 3]: np.array(bad)})
+        with pytest.raises(ProviderUnavailable):
+            build_index([make_report("a", texts)], stub)
 
 
 # -- retrieval ------------------------------------------------------------------
@@ -574,17 +608,39 @@ def test_http_provider_round_trip(embed_server):
     assert abs(np.linalg.norm(vector) - 1.0) <= 1e-6
 
 
-def test_http_provider_dimension_check(embed_server):
+def test_http_provider_dimension_check(embed_server, mini_corpus):
     provider = HttpEmbeddingProvider(embed_server, dimension=16)
     with pytest.raises(DimensionMismatch):
         embed("tap button", provider)
+    with pytest.raises(DimensionMismatch):
+        build_index(mini_corpus, provider)
+
+
+class _OneShortHandler(_EmbedHandler):
+    def embeddings(self, texts):
+        return super().embeddings(texts)[:-1]
 
 
 def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
-    with counting_server(_EmbedHandler) as server:
+    posts = []
+
+    class CountingHandler(_EmbedHandler):
+        def embeddings(self, texts):
+            posts.append(len(texts))
+            return super().embeddings(texts)
+
+    with counting_server(CountingHandler) as server:
         provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
-        assert len(build_index(mini_corpus, provider)) == 20
+        index = build_index(mini_corpus, provider)
+        assert len(index) == 20 and posts == [20]  # the whole corpus is one chunk
+        for record in index.records:
+            assert record.embedding.tobytes() == embed(record.sentence, provider).tobytes()
         assert server.connections == 1
+        provider.session.close()
+    with counting_server(_OneShortHandler) as server:
+        provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
+        with pytest.raises(ProviderUnavailable):
+            build_index(mini_corpus, provider)
         provider.session.close()
 
 
