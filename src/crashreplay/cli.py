@@ -71,15 +71,22 @@ def _read_text(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply to decode ({exc})") from exc
+
+
 def _read_object(path) -> dict:
-    value = json.loads(_read_text(path))
+    value = _read_json(path)
     if not isinstance(value, dict):
         raise ValueError("not a JSON object")
     return value
 
 
 def _read_script(path) -> S2RScript:
-    return S2RScript.from_dict(json.loads(_read_text(path)))
+    return S2RScript.from_dict(_read_json(path))
 
 
 def _write(path: Path, write: Callable[[Path], object]) -> None:

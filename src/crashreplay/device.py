@@ -53,7 +53,7 @@ class Bounds(NamedTuple):
         return integers and 0 <= left <= right and 0 <= top <= bottom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UiElement:
     element_id: str
     class_name: str

@@ -305,7 +305,7 @@ def load_knowledge(path: str | Path) -> str:
     """
     try:
         text = json.loads(Path(path).read_text(encoding="utf-8"))["knowledge"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ExplorerError(f"{path} holds no knowledge record: {exc!r}") from exc
     if not isinstance(text, str):
         raise ExplorerError(f"{path} holds no knowledge text")

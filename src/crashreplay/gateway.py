@@ -333,6 +333,8 @@ class MockGateway(LlmGateway):
                 value = json.loads(line)
             except json.JSONDecodeError:
                 value = line  # a raw response line, consumed once
+            except RecursionError as exc:
+                raise ValueError(f"a line is JSON nested too deeply to decode ({exc})") from exc
             entries.append(_entry_from_value(value))
         return cls(entries)
 

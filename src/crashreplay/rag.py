@@ -478,7 +478,7 @@ def load_index(path: str | Path) -> RagIndex:
         provider_id = header["provider_id"]
         dimension = int(header["dimension"])
         raw_records = list(header["records"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise IndexFormatError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
     if (layout := header.get("layout")) != _LAYOUT:
         raise IndexFormatError(f"{path}: index layout {layout!r} is not {_LAYOUT!r}; rebuild it with build-index")

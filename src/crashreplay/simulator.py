@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .device import (
     AlreadyCrashed,
@@ -35,23 +36,20 @@ class SpecInvalid(Exception):
         super().__init__("invalid app spec:\n" + "\n".join(f"- {v}" for v in violations))
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     verb: str
     element_id: str | None = None
     required_text: str | None = None
     direction: str | None = None
 
 
-@dataclass(frozen=True)
-class TransitionRule:
+class TransitionRule(NamedTuple):
     from_state: str
     trigger: Trigger
     to_state: str
 
 
-@dataclass(frozen=True)
-class FieldCondition:
+class FieldCondition(NamedTuple):
     element_id: str
     op: str  # equals | not_equals | prefix | not_prefix
     value: str
@@ -68,16 +66,14 @@ class FieldCondition:
         raise ValueError(f"unknown field op {self.op!r}")
 
 
-@dataclass(frozen=True)
-class CrashRule:
+class CrashRule(NamedTuple):
     state: str
     trigger: Trigger
     crash: CrashInfo
     requires_field: FieldCondition | None = None
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(NamedTuple):
     name: str
     activity: str
     elements: tuple[UiElement, ...]
@@ -121,19 +117,17 @@ def _fields(raw, kind: str, where: tuple, violations: list[str]) -> bool:
     if not isinstance(raw, dict):
         violations.append(f"{template.format(*where)} is not a JSON object")
         return False
-    faults = []
+    before = len(violations)
     for key, value in raw.items():
         expected = types.get(key)
         if expected is None:
-            faults.append(f"unknown key {key!r}")
+            violations.append(f"{template.format(*where)}: unknown key {key!r}")
         elif not isinstance(value, expected):
-            faults.append(f"{key} {value!r} is not {_TYPE_NAMES[expected]}")
+            violations.append(f"{template.format(*where)}: {key} {value!r} is not {_TYPE_NAMES[expected]}")
     for key in required:
         if key not in raw:
-            faults.append(f"missing key {key!r}")
-    for fault in faults:
-        violations.append(f"{template.format(*where)}: {fault}")
-    return not faults
+            violations.append(f"{template.format(*where)}: missing key {key!r}")
+    return len(violations) == before
 
 
 def _container(raw: dict, key: str, empty):
@@ -142,19 +136,40 @@ def _container(raw: dict, key: str, empty):
     return value if isinstance(value, type(empty)) else empty
 
 
+_AMBIGUOUS = object()  # a feature table's value for a key that two elements claim
+
+
+def _feature_table(state: StateSpec) -> dict:
+    """Each element's id, text and resource-id suffix, mapped to the element, or to ``_AMBIGUOUS`` if two claim it."""
+    table: dict = {}
+    for e in state.elements:
+        rid = e.resource_id or ""
+        suffix = rid[rid.rfind("/") + 1:]
+        table[e.element_id] = e if table.get(e.element_id, e) is e else _AMBIGUOUS
+        table[e.text] = e if table.get(e.text, e) is e else _AMBIGUOUS
+        table[suffix] = e if table.get(suffix, e) is e else _AMBIGUOUS
+    return table
+
+
 def _parse_trigger(
-    raw: dict, kind: str, where: tuple, states: dict[str, StateSpec], from_state: str, violations: list[str]
+    raw: dict, kind: str, where: tuple, states: dict[str, StateSpec], tables: dict[str, dict], from_state: str,
+    violations: list[str],
 ) -> Trigger:
-    """A checked rule's trigger; its feature binds to the one element of ``from_state`` of that id, text or resource id."""
+    """A checked rule's trigger; its feature binds to the one element of ``from_state`` with that id, text or
+    resource-id suffix.
+
+    ``tables`` keeps each state's feature table, built the first time a rule names the state."""
     element_id, feature, state = None, raw.get("feature"), states.get(from_state)
     if feature is not None and state is not None:
-        hits = [e.element_id for e in state.elements
-                if e.element_id == feature or e.text == feature or (e.resource_id or "").rsplit("/", 1)[-1] == feature]
-        if len(hits) == 1:
-            element_id = hits[0]
-        else:
-            fault = "is ambiguous in" if hits else "matches no element of"
+        table = tables.get(from_state)
+        if table is None:
+            table = tables[from_state] = _feature_table(state)
+        hit = table.get(feature)
+        if hit is None or hit is _AMBIGUOUS:
+            fault = "matches no element of" if hit is None else "is ambiguous in"
             violations.append(f"{_KINDS[kind][0].format(*where)}: feature {feature!r} {fault} {from_state!r}")
+        else:
+            element_id = hit.element_id
     return Trigger(raw.get("verb", ""), element_id, raw.get("required_text"), raw.get("direction"))
 
 
@@ -162,7 +177,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
     """Load and fully validate an app spec file; raises :class:`SpecInvalid`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SpecInvalid([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise SpecInvalid([f"{path}: the top level is not a JSON object"])
@@ -201,7 +216,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
     if isinstance(initial, str) and initial not in states:
         violations.append(f"initial_state {initial!r} is not a declared state")
 
-    transitions, seen_triggers = [], set()
+    transitions, seen_triggers, tables = [], set(), {}
     for i, entry in enumerate(_container(raw, "transitions", [])):
         if not _fields(entry, "transition", (i,), violations):
             continue
@@ -210,7 +225,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
             violations.append(f"transition {i}: unknown from-state {from_state!r}")
         if to_state not in states:
             violations.append(f"transition {i}: unknown to-state {to_state!r}")
-        trigger = _parse_trigger(entry, "transition", (i,), states, from_state, violations)
+        trigger = _parse_trigger(entry, "transition", (i,), states, tables, from_state, violations)
         if (from_state, trigger) in seen_triggers:
             violations.append(f"transition {i}: duplicate trigger {trigger} from {from_state!r}")
         seen_triggers.add((from_state, trigger))
@@ -228,7 +243,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
         state_name = entry.get("state", "")
         if state_name not in states:
             violations.append(f"crash rule {i}: unknown state {state_name!r}")
-        trigger = _parse_trigger(entry, "crash rule", (i,), states, state_name, violations)
+        trigger = _parse_trigger(entry, "crash rule", (i,), states, tables, state_name, violations)
         condition = None
         if cond is not None:
             op = cond.get("op", "")
@@ -302,16 +317,16 @@ class SimSession:
         return self.field_values.get(element_id, self._initial_text.get(element_id, ""))
 
     def _trigger_matches(self, trigger: Trigger, cmd: ActionCommand, element: UiElement | None) -> bool:
-        if trigger.verb != cmd.action:
+        """Whether a trigger of ``cmd``'s verb fires: each field it sets is the command's.
+
+        The rules are keyed by verb, so the verb is not compared again, and the
+        element id is read once: a named-tuple field costs more to read than a dataclass attribute."""
+        element_id = trigger.element_id
+        if element_id is not None and (element is None or element.element_id != element_id):
             return False
-        if trigger.element_id is not None:
-            if element is None or element.element_id != trigger.element_id:
-                return False
         if trigger.required_text is not None and cmd.input_text != trigger.required_text:
             return False
-        if trigger.direction is not None and cmd.direction != trigger.direction:
-            return False
-        return True
+        return trigger.direction is None or cmd.direction == trigger.direction
 
     def step(self, cmd: ActionCommand) -> ExecStatus:
         """Apply one command: crash rules match first, then transitions.

@@ -38,6 +38,10 @@ def json_values(keys: list[str], words: list[str] = ()):
     )
 
 
+#: JSON nested too deeply for the decoder: it raises RecursionError, which every input reader must turn into its own error.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def data_path(name: str) -> Path:
     return DATA_DIR / name
 

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from crashreplay.cli import fixtures_path, main
 from crashreplay.gateway import ENV_ENDPOINT, ENV_MODEL
+from conftest import DEEP_JSON
 from test_refactor_gate import REFERENCE_SHA256
 
 SCENARIOS = fixtures_path() / "scenarios"
@@ -157,13 +158,14 @@ def test_extract_queries_an_index_built_with_an_embed_endpoint(runner, tmp_path,
 
 def test_extract_malformed_index_exits_3(runner, tmp_path):
     index = tmp_path / "index.bin"
-    index.write_text("not an index")
-    result = runner.invoke(
-        main,
-        ["extract", "--report", str(SCENARIOS / "url_crash" / "report.txt"), "--index", str(index),
-         "--mock-script", str(SCENARIOS / "url_crash" / "extract_mock.jsonl"), "--out", str(tmp_path / "out")],
-    )
-    assert_cannot_read(result, "index", index)
+    for text in ("not an index", DEEP_JSON + "\n"):  # the header is the first line
+        index.write_text(text)
+        result = runner.invoke(
+            main,
+            ["extract", "--report", str(SCENARIOS / "url_crash" / "report.txt"), "--index", str(index),
+             "--mock-script", str(SCENARIOS / "url_crash" / "extract_mock.jsonl"), "--out", str(tmp_path / "out")],
+        )
+        assert_cannot_read(result, "index", index)
 
 
 def test_extract_live_mode_without_env_fails(runner, tmp_path, index_file, monkeypatch):
@@ -263,6 +265,8 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--mock-script", "mock script", '{"when": "Screen"}'),
         ("--mock-script", "mock script", '{"response": 5}'),
         ("--mock-script", "mock script", '{"response": "x", "times": "2"}'),
+        *(pytest.param(option, what, DEEP_JSON, id=f"{option}-{what}-nested too deeply")
+          for option, what in (("--script", "script"), ("--sim-spec", "app spec"), ("--mock-script", "mock script"))),
     ],
 )
 def test_replay_missing_or_malformed_input_exits_3_naming_it(runner, tmp_path, option, what, text):
@@ -276,8 +280,9 @@ def test_replay_missing_or_malformed_input_exits_3_naming_it(runner, tmp_path, o
 
 def test_config_file_that_is_malformed_exits_3_naming_it(runner, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text("{")
-    assert_cannot_read(runner.invoke(main, ["--config", str(config), "build-index"]), "config", config)
+    for text in ("{", DEEP_JSON):
+        config.write_text(text)
+        assert_cannot_read(runner.invoke(main, ["--config", str(config), "build-index"]), "config", config)
 
 
 # -- eval --------------------------------------------------------------------

@@ -34,6 +34,7 @@ from crashreplay.explorer import (
 )
 from crashreplay.gateway import ActionCommand, MockGateway
 from crashreplay.simulator import SimSession, SimulatorDevice, load_spec
+from conftest import DEEP_JSON
 
 APPS = fixtures_path() / "apps"
 
@@ -575,7 +576,8 @@ def test_knowledge_save_that_fails_midway_keeps_the_previous_file(tmp_path, monk
 
 @pytest.mark.parametrize(
     "content",
-    ["{corrupt", "{}", '{"graph": []}', "[1]", "", '"text"', '{"knowledge": ["x"]}', '{"knowledge": null}'],
+    ["{corrupt", "{}", '{"graph": []}', "[1]", "", '"text"', '{"knowledge": ["x"]}', '{"knowledge": null}',
+     pytest.param(DEEP_JSON, id="nested too deeply")],
 )
 def test_knowledge_load_of_a_malformed_file_is_an_explorer_error(tmp_path, content):
     path = tmp_path / "knowledge.json"

@@ -29,7 +29,7 @@ from crashreplay.replay import (
 )
 from crashreplay.simulator import SimulatorDevice, load_spec
 from crashreplay.cli import fixtures_path
-from conftest import load_scenario
+from conftest import DEEP_JSON, load_scenario
 
 APPS = fixtures_path() / "apps"
 
@@ -516,7 +516,9 @@ def write_earlier_record(path, entry_fields: dict) -> None:
     path.write_text(json.dumps({"graph": graph, "functionality": [entry], "ui_functions": {"o": "A page."}}))
 
 
-@pytest.mark.parametrize("how", ["{corrupt", "{}", '{"knowledge": ["x"]}', *EARLIER_ENTRY_FIELDS])
+@pytest.mark.parametrize(
+    "how", ["{corrupt", "{}", '{"knowledge": ["x"]}', *EARLIER_ENTRY_FIELDS, pytest.param(DEEP_JSON, id="nested too deeply")]
+)
 def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
     report, gold, device, gateway, _ = load_scenario("hidden_about")
     first = run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashreplay.cli import fixtures_path
@@ -126,7 +126,17 @@ def test_ambiguous_trigger_feature_reported(tmp_path):
     )
     with pytest.raises(SpecInvalid) as excinfo:
         load_spec(write_spec(tmp_path, body))
-    assert any("ambiguous" in v for v in excinfo.value.violations)
+    assert excinfo.value.violations == ["transition 0: feature 'go' is ambiguous in 'a'"]
+
+
+def test_duplicate_trigger_reported_with_the_bound_trigger(tmp_path):
+    body = json.loads(json.dumps(MINIMAL))
+    body["transitions"].append({"from": "a", "verb": "click", "feature": "GO", "to": "a"})  # binds to "go" as well
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert excinfo.value.violations == [
+        "transition 2: duplicate trigger Trigger(verb='click', element_id='go', required_text=None, direction=None) from 'a'"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -700,3 +710,71 @@ def test_indexed_rules_step_as_a_scan_of_every_rule_in_spec_order(tmp_path_facto
             reference.restart()
         status = session.step(cmd)
         assert (status.ok, status.detail, status.new_state.state_id, status.crash, status.no_match_feature) == reference.step(cmd)
+
+
+# -- feature binding: one table lookup per rule, as a scan of every element of the rule's state finds it ------
+
+BIND_STATES = ["a", "b", "c", "d"]
+#: A small alphabet, so that ids equal other elements' texts, ids repeat, and "" is a feature.
+BIND_WORDS = ["", "go", "Go", "ok", "x"]
+#: Resource ids whose suffixes are shared ("go"), empty ("app:id/") or the whole id ("ok").
+BIND_RESOURCE_IDS = [None, "app:id/go", "other:id/go", "app:id/", "ok", "a/b/x"]
+
+
+@st.composite
+def binding_specs(draw):
+    """A spec of 1-4 states of 0-4 elements each, with transitions and crash rules whose features come from
+    the same alphabet as the elements' ids, texts and resource-id suffixes; some rules name an unknown state."""
+    states = BIND_STATES[: draw(st.integers(1, 4))]
+    element = st.fixed_dictionaries(
+        {"id": st.sampled_from(BIND_WORDS), "class": st.just("Button")},
+        optional={"text": st.none() | st.sampled_from(BIND_WORDS), "resource_id": st.sampled_from(BIND_RESOURCE_IDS)},
+    )
+    unique_ids = draw(st.integers(0, 3)) > 0  # duplicate ids make every spec invalid, so draw them only now and then
+    layouts = {name: draw(st.lists(element, max_size=4, unique_by=(lambda e: e["id"]) if unique_ids else None))
+               for name in states}
+
+    @st.composite
+    def rule(draw):
+        name = draw(st.sampled_from(states * 4 + ["zz"]))
+        keys = [key for e in layouts.get(name, ()) for key in (e["id"], e.get("text"), (e.get("resource_id") or "").rsplit("/", 1)[-1])]
+        return name, draw(st.sampled_from([key for key in keys if key is not None] + ["id/go", "zz", None]))
+
+    def featured(key: str, name: str, verb: str, feature: str | None) -> dict:
+        return {key: name, "verb": verb, **({} if feature is None else {"feature": feature})}
+
+    transitions = draw(st.lists(rule(), min_size=1, max_size=4, unique=True))
+    crash_rules = draw(st.lists(rule(), max_size=2))
+    return {
+        "app_id": "t.bind",
+        "initial_state": "a",
+        "states": {name: {"elements": [{**e, "bounds": [0, 0, 10, 10]} for e in layouts[name]]} for name in states},
+        "transitions": [{**featured("from", name, "click", f), "to": "a"} for name, f in transitions],
+        "crash_rules": [{**featured("state", name, "long_click", f), "crash": {"exception_type": "E"}} for name, f in crash_rules],
+    }
+
+
+@settings(max_examples=300)
+@given(binding_specs())
+def test_a_feature_binds_as_a_scan_of_its_states_elements(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "bindings.json"  # one file, rewritten per example
+    path.write_text(json.dumps(body), encoding="utf-8")
+    rules = [(f"transition {i}", raw, raw["from"]) for i, raw in enumerate(body["transitions"])]
+    rules += [(f"crash rule {i}", raw, raw["state"]) for i, raw in enumerate(body["crash_rules"])]
+    expected_lines, bound = [], []
+    for where, raw, name in rules:
+        feature, hits = raw.get("feature"), None
+        if feature is not None and name in body["states"]:
+            hits = [e["id"] for e in body["states"][name]["elements"]
+                    if e["id"] == feature or e.get("text") == feature or (e.get("resource_id") or "").rsplit("/", 1)[-1] == feature]
+            if len(hits) != 1:
+                fault = "is ambiguous in" if hits else "matches no element of"
+                expected_lines.append(f"{where}: feature {feature!r} {fault} {name!r}")
+        bound.append(hits[0] if hits and len(hits) == 1 else None)
+    try:
+        spec = load_spec(path)
+    except SpecInvalid as exc:
+        assert [v for v in exc.violations if ": feature " in v] == expected_lines
+        return
+    assert not expected_lines
+    assert [rule.trigger.element_id for rule in (*spec.transitions, *spec.crash_rules)] == bound
