@@ -4,13 +4,14 @@ When replay gets stuck on a page, the explorer systematically triggers each
 interactable element of that page (recursively to a configured depth),
 recording every (state, action, resulting state) edge.  A language model
 then summarizes what each element leads to and what each discovered screen
-does; those tables re-ground the replay prompts.
+does; those knowledge lines re-ground the replay prompts.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -138,23 +139,26 @@ def explore(
     used = 0
     current_id: str | None = origin.state_id
 
-    def spend_one() -> None:
+    def spend_one(limit: float) -> None:
         nonlocal used
-        if used + 1 > action_budget or (deadline is not None and time.monotonic() >= deadline):
+        if used + 1 > limit or (deadline is not None and time.monotonic() >= deadline):
             raise _BudgetDone
         used += 1
 
-    def restore_to(rel_path: tuple[ActionCommand, ...]) -> None:
-        """restart + origin path + relative path; the caller sets current_id once it returns."""
+    def restore_to(state_id: str, rel_path: tuple[ActionCommand, ...], limit: float) -> None:
+        """restart + origin path + ``rel_path`` to ``state_id``, begun only if it and one more command fit ``limit``."""
         nonlocal current_id
+        if used + 1 + len(origin_path) + len(rel_path) + 1 > limit:
+            raise _BudgetDone  # a restore only pays if the command it serves fits too
         current_id = None
-        spend_one()
+        spend_one(math.inf)
         device.restart_app()
-        for cmd in tuple(origin_path) + rel_path:
-            spend_one()
+        for cmd in (*origin_path, *rel_path):
+            spend_one(math.inf)
             status = device.execute(cmd)
             if not status.ok or status.crash:
                 raise ExplorerError(f"restore path failed at {cmd.to_dict()}")
+        current_id = state_id
 
     frontier: list[tuple[str, tuple[ActionCommand, ...]]] = [(origin.state_id, ())]
     probed: set[str] = set()
@@ -168,17 +172,13 @@ def explore(
                 state = graph.nodes[state_id]
                 for probe in _probe_commands(state):
                     if current_id != state_id:
-                        if used + 1 + len(origin_path) + len(rel_path) + 1 > action_budget:
-                            raise _BudgetDone  # a restore only pays if the probe it serves fits too
-                        restore_to(rel_path)
-                        current_id = state_id
-                    spend_one()
+                        restore_to(state_id, rel_path, action_budget)
+                    spend_one(action_budget)
                     status = device.execute(probe)
                     if status.crash:
                         current_id = None
                         continue
                     if not status.ok:
-                        current_id = state_id
                         continue
                     dest = status.new_state
                     current_id = dest.state_id
@@ -192,10 +192,9 @@ def explore(
             frontier = next_frontier
     except (_BudgetDone, ExplorerError):
         graph.truncated = True
-    action_budget = used + 1 + len(origin_path)  # the return is charged only to the deadline
     with contextlib.suppress(_BudgetDone, ExplorerError):  # past the deadline, or the path failed
         if current_id != origin.state_id:
-            restore_to(())
+            restore_to(origin.state_id, (), math.inf)  # the return is charged only to the deadline
     return graph
 
 
@@ -220,70 +219,56 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
     return min(reachable, key=lambda sid: (distances[sid], sid))
 
 
-@dataclass
-class FunctionalityEntry:
-    """What one origin-page element accomplishes, and the screen its probe led to.
-
-    ``synthesized_functionality`` is None when the model could not be asked;
-    ``destination`` is None when probing the element recorded no edge.
-    """
-
-    element: str
-    synthesized_functionality: str | None
-    destination: str | None
-
-
-def synthesize_functionality(
-    graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None
-) -> tuple[FunctionalityEntry, ...]:
-    """Summarize, per interactable origin element, the screen it leads to.
+def synthesize_functionality(graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None) -> list[str]:
+    """One knowledge line per interactable origin element: the summary of the screen it leads to, and the path.
 
     Every probe of an origin element starts on the origin, so an element's
-    destination is the first origin edge probing its feature.  A gateway
-    failure leaves only that entry's summary None; there is always one entry
-    per interactable element of the origin page.
+    destination is the first origin edge probing its feature.  An element
+    with no edge gets :data:`NO_SCREEN_CHANGE` without a model call; a
+    gateway failure gives its summary "(summary unavailable)", and an empty
+    reply "(no summary)".
     """
     template = load_template("functionality_summary.txt")
     origin_state = graph.nodes[graph.origin]
+    origin_activity = origin_state.activity_name
     first_edges: dict[str | None, UtgEdge] = {}
     for edge in graph.out_edges(graph.origin):
         first_edges.setdefault(edge.action.feature, edge)
-    entries: list[FunctionalityEntry] = []
+    lines: list[str] = []
     for element in interactable_elements(origin_state):
         feature = feature_for_element(element) or element.element_id
         edge = first_edges.get(feature)
         if edge is None:
-            entries.append(FunctionalityEntry(feature, NO_SCREEN_CHANGE, None))
+            lines.append(f'- "{feature}": {NO_SCREEN_CHANGE}')
             continue
+        destination = graph.nodes[edge.to_state]
         prompt = template.format(
-            feature=feature,
-            origin_activity=origin_state.activity_name,
-            destination=encode_state_text(graph.nodes[edge.to_state]),
+            feature=feature, origin_activity=origin_activity, destination=encode_state_text(destination)
         )
         try:
-            summary: str | None = gateway.complete(prompt, deadline).strip()
+            summary = gateway.complete(prompt, deadline).strip() or "(no summary)"
         except GatewayError:
-            summary = None
-        entries.append(FunctionalityEntry(feature, summary, edge.to_state))
-    return tuple(entries)
+            summary = "(summary unavailable)"
+        path = f"{origin_activity} > {destination.activity_name} via [{feature}]"
+        lines.append(f'- "{feature}": {summary} Path: {path}.')
+    return lines
 
 
-def synthesize_ui_functions(
-    graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None
-) -> dict[str, str | None]:
-    """Ask the model to describe every screen of the graph, in BFS order.
+def synthesize_ui_functions(graph: UtgGraph, gateway: LlmGateway, deadline: float | None = None) -> list[str]:
+    """One knowledge line per screen of the graph, in BFS order: the model's description of it.
 
-    Returns state id -> description, None where the gateway failed.
+    A gateway failure or an empty reply gives "(description unavailable)".
     """
     template = load_template("state_summary.txt")
-    descriptions: dict[str, str | None] = {}
+    lines: list[str] = []
     for state_id in graph.bfs():
-        prompt = template.format(state=encode_state_text(graph.nodes[state_id]))
+        state = graph.nodes[state_id]
         try:
-            descriptions[state_id] = gateway.complete(prompt, deadline).strip()
+            description = gateway.complete(template.format(state=encode_state_text(state)), deadline).strip()
         except GatewayError:
-            descriptions[state_id] = None
-    return descriptions
+            description = ""
+        lines.append(f"- {state.activity_name}: {description or '(description unavailable)'}")
+    return lines
 
 
 def save_knowledge(path: str | Path, text: str) -> None:

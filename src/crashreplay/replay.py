@@ -29,8 +29,6 @@ from .device import (
 )
 from .explorer import (
     ExplorerError,
-    FunctionalityEntry,
-    UtgGraph,
     explore,
     load_knowledge,
     save_knowledge,
@@ -169,43 +167,18 @@ def detect_stuck(tracker: StuckTracker) -> StuckSignal | None:
     return tracker.no_actionable
 
 
-def render_feedback(status: ExecStatus, previous_state_id: str | None = None) -> str:
+def render_feedback(status: ExecStatus, previous_state_id: str) -> str:
     """One-paragraph execution feedback appended to the next prompt."""
     if status.crash:
         return ""
     command_note = f" ({status.detail})" if status.detail else ""
     if status.ok:
-        text = (
+        changed = "changed" if status.new_state.state_id != previous_state_id else "did not change"
+        return (
             f"The action executed successfully{command_note}. "
-            f"The current screen is {status.new_state.activity_name}."
+            f"The current screen is {status.new_state.activity_name}. The screen {changed}."
         )
-        if previous_state_id is not None:
-            changed = status.new_state.state_id != previous_state_id
-            text += " The screen changed." if changed else " The screen did not change."
-        return text
     return f"The action failed: {status.detail}. The screen did not change."
-
-
-def _render_knowledge(
-    graph: UtgGraph, functionality: tuple[FunctionalityEntry, ...], ui_functions: dict[str, str | None]
-) -> str:
-    """The learned-knowledge prompt section for one explored page."""
-    origin_activity = graph.nodes[graph.origin].activity_name
-    lines = [f"Functionality of the elements on the {origin_activity} screen:"]
-    for entry in functionality:
-        if entry.synthesized_functionality is None:
-            summary = "(summary unavailable)"
-        else:
-            summary = entry.synthesized_functionality or "(no summary)"
-        if entry.destination is not None:
-            path = f"{origin_activity} > {graph.nodes[entry.destination].activity_name}"
-            lines.append(f'- "{entry.element}": {summary} Path: {path} via [{entry.element}].')
-        else:
-            lines.append(f'- "{entry.element}": {summary}')
-    lines.append("Screen functions:")
-    for state_id, description in ui_functions.items():
-        lines.append(f"- {graph.nodes[state_id].activity_name}: {description or '(description unavailable)'}")
-    return "\n".join(lines)
 
 
 def replay_prompt_head(report: str, script: S2RScript) -> str:
@@ -324,8 +297,13 @@ def run(
                 origin_path=tuple(loop.path_from_start),
                 deadline=deadline,
             )
-            functionality = synthesize_functionality(graph, gateway, deadline)
-            knowledge = _render_knowledge(graph, functionality, synthesize_ui_functions(graph, gateway, deadline))
+            origin_activity = graph.nodes[graph.origin].activity_name
+            knowledge = "\n".join([
+                f"Functionality of the elements on the {origin_activity} screen:",
+                *synthesize_functionality(graph, gateway, deadline),
+                "Screen functions:",
+                *synthesize_ui_functions(graph, gateway, deadline),
+            ])
             # Knowledge the deadline may have cut short is not served to later runs.
             if cache_path is not None and time.monotonic() < deadline:
                 with contextlib.suppress(OSError):  # an unwritable file is skipped, as an unreadable one is a miss

@@ -33,7 +33,7 @@ class SpecInvalid(Exception):
 
     def __init__(self, violations: list[str]):
         self.violations = violations
-        super().__init__("invalid app spec:\n" + "\n".join(f"- {v}" for v in violations))
+        super().__init__("invalid app spec: " + "; ".join(violations))
 
 
 class Trigger(NamedTuple):

@@ -25,11 +25,11 @@ def file_hash(path) -> str:
 
 
 def assert_cannot_read(result, what: str, path) -> None:
-    """The command exited 3 with one error line naming the input file, and no traceback."""
+    """The command exited 3, printing only one error line naming the input file: no traceback, nothing more."""
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
-    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error: cannot read {what} {path}"), result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {what} {path}: "), result.output
 
 
 BAD_LABEL_CORPUS = json.dumps({"report_id": "r1", "sentences": [{"text": "Tap OK.", "labels": [{"action": "fly"}]}]})
@@ -261,6 +261,7 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [5]}'),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [{"from": ["a"], "to": "a", "verb": "back"}]}'),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {"elements": [{"id": "go", "class": "Button", "text": ["Go"]}]}}}'),
+        pytest.param("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": 5, "b": 6}}', id="two violations"),
         ("--mock-script", "mock script", None),
         ("--mock-script", "mock script", '{"when": "Screen"}'),
         ("--mock-script", "mock script", '{"response": 5}'),

@@ -130,13 +130,14 @@ def test_depth1_from_non_initial_state_with_origin_path():
     assert device.capture_state().state_id == graph.origin
 
 
-def explore_one_screen(tmp_path, elements: list[dict]) -> tuple[UtgGraph, "CountingDevice"]:
-    """Explore, at depth 1, an app of one screen holding ``elements`` and no transitions; the graph and the device."""
+def explore_one_screen(tmp_path, elements: list[dict], transitions: list[dict] = ()) -> tuple[UtgGraph, "CountingDevice"]:
+    """Explore, at depth 1, an app of one screen holding ``elements`` (and an empty "next" screen that
+    ``transitions`` may lead to); the graph and the device."""
     body = {
         "app_id": "t",
         "initial_state": "only",
-        "states": {"only": {"activity": "OnlyActivity", "elements": elements}},
-        "transitions": [],
+        "states": {"only": {"activity": "OnlyActivity", "elements": elements}, "next": {"activity": "NextActivity"}},
+        "transitions": list(transitions),
         "crash_rules": [],
     }
     path = tmp_path / "app.json"
@@ -245,8 +246,13 @@ def origin_cases(tmp_path_factory):
     return [(linked_back, ()), (linked_back, open_hub), (hidden_about, ()), (hidden_about, tools)]
 
 
+#: Per depth, the device commands of every run of each origin case, summed over its action budgets.
+COMMANDS_OVER_BUDGETS = {1: [7, 103, 24, 18], 2: [150, 567, 209, 18]}
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_explore_ends_on_its_origin_at_every_action_budget(tmp_path_factory, depth):
+    totals = []
     for spec, origin_path in origin_cases(tmp_path_factory):
 
         def explored(budget: int) -> tuple[UtgGraph, CountingDevice]:
@@ -258,11 +264,15 @@ def test_explore_ends_on_its_origin_at_every_action_budget(tmp_path_factory, dep
 
         graph, device = explored(1000)
         origin_probes = len(probe_plan(graph.nodes[graph.origin]))
+        total = 0
         for budget in range(1, device.commands + 1):
             graph, device = explored(budget)
             assert device.capture_state().state_id == graph.origin, (origin_path, budget)
             assert device.commands <= budget + 1 + len(origin_path), (origin_path, budget)
             assert restores_are_whole(device.log, origin_path, origin_probes), (origin_path, budget, device.log)
+            total += device.commands
+        totals.append(total)
+    assert totals == COMMANDS_OVER_BUDGETS[depth]
 
 
 def restores_are_whole(log: list, origin_path: tuple, origin_probes: int) -> bool:
@@ -466,21 +476,18 @@ def explored_hidden_about():
 def test_functionality_table_one_entry_per_interactable():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "summary text"}])
-    table = synthesize_functionality(graph, gateway)
+    lines = synthesize_functionality(graph, gateway)
     origin_interactables = interactable_elements(graph.nodes[graph.origin])
-    assert len(table) == len(origin_interactables) == 3
-    for entry in table:
-        assert entry.synthesized_functionality == "summary text"
-        assert entry.destination in graph.nodes
+    assert len(lines) == len(origin_interactables) == 3
+    for line in lines:
+        assert line.startswith('- "') and '": summary text Path: NotesActivity > ' in line
 
 
 def test_functionality_entry_paths_have_length_two_at_depth_one():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "s"}])
-    table = synthesize_functionality(graph, gateway)
-    tools_entry = next(e for e in table if e.element == "Tools")
-    dest = graph.nodes[tools_entry.destination]
-    assert dest.activity_name == "ToolsActivity"
+    lines = synthesize_functionality(graph, gateway)
+    assert '- "Tools": s Path: NotesActivity > ToolsActivity via [Tools].' in lines
 
 
 def test_functionality_gateway_failure_marks_single_entry_unavailable():
@@ -488,9 +495,8 @@ def test_functionality_gateway_failure_marks_single_entry_unavailable():
     gateway = MockGateway.from_script(
         [{"response": "ok one", "times": 1}, {"error": "down", "times": 1}, {"response": "ok three"}]
     )
-    table = synthesize_functionality(graph, gateway)
-    summaries = [entry.synthesized_functionality for entry in table]
-    assert summaries == ["ok one", None, "ok three"]
+    summaries = [line.split('": ', 1)[1].split(" Path: ")[0] for line in synthesize_functionality(graph, gateway)]
+    assert summaries == ["ok one", "(summary unavailable)", "ok three"]
 
 
 def test_functionality_element_without_edge_gets_static_note(tmp_path):
@@ -498,26 +504,52 @@ def test_functionality_element_without_edge_gets_static_note(tmp_path):
         tmp_path, [{"id": "dead", "class": "Button", "text": "DEAD", "bounds": [0, 0, 10, 10], "clickable": True}]
     )
     gateway = MockGateway.from_script([])
-    table = synthesize_functionality(graph, gateway)
-    assert len(table) == 1
-    assert table[0].destination is None
-    assert "No screen change" in table[0].synthesized_functionality
+    lines = synthesize_functionality(graph, gateway)
+    assert lines == ['- "DEAD": No screen change was observed for this element.']
     assert gateway.exchanges == []
+
+
+def test_knowledge_lines_stand_in_for_what_the_model_did_not_give(tmp_path):
+    # An empty reply, a gateway failure and an element without an edge each
+    # have their own fixed wording; only the two elements with edges ask the model.
+    graph, _ = explore_one_screen(
+        tmp_path,
+        [
+            {"id": "one", "class": "Button", "text": "One", "bounds": [0, 0, 10, 10], "clickable": True},
+            {"id": "two", "class": "Button", "text": "Two", "bounds": [0, 20, 10, 30], "clickable": True},
+            {"id": "dead", "class": "Button", "text": "Dead", "bounds": [0, 40, 10, 50], "clickable": True},
+        ],
+        transitions=[
+            {"from": "only", "verb": "click", "feature": "one", "to": "next"},
+            {"from": "only", "verb": "click", "feature": "two", "to": "next"},
+        ],
+    )
+    script = [{"response": " \n", "times": 1}, {"error": "down"}]
+    gateway = MockGateway.from_script(script)
+    assert synthesize_functionality(graph, gateway) == [
+        '- "One": (no summary) Path: OnlyActivity > NextActivity via [One].',
+        '- "Two": (summary unavailable) Path: OnlyActivity > NextActivity via [Two].',
+        '- "Dead": No screen change was observed for this element.',
+    ]
+    assert [entry.used for entry in gateway.entries] == [1, 1]
+    assert synthesize_ui_functions(graph, MockGateway.from_script(script)) == [
+        "- OnlyActivity: (description unavailable)",
+        "- NextActivity: (description unavailable)",
+    ]
 
 
 def test_ui_function_table_covers_every_node_in_bfs_order():
     graph = explored_hidden_about()
     gateway = MockGateway.from_script([{"response": "described"}])
-    table = synthesize_ui_functions(graph, gateway)
-    assert list(table) == list(graph.bfs())
-    assert set(table) == set(graph.nodes)
-    assert all(v == "described" for v in table.values())
+    lines = synthesize_ui_functions(graph, gateway)
+    assert lines == [f"- {graph.nodes[state_id].activity_name}: described" for state_id in graph.bfs()]
+    assert len(lines) == len(graph.nodes)
 
 
 def test_ui_function_table_single_node(tmp_path):
     graph, _ = explore_one_screen(tmp_path, [])
-    table = synthesize_ui_functions(graph, MockGateway.from_script([{"response": "only"}]))
-    assert len(table) == 1
+    lines = synthesize_ui_functions(graph, MockGateway.from_script([{"response": "only"}]))
+    assert lines == ["- OnlyActivity: only"]
 
 
 def test_synthesis_rerun_identical():
@@ -535,15 +567,16 @@ def test_functionality_needs_no_graph_search_or_feature_resolution(monkeypatch):
     expected = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("not needed to build the functionality table")
+        raise AssertionError("not needed to build the functionality lines")
 
     monkeypatch.setattr(UtgGraph, "bfs", forbidden)
     monkeypatch.setattr(explorer, "resolve_feature", forbidden)
-    table = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
-    assert table == expected
+    lines = synthesize_functionality(graph, MockGateway.from_script([{"response": "s"}]))
+    assert lines == expected
     origin_edges = {e.action.feature: e.to_state for e in reversed(graph.edges) if e.from_state == graph.origin}
-    for entry in table:
-        assert entry.destination == origin_edges[entry.element]
+    for line in lines:
+        feature = line[3 : line.index('"', 3)]
+        assert line.endswith(f" > {graph.nodes[origin_edges[feature]].activity_name} via [{feature}].")
 
 
 KNOWLEDGE_TEXT = 'Functionality of the elements on the MainActivity screen:\n- "About": Opens the “About” page.'

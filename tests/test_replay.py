@@ -20,7 +20,6 @@ from crashreplay.replay import (
     StuckReason,
     StuckSignal,
     StuckTracker,
-    _render_knowledge,
     build_replay_prompt,
     detect_stuck,
     replay_prompt_head,
@@ -235,7 +234,7 @@ def test_feedback_failure_lists_miss_tiers():
         new_state=s1,
         no_match_feature="About",
     )
-    text = render_feedback(status)
+    text = render_feedback(status, s1.state_id)
     assert "About" in text and "no exact text match" in text
 
 
@@ -244,7 +243,7 @@ def test_feedback_empty_for_crash():
     from crashreplay.device import CrashInfo
 
     status = ExecStatus(ok=True, detail="crash", new_state=s1, crash=CrashInfo("E", "m", "A"))
-    assert render_feedback(status) == ""
+    assert render_feedback(status, s1.state_id) == ""
 
 
 # -- prompt ----------------------------------------------------------------------
@@ -262,11 +261,8 @@ def knowledge_fixture() -> str:
     device = SimulatorDevice(load_spec(APPS / "hidden_about.json"))
     graph = explore(device, depth=1, action_budget=60)
     gateway = MockGateway.from_script([{"response": "summary"}])
-    return _render_knowledge(
-        graph,
-        synthesize_functionality(graph, gateway),
-        synthesize_ui_functions(graph, gateway),
-    )
+    lines = ["Functionality of the elements on the NotesActivity screen:", *synthesize_functionality(graph, gateway)]
+    return "\n".join([*lines, "Screen functions:", *synthesize_ui_functions(graph, gateway)])
 
 
 def test_prompt_tier1_has_three_labeled_sections():
