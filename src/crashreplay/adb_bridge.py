@@ -12,6 +12,7 @@ testable without hardware.
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import time
 import xml.etree.ElementTree as ET
@@ -36,7 +37,7 @@ _BOUNDS_RE = re.compile(r"\[(-?\d+),(-?\d+)\]\[(-?\d+),(-?\d+)\]")
 _FATAL_RE = re.compile(r"FATAL EXCEPTION", re.IGNORECASE)
 _EXCEPTION_RE = re.compile(r"^\s*(?:E[/ ].*?:)?\s*([\w.$]+(?:Exception|Error))(?::\s*(.*))?$")
 
-#: Default drag fraction and duration for scroll/swipe gestures.
+#: Drag fraction and duration for scroll/swipe gestures.
 SWIPE_FRACTION = 0.6
 SWIPE_DURATION_MS = 300
 LONG_PRESS_MS = 600
@@ -47,6 +48,9 @@ COMMAND_TIMEOUT_S = 30.0
 #: Seconds after an input event or a launch before the hierarchy is dumped;
 #: ``uiautomator dump`` itself then waits for the UI to go idle.
 SETTLE_INTERVAL_S = 0.1
+
+#: Deepest node nesting a hierarchy dump may have; a deeper dump is a bad dump.
+MAX_DUMP_DEPTH = 200
 
 
 def _subprocess_runner(args: Sequence[str], timeout: float) -> str:
@@ -70,7 +74,9 @@ def parse_hierarchy_xml(xml_text: str) -> UiElement:
 
     counter = [0]
 
-    def build(node: ET.Element) -> UiElement:
+    def build(node: ET.Element, depth: int) -> UiElement:
+        if depth > MAX_DUMP_DEPTH:
+            raise DeviceUnavailable(f"bad hierarchy dump: nodes nested deeper than {MAX_DUMP_DEPTH}")
         attrs = node.attrib
         match = _BOUNDS_RE.match(attrs.get("bounds", ""))
         bounds = (
@@ -89,10 +95,10 @@ def parse_hierarchy_xml(xml_text: str) -> UiElement:
             long_clickable=attrs.get("long-clickable") == "true",
             editable=attrs.get("class", "").endswith(("EditText", "AutoCompleteTextView")),
             scrollable=attrs.get("scrollable") == "true",
-            children=tuple(build(child) for child in node if child.tag == "node"),
+            children=tuple(build(child, depth + 1) for child in node if child.tag == "node"),
         )
 
-    nodes = [build(child) for child in root if child.tag == "node"]
+    nodes = [build(child, 1) for child in root if child.tag == "node"]
     if len(nodes) == 1:
         return nodes[0]
     return UiElement(element_id="window", class_name="hierarchy", children=tuple(nodes))
@@ -187,13 +193,6 @@ class AdbDevice(Device):
 
     # -- execution -----------------------------------------------------------
 
-    @staticmethod
-    def _escape_text(text: str) -> str:
-        escaped = text.replace("\\", "\\\\")
-        for char in "()<>|;&*~\"'`":
-            escaped = escaped.replace(char, "\\" + char)
-        return escaped.replace(" ", "%s")
-
     def execute(self, cmd: ActionCommand) -> ExecStatus:
         state = self.capture_state()
         element = None
@@ -216,14 +215,14 @@ class AdbDevice(Device):
             self._shell("input", "tap", str(x), str(y))
         elif cmd.action == "long_click":
             x, y = element.bounds.center()
-            duration = str(cmd.duration_ms or LONG_PRESS_MS)
-            self._shell("input", "swipe", str(x), str(y), str(x), str(y), duration)
+            self._shell("input", "swipe", str(x), str(y), str(x), str(y), str(LONG_PRESS_MS))
         elif cmd.action == "set_text":
             x, y = element.bounds.center()
             self._shell("input", "tap", str(x), str(y))
-            self._shell("input", "text", self._escape_text(cmd.input_text or ""))
+            # adb hands the joined line to the device's shell: the text goes as one quoted word.
+            self._shell("input", "text", shlex.quote((cmd.input_text or "").replace(" ", "%s")))
         elif cmd.action in ("scroll", "swipe"):
-            self._drag(cmd.direction or "down", cmd.duration_ms or SWIPE_DURATION_MS)
+            self._drag(cmd.direction or "down")
         elif cmd.action == "rotate":
             self._rotate(cmd.direction)
         elif cmd.action == "back":
@@ -244,7 +243,7 @@ class AdbDevice(Device):
             crash=crash,
         )
 
-    def _drag(self, direction: str, duration_ms: int) -> None:
+    def _drag(self, direction: str) -> None:
         width, height = self._screen_size()
         cx, cy = width // 2, height // 2
         dx = int(width * SWIPE_FRACTION / 2)
@@ -256,7 +255,7 @@ class AdbDevice(Device):
             "right": (cx - dx, cy, cx + dx, cy),
         }
         x1, y1, x2, y2 = vectors[direction]
-        self._shell("input", "swipe", str(x1), str(y1), str(x2), str(y2), str(duration_ms))
+        self._shell("input", "swipe", str(x1), str(y1), str(x2), str(y2), str(SWIPE_DURATION_MS))
 
     def _rotate(self, direction: str | None) -> None:
         if direction == "landscape":

@@ -93,7 +93,6 @@ class ActionCommand:
     feature: str | None = None
     input_text: str | None = None
     direction: str | None = None
-    duration_ms: int | None = None
 
     def to_dict(self) -> dict:
         out: dict = {"action": self.action}
@@ -103,12 +102,10 @@ class ActionCommand:
             out["input_text"] = self.input_text
         if self.direction is not None:
             out["direction"] = self.direction
-        if self.duration_ms is not None:
-            out["duration"] = self.duration_ms
         return out
 
     def problems(self) -> list[str]:
-        """What this command's verb requires and lacks; other fields pass unchecked."""
+        """What this command's verb requires and lacks, and text it cannot type; other fields pass unchecked."""
         spec = VERB_SPECS.get(self.action)
         if spec is None:
             return [f"unknown action {self.action!r}"]
@@ -122,6 +119,9 @@ class ActionCommand:
         allowed = {d.value for d in spec.directions}
         if self.direction is not None and allowed and self.direction not in allowed:
             issues.append(f"bad {self.action} direction {self.direction!r}")
+        control = re.search(r"[\x00-\x1f\x7f]", self.input_text or "")  # what `input text` cannot type
+        if control:
+            issues.append(f"input_text holds the control character {control.group()!r}")
         return issues
 
 
@@ -191,19 +191,11 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
         action = ACTION_NAMES.get(name)
         verb = (action and VOCABULARY[action].device_verb) or name.replace(" ", "_")
         direction = raw.get("direction", raw.get("target_direction"))
-        duration = raw.get("duration")
-        if duration is not None:
-            try:
-                duration = int(duration)
-            except (TypeError, ValueError):
-                issues.append((index, f"bad duration {duration!r}"))
-                continue
         cmd = ActionCommand(
             action=verb,
             feature=None if raw.get("feature") is None else str(raw["feature"]),
             input_text=None if raw.get("input_text") is None else str(raw["input_text"]),
             direction=None if direction is None else str(direction).strip().lower(),
-            duration_ms=duration,
         )
         problems = cmd.problems()
         if problems:
@@ -381,6 +373,8 @@ class HttpGateway(LlmGateway):
                 text = payload["choices"][0]["message"]["content"]
             else:
                 text = payload["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"the completion is {text!r}, not a string")
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"bad completion payload: {exc}") from exc
-        return str(text), latency
+        return text, latency

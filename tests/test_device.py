@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import subprocess
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crashreplay.adb_bridge import AdbDevice, parse_crash_from_logcat, parse_hierarchy_xml
+from crashreplay import adb_bridge
+from crashreplay.adb_bridge import MAX_DUMP_DEPTH, AdbDevice, parse_crash_from_logcat, parse_hierarchy_xml
 from crashreplay.device import (
     Bounds,
     NoMatchError,
@@ -18,7 +21,9 @@ from crashreplay.device import (
     interactable_elements,
     resolve_feature,
 )
-from crashreplay.gateway import ActionCommand
+from crashreplay.gateway import ActionCommand, MockGateway, parse_action_sequence
+from crashreplay.grammar import S2RScript
+from crashreplay.replay import Outcome, run
 from conftest import data_path
 
 
@@ -326,11 +331,14 @@ class FakeRunner:
         return ""
 
 
+def fake_device(dump_xml: str) -> tuple[AdbDevice, FakeRunner]:
+    runner = FakeRunner(dump_xml)
+    return AdbDevice("emulator-5554", "io.github.librenews", ".MainFlashActivity", runner=runner), runner
+
+
 @pytest.fixture
 def fake_adb():
-    runner = FakeRunner(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
-    device = AdbDevice("emulator-5554", "io.github.librenews", ".MainFlashActivity", runner=runner)
-    return device, runner
+    return fake_device(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
 
 
 def test_adb_restart_issues_force_stop_then_launch(fake_adb):
@@ -372,6 +380,15 @@ def test_adb_swipe_uses_screen_fraction(fake_adb):
     swipe = next(c for c in runner.calls if "swipe" in c)
     # 60% drag centred on (540, 960): y from 1536 to 384
     assert swipe[-5:] == ["540", "1536", "540", "384", "300"]
+
+
+def test_adb_long_click_holds_for_the_fixed_press_whatever_duration_the_reply_gives(fake_adb):
+    device, runner = fake_adb
+    (command,) = parse_action_sequence('[{"action": "long_click", "feature": "REFRESH", "duration": 1000000000}]')
+    assert command == ActionCommand(action="long_click", feature="REFRESH")
+    device.execute(command)
+    swipe = next(c for c in runner.calls if "swipe" in c)
+    assert swipe[-5:] == ["280", "1797", "280", "1797", "600"]
 
 
 def test_adb_rotate_sets_user_rotation(fake_adb):
@@ -534,3 +551,74 @@ def test_adb_reports_a_crash_logged_after_its_command_on_a_later_one(clock, paus
     assert statuses[0].crash is not None or statuses[1].crash is not None
     if pause:
         assert not statuses[0].ok and statuses[0].no_match_feature == "Next"
+
+
+# -- typing text ---------------------------------------------------------------------
+
+
+def typed_word(text: str) -> str:
+    """The word AdbDevice hands the runner to type ``text`` into the Server URL field."""
+    device, runner = fake_device(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adb_bridge, "time", Clock())
+        device.execute(ActionCommand(action="set_text", feature="Server URL", input_text=text))
+    (typed,) = [c for c in runner.calls if c[4:6] == ["input", "text"]]
+    assert len(typed) == 7  # adb, -s, serial, shell, input, text, the word
+    return typed[-1]
+
+
+SHELL_SPECIALS = " $`'\"\\;&|<>(){}[]*?~#!%=^"
+
+
+@given(st.text(st.one_of(st.sampled_from(SHELL_SPECIALS), st.characters(min_codepoint=0x20, exclude_characters="\x7f"))))
+@example("${HOME}")
+@example("$(echo X)")
+@example("`id`")
+@example("it's")
+@example("a;b")
+def test_adb_typed_text_reaches_the_device_shell_as_one_literal_word(text):
+    # adb joins the shell command's words with spaces and the device's sh runs the line;
+    # the local sh stands in for it, and printf for input.
+    word = typed_word(text)
+    shell = subprocess.run(["/bin/sh", "-c", f"printf %s {word}"], capture_output=True, check=True)
+    assert shell.stdout.decode("utf-8") == text.replace(" ", "%s")
+
+
+def test_a_reply_typing_a_control_character_is_no_actionable_output_and_sends_no_input():
+    reply = json.dumps([{"action": "set_text", "feature": "Server URL", "input_text": "a\nb"}])
+    device, runner = fake_device(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
+    gateway = MockGateway.from_script([{"response": reply}])
+    result = run("report", S2RScript(steps=()), device, gateway, 10.0, explore_enabled=False)
+    assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
+    assert all(record["no_actionable"] for record in result.trace_records)
+    assert not any("input" in call for call in runner.calls)
+
+
+# -- deep hierarchy dumps ---------------------------------------------------------------
+
+
+def nested_dump(depth: int) -> str:
+    """A dump of ``depth`` nested nodes whose innermost one is a clickable Deep button."""
+    layout = '<node class="android.widget.FrameLayout" bounds="[0,0][1080,1920]">'
+    deepest = '<node class="android.widget.Button" text="Deep" clickable="true" bounds="[0,0][100,100]" />'
+    return f"<hierarchy>{layout * (depth - 1)}{deepest}{'</node>' * (depth - 1)}</hierarchy>"
+
+
+@pytest.mark.parametrize("depth", [MAX_DUMP_DEPTH + 1, 600, 100_000])
+def test_a_dump_nested_past_the_bound_is_a_device_failure(clock, depth):
+    device, _ = fake_device(nested_dump(depth))
+    gateway = MockGateway.from_script([{"response": '[{"action": "click", "feature": "Deep"}]'}])
+    result = run("report", S2RScript(steps=()), device, gateway, 10.0, explore_enabled=False)
+    assert result.outcome == Outcome.DEVICE_FAILURE
+    assert result.iterations == 0
+
+
+def test_a_dump_nested_to_the_bound_is_captured_encoded_and_resolved(clock):
+    device, runner = fake_device(nested_dump(MAX_DUMP_DEPTH))
+    gateway = MockGateway.from_script([{"response": '[{"action": "click", "feature": "Deep"}]'}])
+    result = run("report", S2RScript(steps=()), device, gateway, 10.0, explore_enabled=False, max_iterations=1)
+    assert result.outcome == Outcome.BUDGET_EXHAUSTED
+    (record,) = result.trace_records
+    assert 'Button text="Deep" clickable' in gateway.exchanges[0].prompt
+    assert [status["ok"] for status in record["statuses"]] == [True]
+    assert ["input", "tap", "50", "50"] in [call[4:] for call in runner.calls]

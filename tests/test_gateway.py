@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crashreplay.device import UiElement, UiState
+from crashreplay.explorer import UtgGraph, synthesize_ui_functions
 from crashreplay.gateway import (
     MAX_REPLY_CHARS,
     MAX_REPLY_NESTING,
@@ -342,6 +344,13 @@ def test_request_actions_malformed_commands_surface_as_no_actionable():
         gateway.request_actions("do it")
 
 
+def test_request_actions_rejects_text_with_a_control_character():
+    reply = json.dumps([{"action": "set_text", "feature": "URL", "input_text": "a\nb"}])
+    gateway = MockGateway.from_script([reply])
+    with pytest.raises(NoActionableOutput, match=r"command 0: input_text holds the control character '\\n'"):
+        gateway.request_actions("do it")
+
+
 def test_llm_config_validation():
     with pytest.raises(ValueError):
         LlmConfig(endpoint="x", model_name="m", max_retries=-1)
@@ -350,12 +359,14 @@ def test_llm_config_validation():
 class _ChatHandler(BaseHTTPRequestHandler):
     """A chat-completions endpoint that always replies with one ``back`` action."""
 
+    content = '[{"action": "back"}]'
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length))
         assert request["model"] == "test-model"
         assert request["temperature"] == 0.0
-        body = json.dumps({"choices": [{"message": {"content": '[{"action": "back"}]'}}]}).encode()
+        body = json.dumps({"choices": [{"message": {"content": self.content}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -364,6 +375,16 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+class _NullChatHandler(_ChatHandler):
+    """A chat-completions endpoint whose completion is null; its server's ``posts`` counts the requests."""
+
+    content = None
+
+    def do_POST(self):
+        self.server.posts = getattr(self.server, "posts", 0) + 1
+        super().do_POST()
 
 
 def chat_config(server) -> LlmConfig:
@@ -389,4 +410,16 @@ def test_http_gateway_reuses_one_connection_for_every_call():
         for _ in range(3):
             assert gateway.complete("go back") == '[{"action": "back"}]'
         assert server.connections == 1
+        gateway.session.close()
+
+
+def test_http_gateway_treats_a_null_completion_as_a_bad_payload():
+    with counting_server(_NullChatHandler) as server:
+        gateway = HttpGateway(chat_config(server))
+        with pytest.raises(TransportError, match="bad completion payload"):
+            gateway.complete("describe the screen")
+        assert server.posts == gateway.config.max_retries + 1
+        home = UiState("Home", UiElement(element_id="root", class_name="FrameLayout"))
+        graph = UtgGraph(origin=home.state_id, nodes={home.state_id: home}, edges=[])
+        assert synthesize_ui_functions(graph, gateway) == ["- Home: (description unavailable)"]
         gateway.session.close()
