@@ -55,8 +55,8 @@ MAX_DUMP_DEPTH = 200
 
 def _subprocess_runner(args: Sequence[str], timeout: float) -> str:
     try:
-        proc = subprocess.run(
-            list(args), capture_output=True, text=True, timeout=timeout, check=False
+        proc = subprocess.run(  # a non-UTF-8 byte (a native library's log line) decodes to U+FFFD
+            list(args), capture_output=True, encoding="utf-8", errors="replace", timeout=timeout, check=False
         )
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise DeviceUnavailable(f"adb call failed: {exc}") from exc

@@ -105,7 +105,7 @@ class ActionCommand:
         return out
 
     def problems(self) -> list[str]:
-        """What this command's verb requires and lacks, and text it cannot type; other fields pass unchecked."""
+        """What this command's verb requires and lacks, text it cannot type, and text UTF-8 cannot encode."""
         spec = VERB_SPECS.get(self.action)
         if spec is None:
             return [f"unknown action {self.action!r}"]
@@ -116,16 +116,23 @@ class ActionCommand:
             issues.append(f"{self.action} requires input_text")
         if self.direction is None and spec.direction_required:
             issues.append(f"{self.action} requires a direction")
-        allowed = {d.value for d in spec.directions}
-        if self.direction is not None and allowed and self.direction not in allowed:
+        if self.direction is not None and spec.directions and self.direction not in {d.value for d in spec.directions}:
             issues.append(f"bad {self.action} direction {self.direction!r}")
-        control = re.search(r"[\x00-\x1f\x7f]", self.input_text or "")  # what `input text` cannot type
+        control = _CONTROL.search(self.input_text or "")  # what `input text` cannot type
         if control:
             issues.append(f"input_text holds the control character {control.group()!r}")
+        for name in ("feature", "input_text", "direction"):  # UTF-8 cannot encode a lone surrogate, nor a trace log it
+            value = getattr(self, name)
+            if value and not value.isascii() and _SURROGATE.search(value):
+                issues.append(f"{name} holds a lone surrogate code point")
         return issues
 
 
 _DECODER = json.JSONDecoder()
+#: ``json.dumps(value, ensure_ascii=False)`` for any acyclic value, with the encoder built once per process.
+encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 #: Longest reply and deepest bracket nesting the filter decodes.  Decoding
 #: from each ``[`` scans at most the value nested below it, so together they
 #: bound the filter's work to about MAX_REPLY_NESTING scans of the reply.
@@ -168,7 +175,7 @@ def filter_json_payload(text: str) -> str | None:
         i = text.find("[", i + 1)
     if not found:
         return None
-    return json.dumps(commands, ensure_ascii=False)
+    return encode_json(commands)
 
 
 def parse_action_sequence(json_text: str) -> list[ActionCommand]:
@@ -236,6 +243,8 @@ class LlmGateway:
                 raise BudgetExceeded("deadline passed before the gateway call")
             try:
                 raw, latency = self._complete_once(prompt)
+                if not raw.isascii() and (surrogate := _SURROGATE.search(raw)):  # UTF-8 cannot encode it
+                    raise TransportError(f"bad completion payload: the lone surrogate {surrogate.group()!r}")
             except TransportError as exc:
                 last = exc
                 continue

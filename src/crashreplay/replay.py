@@ -40,6 +40,7 @@ from .gateway import (
     BudgetExceeded,
     GatewayError,
     LlmGateway,
+    encode_json,
     load_template,
 )
 from .grammar import S2RScript, format_entity
@@ -99,7 +100,7 @@ class ReplayResult:
 
     @functools.cached_property
     def _trace_text(self) -> str:
-        return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in self.trace_records)
+        return "".join(encode_json(rec) + "\n" for rec in self.trace_records)
 
 
 class StuckTracker:

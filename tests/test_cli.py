@@ -241,6 +241,22 @@ def test_replay_hidden_about_needs_exploration(runner, tmp_path):
     assert summary["outcome"] == "budget_exhausted"
 
 
+def test_replay_of_a_reply_escaping_a_lone_surrogate_ends_without_a_traceback(runner, tmp_path):
+    # The reply itself is ASCII; the command it decodes to names a feature UTF-8 cannot encode.
+    script = tmp_path / "mock.jsonl"
+    script.write_text(json.dumps({"response": json.dumps([{"action": "click", "feature": "x\ud800"}]), "times": None}))
+    args = replay_args("url_crash", tmp_path / "out", extra=["--no-exploration"])
+    args[args.index("--mock-script") + 1] = str(script)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+    trace = (tmp_path / "out" / "trace.jsonl").read_bytes()
+    assert [json.loads(line)["no_actionable"] for line in trace.decode("utf-8").splitlines()] == [True, True]
+    summary = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))
+    assert summary["outcome"] == "no_actionable_output"
+    assert summary["trace_sha256"] == hashlib.sha256(trace).hexdigest()
+
+
 def test_replay_requires_exactly_one_backend(runner, tmp_path):
     args = replay_args("url_crash", tmp_path / "out", extra=["--device-serial", "emulator-5554"])
     result = runner.invoke(main, args)

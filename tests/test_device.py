@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -592,6 +593,13 @@ def test_a_reply_typing_a_control_character_is_no_actionable_output_and_sends_no
     assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
     assert all(record["no_actionable"] for record in result.trace_records)
     assert not any("input" in call for call in runner.calls)
+
+
+def test_adb_output_that_is_not_utf8_decodes_with_replacement():
+    # A native library can log any bytes; one that is not UTF-8 must not escape the run as UnicodeDecodeError.
+    program = "import sys; sys.stdout.buffer.write(b'E/x: \\xff\\n')"
+    out = adb_bridge._subprocess_runner([sys.executable, "-c", program], 30.0)
+    assert out == "E/x: \ufffd\n"
 
 
 # -- deep hierarchy dumps ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import time
 from http.server import BaseHTTPRequestHandler
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crashreplay.device import UiElement, UiState
@@ -24,6 +24,7 @@ from crashreplay.gateway import (
     MockGateway,
     NoActionableOutput,
     TransportError,
+    encode_json,
     filter_json_payload,
     parse_action_sequence,
 )
@@ -128,6 +129,34 @@ def test_filter_output_always_parses_as_array():
             assert isinstance(json.loads(out), list)
 
 
+#: Any acyclic JSON value: text with non-ASCII and control characters, any int, any float (nan and infinities too).
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(any_json)
+@example([-0.0, 1e-7, float("nan"), float("-inf"), 2**70])
+@example({"é\u2028": "a\x00\x1f\x7f\"\\ü😀", "": [True, False, None]})
+def test_the_shared_encoder_writes_what_json_dumps_writes(value):
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+@given(
+    st.lists(st.tuples(any_json, st.dictionaries(st.text(max_size=4), any_json, max_size=3)), min_size=1, max_size=3),
+    st.text(st.characters(exclude_characters="[")),
+    st.text(st.characters(exclude_characters="[")),
+    st.booleans(),
+)
+@example([("click", {"feature": "Ü\n"})], "Sure: ", " done.", False)
+def test_filter_re_encodes_commands_wrapped_in_prose_as_json_dumps_does(pairs, before, after, ascii_reply):
+    commands = [{"action": action, **fields} for action, fields in pairs]
+    reply = before + json.dumps(commands, ensure_ascii=ascii_reply) + after
+    assert filter_json_payload(reply) == json.dumps(commands, ensure_ascii=False)
+
+
 # -- parsing ------------------------------------------------------------------
 
 
@@ -177,6 +206,14 @@ def test_parse_reports_every_bad_command():
 def test_parse_ignores_unknown_keys():
     (command,) = parse_action_sequence('[{"action": "back", "confidence": 0.9}]')
     assert command == ActionCommand(action="back")
+
+
+@pytest.mark.parametrize("field", ["feature", "input_text", "direction"])
+def test_a_command_field_holding_a_lone_surrogate_is_malformed(field):
+    # The reply escapes the surrogate, so it is ASCII; the decoded field cannot be encoded as UTF-8.
+    reply = json.dumps([{"action": "set_text", "feature": "URL", "input_text": "x", field: "x\ud800"}])
+    with pytest.raises(MalformedCommandError, match=f"command 0: {field} holds a lone surrogate code point"):
+        parse_action_sequence(reply)
 
 
 # -- mock gateway ----------------------------------------------------------------
@@ -349,6 +386,14 @@ def test_request_actions_rejects_text_with_a_control_character():
     gateway = MockGateway.from_script([reply])
     with pytest.raises(NoActionableOutput, match=r"command 0: input_text holds the control character '\\n'"):
         gateway.request_actions("do it")
+
+
+def test_a_reply_holding_a_lone_surrogate_is_a_bad_payload():
+    gateway = MockGateway.from_script(['[{"action": "click", "feature": "x\ud800"}]', '[{"action": "click", "feature": "é"}]'])
+    with pytest.raises(TransportError, match=r"bad completion payload: the lone surrogate '\\ud800'"):
+        gateway.request_actions("do it")
+    assert gateway.exchanges == []
+    assert gateway.request_actions("do it") == [ActionCommand(action="click", feature="é")]
 
 
 def test_llm_config_validation():

@@ -687,11 +687,13 @@ def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(
 
 
 def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):
+    from crashreplay import replay
+
     report, gold, device, gateway, _ = load_scenario("url_crash")
     result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
     encoded = []
-    dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: encoded.append(1) or dumps(*args, **kwargs))
+    encode_json = replay.encode_json
+    monkeypatch.setattr(replay, "encode_json", lambda value: encoded.append(1) or encode_json(value))
     text = result.trace_text()
     summary = result.summary_dict()
     assert summary["trace_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -705,6 +707,16 @@ def test_run_survives_a_reply_nested_too_deep_to_decode():
     result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
     assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
     assert [json.loads(line)["no_actionable"] for line in result.trace_text().splitlines()] == [True, True]
+
+
+def test_run_survives_a_reply_holding_a_lone_surrogate():
+    report, gold, device, _, _ = load_scenario("url_crash")
+    gateway = MockGateway.from_script([{"response": '[{"action": "click", "feature": "x\ud800"}]', "times": None}])
+    result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
+    assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
+    assert [(rec["responses"], rec["no_actionable"]) for rec in result.trace_records] == [([], True), ([], True)]
+    text = result.trace_text().encode("utf-8")
+    assert result.summary_dict()["trace_sha256"] == hashlib.sha256(text).hexdigest()
 
 
 def test_run_builds_the_prompt_head_once(monkeypatch):
