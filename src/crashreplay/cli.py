@@ -18,7 +18,7 @@ from typing import Callable, NoReturn, TypeVar
 import click
 
 from . import evaluator, replay
-from .gateway import GatewayError, HttpGateway, LlmConfig, MockGateway
+from .gateway import GatewayError, HttpGateway, LlmConfig, MockGateway, decode_json
 from .grammar import GrammarError, NoEntitiesFound, S2RScript, parse_extraction_response
 from .rag import (
     HashedTrigramProvider,
@@ -73,7 +73,7 @@ def _read_text(path) -> str:
 
 def _read_json(path):
     try:
-        return json.loads(_read_text(path))
+        return decode_json(_read_text(path))
     except RecursionError as exc:
         raise ValueError(f"JSON nested too deeply to decode ({exc})") from exc
 

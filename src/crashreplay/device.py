@@ -16,25 +16,26 @@ from typing import Iterator, NamedTuple
 from .gateway import ActionCommand
 
 
-class DeviceError(Exception):
+class DeviceUnavailable(Exception):
     pass
 
 
-class DeviceUnavailable(DeviceError):
-    pass
-
-
-class AlreadyCrashed(DeviceError):
+class AlreadyCrashed(Exception):
     """A command was issued to a session frozen by a crash."""
 
 
-class NoMatchError(DeviceError):
-    """No element matched a feature; carries the tier-by-tier miss report."""
+#: What a miss reports of the resolution cascade: every one of its five tiers found nothing.
+_TIER_MISSES = (
+    "no exact text match; no exact description match; no resource id suffix match; "
+    "no case-insensitive text match; no substring of text or description match"
+)
 
-    def __init__(self, feature: str, misses: list[str]):
-        self.feature = feature
-        self.misses = misses
-        super().__init__(f"no element matched feature {feature!r} ({'; '.join(misses)})")
+
+class NoMatchError(Exception):
+    """No element matched a feature at any tier of :func:`resolve_feature`'s cascade."""
+
+    def __init__(self, feature: str):
+        super().__init__(f"no element matched feature {feature!r} ({_TIER_MISSES})")
 
 
 class Bounds(NamedTuple):
@@ -204,11 +205,6 @@ def feature_for_element(element: UiElement) -> str | None:
     return None
 
 
-_TIERS = (
-    "exact text", "exact description", "resource id suffix", "case-insensitive text", "substring of text or description"
-)
-
-
 def _resolution_tables(state: UiState) -> tuple:
     """Tiers 1-4 as dicts from key to element, and tier 5's folded (text, description, element) list.
 
@@ -240,7 +236,7 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
     Tiers, first non-empty wins: exact text, exact content description,
     resource-id suffix, case-insensitive text, case-insensitive substring of
     text or description.  Ties break topmost-then-leftmost.  Raises
-    :class:`NoMatchError` carrying the per-tier miss report.
+    :class:`NoMatchError` when no tier matches.
     """
     if not feature:
         raise ValueError("feature must be nonempty")
@@ -252,7 +248,7 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
     for text, desc, element in scan:
         if folded in text or folded in desc:
             return element
-    raise NoMatchError(feature, [f"no {name} match" for name in _TIERS])
+    raise NoMatchError(feature)
 
 
 class Device:

@@ -38,10 +38,6 @@ class ExplorerError(Exception):
     pass
 
 
-class ElementAbsent(ExplorerError):
-    pass
-
-
 @dataclass(frozen=True)
 class UtgEdge:
     from_state: str
@@ -211,11 +207,11 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
             continue
         hits.append(state_id)
     if not hits:
-        raise ElementAbsent(f"element {element_feature!r} appears in no node")
+        raise ExplorerError(f"element {element_feature!r} appears in no node")
     distances = graph.bfs()
     reachable = [h for h in hits if h in distances]
     if not reachable:
-        raise ElementAbsent(f"element {element_feature!r} appears only in unreachable nodes")
+        raise ExplorerError(f"element {element_feature!r} appears only in unreachable nodes")
     return min(reachable, key=lambda sid: (distances[sid], sid))
 
 

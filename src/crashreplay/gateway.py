@@ -31,22 +31,6 @@ class BudgetExceeded(GatewayError):
     """The caller-supplied deadline passed before the call could be made."""
 
 
-class ExhaustedScript(GatewayError):
-    """A mock script has no entry left that matches the prompt."""
-
-
-class NoActionableOutput(GatewayError):
-    """The model produced no usable action array, even after one repair attempt."""
-
-
-class MalformedCommandError(GatewayError):
-    """One or more commands in a parsed array violate their invariants."""
-
-    def __init__(self, issues: list[tuple[int, str]]):
-        self.issues = issues
-        super().__init__("; ".join(f"command {i}: {reason}" for i, reason in issues))
-
-
 ENV_ENDPOINT = "CRASHREPLAY_LLM_ENDPOINT"
 ENV_MODEL = "CRASHREPLAY_LLM_MODEL"
 ENV_API_KEY = "CRASHREPLAY_LLM_API_KEY"
@@ -133,12 +117,25 @@ _DECODER = json.JSONDecoder()
 encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 #: Longest reply and deepest bracket nesting the filter decodes.  Decoding
 #: from each ``[`` scans at most the value nested below it, so together they
 #: bound the filter's work to about MAX_REPLY_NESTING scans of the reply.
 MAX_REPLY_CHARS = 2**16
 MAX_REPLY_NESTING = 64
 _BRACKET = re.compile(r"[][{}]")
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, raising ValueError when a decoded string holds a lone surrogate code point.
+
+    UTF-8 decoded strictly holds none, so only a ``\\ud800``-``\\udfff`` escape can
+    bring one in, and text without one is not searched further.
+    """
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(encode_json(value)):
+        raise ValueError("a string holds a lone surrogate code point")
+    return value
 
 
 def filter_json_payload(text: str) -> str | None:
@@ -183,16 +180,16 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
 
     Unknown keys are ignored; grammar action names map onto their device
     verbs, and ``target_direction`` stands for ``direction``.  Invariant
-    violations are rejected with per-command errors.
+    violations raise one GatewayError naming each command's faults.
     """
     value = json.loads(json_text)
     if not isinstance(value, list):
         raise ValueError("expected a JSON array of action objects")
     commands: list[ActionCommand] = []
-    issues: list[tuple[int, str]] = []
+    issues: list[str] = []
     for index, raw in enumerate(value):
         if not isinstance(raw, dict):
-            issues.append((index, "not an object"))
+            issues.append(f"command {index}: not an object")
             continue
         name = normalize_verb(raw.get("action", ""))
         action = ACTION_NAMES.get(name)
@@ -206,11 +203,11 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
         )
         problems = cmd.problems()
         if problems:
-            issues.extend((index, p) for p in problems)
+            issues.extend(f"command {index}: {problem}" for problem in problems)
             continue
         commands.append(cmd)
     if issues:
-        raise MalformedCommandError(issues)
+        raise GatewayError(f"action array failed validation: {'; '.join(issues)}")
     return commands
 
 
@@ -268,11 +265,8 @@ class LlmGateway:
             raw = self.complete(repair, deadline)
             payload = filter_json_payload(raw)
             if payload is None:
-                raise NoActionableOutput("no JSON action array, even after a repair attempt")
-        try:
-            return parse_action_sequence(payload)
-        except MalformedCommandError as exc:
-            raise NoActionableOutput(f"action array failed validation: {exc}") from exc
+                raise GatewayError("no JSON action array, even after a repair attempt")
+        return parse_action_sequence(payload)
 
 
 @dataclass
@@ -346,7 +340,7 @@ class MockGateway(LlmGateway):
                 if entry.error is not None:
                     raise TransportError(f"scripted failure: {entry.error}")
                 return entry.response, 0.0
-        raise ExhaustedScript("no scripted response left for this prompt")
+        raise GatewayError("no scripted response left for this prompt")
 
 
 class HttpGateway(LlmGateway):

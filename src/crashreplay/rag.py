@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gateway import decode_json
 from .grammar import S2REntity
 
 NORM_TOLERANCE = 1e-6
@@ -31,38 +32,6 @@ _LAYOUT = "columns"  #: The index file's ``layout``: its embedding block holds o
 
 class RagError(Exception):
     """Base error for corpus and index failures."""
-
-
-class EmptyText(RagError):
-    pass
-
-
-class EmptyCorpus(RagError):
-    pass
-
-
-class EmptyIndex(RagError):
-    pass
-
-
-class DimensionMismatch(RagError):
-    pass
-
-
-class ProviderMismatch(RagError):
-    pass
-
-
-class ProviderUnavailable(RagError):
-    pass
-
-
-class CorpusError(RagError):
-    pass
-
-
-class IndexFormatError(RagError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +196,15 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:
-            raise ProviderUnavailable(f"embedding endpoint failed: {exc}") from exc
+            raise RagError(f"embedding endpoint failed: {exc}") from exc
         try:
             rows = np.asarray(payload["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderUnavailable(f"bad embedding payload: {exc}") from exc
+            raise RagError(f"bad embedding payload: {exc}") from exc
         if rows.ndim != 2 or len(rows) != len(texts):
-            raise ProviderUnavailable(f"endpoint returned embeddings of shape {rows.shape} for {len(texts)} texts")
+            raise RagError(f"endpoint returned embeddings of shape {rows.shape} for {len(texts)} texts")
         if rows.shape[1] != self.dimension:
-            raise DimensionMismatch(f"endpoint returned dimension {rows.shape[1]}, expected {self.dimension}")
+            raise RagError(f"endpoint returned dimension {rows.shape[1]}, expected {self.dimension}")
         return rows.T
 
 
@@ -249,12 +218,10 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
 def _raw_vector(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """``provider``'s raw vector for ``text``, as a float64 array of its own."""
     if not text.strip():
-        raise EmptyText("cannot embed empty text")
+        raise RagError("cannot embed empty text")
     vec = np.array(provider.embed_raw(text), dtype=np.float64)
     if vec.shape != (provider.dimension,):
-        raise DimensionMismatch(
-            f"provider {provider.provider_id} returned shape {vec.shape}, expected ({provider.dimension},)"
-        )
+        raise RagError(f"provider {provider.provider_id} returned shape {vec.shape}, expected ({provider.dimension},)")
     return vec
 
 
@@ -266,9 +233,9 @@ def _normalize_columns(block: np.ndarray, provider_id: str) -> None:
         # largest component first.  Ordinary vectors skip this and keep their bytes.
         scale = float(np.max(np.abs(block[:, j])))
         if not math.isfinite(scale):
-            raise ProviderUnavailable(f"provider {provider_id} returned a non-finite vector")
+            raise RagError(f"provider {provider_id} returned a non-finite vector")
         if scale == 0.0:
-            raise ProviderUnavailable(f"provider {provider_id} returned a zero vector")
+            raise RagError(f"provider {provider_id} returned a zero vector")
         block[:, j] /= scale
         norms[j] = math.sqrt(np.square(block[:, j]).sum())
     block /= norms
@@ -292,10 +259,10 @@ class LabeledReport:
 
     def validate(self) -> None:
         if not isinstance(self.report_id, str) or not self.report_id:
-            raise CorpusError("report_id must be a nonempty string")
+            raise RagError("report_id must be a nonempty string")
         for i, sentence in enumerate(self.sentences):
             if not isinstance(sentence.text, str) or not sentence.text.strip():
-                raise CorpusError(f"report {self.report_id}: sentence {i} is not a nonempty string")
+                raise RagError(f"report {self.report_id}: sentence {i} is not a nonempty string")
 
 
 def load_corpus(path: str | Path) -> list[LabeledReport]:
@@ -306,7 +273,7 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
+            raw = decode_json(line)
             sentences = tuple(
                 LabeledSentence(
                     text=entry["text"],
@@ -319,9 +286,9 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
             )
             report.validate()
         except Exception as exc:
-            raise CorpusError(f"{path}:{line_no}: {exc}") from exc
+            raise RagError(f"{path}:{line_no}: {exc}") from exc
         if report.report_id in seen:
-            raise CorpusError(f"{path}:{line_no}: duplicate report_id {report.report_id!r}")
+            raise RagError(f"{path}:{line_no}: duplicate report_id {report.report_id!r}")
         seen.add(report.report_id)
         reports.append(report)
     return reports
@@ -371,7 +338,7 @@ class RagIndex:
 def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> RagIndex:
     """Embed every labeled sentence into one record; record order follows the corpus."""
     if not corpus:
-        raise EmptyCorpus("corpus has no reports")
+        raise RagError("corpus has no reports")
     entries = []
     for report in corpus:
         report.validate()
@@ -382,7 +349,7 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
         texts = [sentence for _, sentence, _ in entries[lo : lo + EMBED_CHUNK]]
         block = np.asarray(provider.embed_raw_batch(texts), dtype=np.float64)
         if block.shape != (provider.dimension, len(texts)):
-            raise DimensionMismatch(f"provider {provider.provider_id} returned {block.shape} for {len(texts)} texts")
+            raise RagError(f"provider {provider.provider_id} returned {block.shape} for {len(texts)} texts")
         chunk = columns[:, lo : lo + len(texts)]
         chunk[...] = block
         _normalize_columns(chunk, provider.provider_id)
@@ -428,13 +395,11 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
     Ties break by ascending record_id so repeated calls are identical.
     """
     if provider.provider_id != index.provider_id:
-        raise ProviderMismatch(
-            f"index built with {index.provider_id!r}, queried with {provider.provider_id!r}"
-        )
+        raise RagError(f"index built with {index.provider_id!r}, queried with {provider.provider_id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.records:
-        raise EmptyIndex("index has no records")
+        raise RagError("index has no records")
     query = embed(query_sentence, provider)
     # Pre-select with one product over the block rows where the query is nonzero: every
     # record that can be in the top k has a fast score within _score_margin of the k-th.
@@ -479,19 +444,19 @@ def load_index(path: str | Path) -> RagIndex:
         dimension = int(header["dimension"])
         raw_records = list(header["records"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise IndexFormatError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
+        raise RagError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
     if (layout := header.get("layout")) != _LAYOUT:
-        raise IndexFormatError(f"{path}: index layout {layout!r} is not {_LAYOUT!r}; rebuild it with build-index")
+        raise RagError(f"{path}: index layout {layout!r} is not {_LAYOUT!r}; rebuild it with build-index")
     entries = []
     for i, raw in enumerate(raw_records):
         try:
             labels = tuple(S2REntity.from_label(label) for label in raw.get("labels", []))
             entries.append((raw["record_id"], raw["sentence"], labels))
         except Exception as exc:
-            raise IndexFormatError(f"{path}: record {i}: {exc}") from exc
+            raise RagError(f"{path}: record {i}: {exc}") from exc
     block, need = len(data) - end - 1, len(entries) * dimension * 8
     if dimension < 1 or block != need:
-        raise IndexFormatError(f"{path}: embedding block is {block} bytes, not {need}; rebuild it with build-index")
+        raise RagError(f"{path}: embedding block is {block} bytes, not {need}; rebuild it with build-index")
     columns = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(dimension, len(entries))
     if not columns.flags.aligned:  # an unpadded header; products with an unaligned view run ~5x slower
         columns = columns.copy()
@@ -500,5 +465,5 @@ def load_index(path: str | Path) -> RagIndex:
     norms = np.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix))
     off_norm = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
     if off_norm.size:
-        raise IndexFormatError(f"{path}: record {index.records[off_norm[0]].record_id} is not unit-norm")
+        raise RagError(f"{path}: record {index.records[off_norm[0]].record_id} is not unit-norm")
     return index

@@ -8,7 +8,7 @@ experiments possible.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -24,7 +24,7 @@ from .device import (
     UiState,
     resolve_feature,
 )
-from .gateway import ActionCommand
+from .gateway import ActionCommand, decode_json
 from .grammar import VERB_SPECS
 
 
@@ -51,19 +51,11 @@ class TransitionRule(NamedTuple):
 
 class FieldCondition(NamedTuple):
     element_id: str
-    op: str  # equals | not_equals | prefix | not_prefix
+    op: str  # a key of _FIELD_OPS
     value: str
 
     def holds(self, current: str) -> bool:
-        if self.op == "equals":
-            return current == self.value
-        if self.op == "not_equals":
-            return current != self.value
-        if self.op == "prefix":
-            return current.startswith(self.value)
-        if self.op == "not_prefix":
-            return not current.startswith(self.value)
-        raise ValueError(f"unknown field op {self.op!r}")
+        return _FIELD_OPS[self.op](current, self.value)
 
 
 class CrashRule(NamedTuple):
@@ -88,7 +80,13 @@ class SimAppSpec:
     crash_rules: tuple[CrashRule, ...]
 
 
-_FIELD_OPS = ("equals", "not_equals", "prefix", "not_prefix")
+#: Each field op, as a predicate of the field's current text and the rule's value.
+_FIELD_OPS = {
+    "equals": operator.eq,
+    "not_equals": operator.ne,
+    "prefix": str.startswith,
+    "not_prefix": lambda current, value: not current.startswith(value),
+}
 
 _TEXT, _GUARD = (str, type(None)), (dict, type(None))
 _TRIGGER = {"verb": str, "feature": _TEXT, "required_text": _TEXT, "direction": _TEXT}
@@ -176,7 +174,7 @@ def _parse_trigger(
 def load_spec(path: str | Path) -> SimAppSpec:
     """Load and fully validate an app spec file; raises :class:`SpecInvalid`."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = decode_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SpecInvalid([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):

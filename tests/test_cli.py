@@ -67,8 +67,9 @@ def test_build_index_missing_corpus_fails(runner, tmp_path):
         BAD_LABEL_CORPUS,
         json.dumps({"report_id": "r1", "sentences": [{"text": 5}]}),
         json.dumps({"report_id": ["r1"], "sentences": [{"text": "Tap OK."}]}),
+        json.dumps({"report_id": "r1", "sentences": [{"text": "Tap OK\ud800."}]}),
     ],
-    ids=["bad label", "text not a string", "report_id not a string"],
+    ids=["bad label", "text not a string", "report_id not a string", "lone surrogate"],
 )
 def test_build_index_malformed_corpus_exits_3(runner, tmp_path, line):
     corpus = tmp_path / "corpus.jsonl"
@@ -271,6 +272,7 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--script", "script", '{"steps": [{"action": "fly"}]}'),
         ("--script", "script", "[1]"),
         ("--script", "script", '{"steps": "x"}'),
+        pytest.param("--script", "script", '{"steps": [{"action": "tap", "component": "x\\ud800"}]}', id="script-lone surrogate"),
         ("--sim-spec", "app spec", None),
         ("--sim-spec", "app spec", "[1]"),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": 5}}'),
@@ -278,6 +280,10 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {}}, "transitions": [{"from": ["a"], "to": "a", "verb": "back"}]}'),
         ("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {"elements": [{"id": "go", "class": "Button", "text": ["Go"]}]}}}'),
         pytest.param("--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": 5, "b": 6}}', id="two violations"),
+        pytest.param(
+            "--sim-spec", "app spec", '{"initial_state": "a", "states": {"a": {"elements": [{"id": "go", "class": "Button", "text": "Go\\ud800"}]}}}',
+            id="app spec-lone surrogate",
+        ),
         ("--mock-script", "mock script", None),
         ("--mock-script", "mock script", '{"when": "Screen"}'),
         ("--mock-script", "mock script", '{"response": 5}'),

@@ -152,8 +152,10 @@ def test_resolve_tie_breaks_topmost_then_leftmost():
 def test_resolve_no_match_reports_all_tiers():
     with pytest.raises(NoMatchError) as excinfo:
         resolve_feature(cascade_screen(), "Nonexistent")
-    assert len(excinfo.value.misses) == 5
-    assert "no exact text match" in excinfo.value.misses[0]
+    assert str(excinfo.value) == (
+        "no element matched feature 'Nonexistent' (no exact text match; no exact description match; "
+        "no resource id suffix match; no case-insensitive text match; no substring of text or description match)"
+    )
 
 
 def test_resolve_rejects_empty_feature():
@@ -166,26 +168,18 @@ def scan_cascade(state: UiState, feature: str) -> UiElement:
     elements = list(state.root.iter_tree())
     folded = feature.lower()
     tiers = (
-        ("exact text", lambda e: e.text == feature),
-        ("exact description", lambda e: e.content_desc == feature),
-        (
-            "resource id suffix",
-            lambda e: e.resource_id is not None
-            and (e.resource_id == feature or e.resource_id.endswith("/" + feature)),
-        ),
-        ("case-insensitive text", lambda e: (e.text or "").lower() == folded),
-        (
-            "substring of text or description",
-            lambda e: folded in (e.text or "").lower() or folded in (e.content_desc or "").lower(),
-        ),
+        lambda e: e.text == feature,  # exact text
+        lambda e: e.content_desc == feature,  # exact description
+        lambda e: e.resource_id is not None  # resource id suffix
+        and (e.resource_id == feature or e.resource_id.endswith("/" + feature)),
+        lambda e: (e.text or "").lower() == folded,  # case-insensitive text
+        lambda e: folded in (e.text or "").lower() or folded in (e.content_desc or "").lower(),  # substring
     )
-    misses = []
-    for name, matches in tiers:
+    for matches in tiers:
         candidates = [e for e in elements if matches(e)]
         if candidates:
             return min(candidates, key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
-        misses.append(f"no {name} match")
-    raise NoMatchError(feature, misses)
+    raise NoMatchError(feature)
 
 
 # Few values per field, so texts, descriptions, ids and whole (top, left, id) keys repeat.
@@ -237,7 +231,7 @@ def test_resolve_matches_the_scan_cascade(case):
     except NoMatchError as miss:
         with pytest.raises(NoMatchError) as excinfo:
             resolve_feature(state, feature)
-        assert excinfo.value.misses == miss.misses
+        assert str(excinfo.value) == str(miss)
         return
     assert resolve_feature(state, feature) is expected
     assert resolve_feature(state, feature) is expected

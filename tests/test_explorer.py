@@ -21,7 +21,6 @@ from crashreplay.device import (
 )
 from crashreplay.explorer import (
     EXPLORE_FILL_TEXT,
-    ElementAbsent,
     ExplorerError,
     UtgEdge,
     UtgGraph,
@@ -369,7 +368,7 @@ def test_closest_state_prefers_shorter_distance():
 
 def test_closest_state_absent_element():
     graph = synthetic_graph({"s0": ["feat00"]}, [], "s0")
-    with pytest.raises(ElementAbsent):
+    with pytest.raises(ExplorerError, match="element 'feat99' appears in no node"):
         closest_state_for_element(graph, "feat99")
 
 
@@ -408,7 +407,7 @@ def test_closest_state_matches_networkx_oracle():
             reachable = [sid for sid in containing if sid in distances]
             if not reachable:
                 if containing:
-                    with pytest.raises(ElementAbsent):
+                    with pytest.raises(ExplorerError, match=f"element '{feature}' appears only in unreachable nodes"):
                         closest_state_for_element(graph, feature)
                 continue
             expected = min(reachable, key=lambda sid: (distances[sid], sid))

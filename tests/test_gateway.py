@@ -15,15 +15,13 @@ from crashreplay.gateway import (
     MAX_REPLY_NESTING,
     ActionCommand,
     BudgetExceeded,
-    ExhaustedScript,
     GatewayError,
     HttpGateway,
     LlmConfig,
     LlmGateway,
-    MalformedCommandError,
     MockGateway,
-    NoActionableOutput,
     TransportError,
+    decode_json,
     encode_json,
     filter_json_payload,
     parse_action_sequence,
@@ -185,22 +183,18 @@ def test_parse_normalizes_verb_and_key_aliases():
 
 
 def test_parse_rejects_missing_input_text():
-    with pytest.raises(MalformedCommandError) as excinfo:
+    with pytest.raises(GatewayError, match="^action array failed validation: command 0: set_text requires input_text$"):
         parse_action_sequence('[{"action": "set_text", "feature": "URL"}]')
-    assert excinfo.value.issues[0][0] == 0
-    assert "input_text" in excinfo.value.issues[0][1]
 
 
 def test_parse_rejects_unknown_verb():
-    with pytest.raises(MalformedCommandError) as excinfo:
+    with pytest.raises(GatewayError, match="command 0: unknown action 'frobnicate'"):
         parse_action_sequence('[{"action": "frobnicate", "feature": "x"}]')
-    assert "unknown action" in excinfo.value.issues[0][1]
 
 
 def test_parse_reports_every_bad_command():
-    with pytest.raises(MalformedCommandError) as excinfo:
+    with pytest.raises(GatewayError, match="command 0: scroll requires a direction; command 1: click requires a feature$"):
         parse_action_sequence('[{"action": "scroll"}, {"action": "click"}]')
-    assert [issue[0] for issue in excinfo.value.issues] == [0, 1]
 
 
 def test_parse_ignores_unknown_keys():
@@ -212,8 +206,16 @@ def test_parse_ignores_unknown_keys():
 def test_a_command_field_holding_a_lone_surrogate_is_malformed(field):
     # The reply escapes the surrogate, so it is ASCII; the decoded field cannot be encoded as UTF-8.
     reply = json.dumps([{"action": "set_text", "feature": "URL", "input_text": "x", field: "x\ud800"}])
-    with pytest.raises(MalformedCommandError, match=f"command 0: {field} holds a lone surrogate code point"):
+    with pytest.raises(GatewayError, match=f"command 0: {field} holds a lone surrogate code point"):
         parse_action_sequence(reply)
+
+
+def test_decode_json_rejects_a_lone_surrogate_and_keeps_an_escaped_pair():
+    # An escaped pair decodes to one code point, and an escaped backslash leaves no surrogate at all.
+    assert decode_json(r'["\ud83d\ude00", "\\ud800"]') == ["\U0001f600", "\\ud800"]
+    for text in (r'["x\ud800"]', r'{"\uDFFF": 1}', r'[["\ud83d"]]'):
+        with pytest.raises(ValueError, match="^a string holds a lone surrogate code point$"):
+            decode_json(text)
 
 
 # -- mock gateway ----------------------------------------------------------------
@@ -229,7 +231,7 @@ def test_mock_fifo_exhausts():
     gateway = MockGateway.from_script(["X", "Y"])
     gateway.complete("a")
     gateway.complete("b")
-    with pytest.raises(ExhaustedScript):
+    with pytest.raises(GatewayError, match="no scripted response left for this prompt"):
         gateway.complete("c")
 
 
@@ -371,20 +373,20 @@ def test_request_actions_repairs_once():
 
 def test_request_actions_gives_up_after_repair():
     gateway = MockGateway.from_script(["no json", "still no json"])
-    with pytest.raises(NoActionableOutput):
+    with pytest.raises(GatewayError, match="no JSON action array, even after a repair attempt"):
         gateway.request_actions("do it")
 
 
 def test_request_actions_malformed_commands_surface_as_no_actionable():
     gateway = MockGateway.from_script(['[{"action": "set_text", "feature": "URL"}]'])
-    with pytest.raises(NoActionableOutput):
+    with pytest.raises(GatewayError, match="^action array failed validation: command 0: set_text requires input_text$"):
         gateway.request_actions("do it")
 
 
 def test_request_actions_rejects_text_with_a_control_character():
     reply = json.dumps([{"action": "set_text", "feature": "URL", "input_text": "a\nb"}])
     gateway = MockGateway.from_script([reply])
-    with pytest.raises(NoActionableOutput, match=r"command 0: input_text holds the control character '\\n'"):
+    with pytest.raises(GatewayError, match=r"command 0: input_text holds the control character '\\n'"):
         gateway.request_actions("do it")
 
 

@@ -16,18 +16,12 @@ from conftest import _EmbedHandler, counting_server, script_from_report
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     EMBED_CHUNK,
-    DimensionMismatch,
     EmbeddingProvider,
-    EmptyCorpus,
-    EmptyIndex,
-    EmptyText,
     HashedTrigramProvider,
     HttpEmbeddingProvider,
-    IndexFormatError,
     LabeledReport,
     LabeledSentence,
-    ProviderMismatch,
-    ProviderUnavailable,
+    RagError,
     RagIndex,
     build_index,
     embed,
@@ -157,12 +151,12 @@ def test_embed_deterministic(provider):
 
 
 def test_embed_rejects_empty(provider):
-    with pytest.raises(EmptyText):
+    with pytest.raises(RagError, match="^cannot embed empty text$"):
         embed("   ", provider)
 
 
 def test_embed_rejects_non_finite_vector():
-    with pytest.raises(ProviderUnavailable):
+    with pytest.raises(RagError, match="returned a non-finite vector$"):
         embed("query", StubProvider({"query": np.array([1.0, np.nan])}))
 
 
@@ -178,7 +172,7 @@ def test_embed_normalizes_vectors_whose_plain_norm_underflows_or_overflows(raw, 
 
 @pytest.mark.parametrize("raw", [[0.0, 0.0], [np.inf, 1.0], [1e200, np.nan]])
 def test_embed_rejects_zero_and_non_finite_vectors(raw):
-    with pytest.raises(ProviderUnavailable):
+    with pytest.raises(RagError, match="returned a (zero|non-finite) vector$"):
         embed("query", StubProvider({"query": np.array(raw)}))
 
 
@@ -230,7 +224,7 @@ def test_build_counts_records(provider):
 
 
 def test_build_rejects_empty_corpus(provider):
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(RagError, match="^corpus has no reports$"):
         build_index([], provider)
 
 
@@ -266,7 +260,7 @@ def test_build_index_records_equal_embed_across_chunks():
         assert record.embedding.tobytes() == embed(record.sentence, provider).tobytes()
     for bad in ([0.0, 0.0], [np.inf, 1.0], [1e200, np.nan]):
         stub = StubProvider({**provider.vectors, texts[EMBED_CHUNK + 3]: np.array(bad)})
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(RagError, match="returned a (zero|non-finite) vector$"):
             build_index([make_report("a", texts)], stub)
 
 
@@ -394,13 +388,13 @@ def test_retrieve_k_clamps_to_record_count(mini_corpus, provider):
 
 def test_retrieve_rejects_provider_mismatch(mini_corpus, provider):
     index = build_index(mini_corpus, provider)
-    with pytest.raises(ProviderMismatch):
+    with pytest.raises(RagError, match="^index built with .*, queried with 'hashed-trigram-128'$"):
         retrieve(index, "Tap OK.", 1, HashedTrigramProvider(dimension=128))
 
 
 def test_retrieve_rejects_empty_index(provider):
     index = RagIndex(provider.provider_id, np.empty((0, provider.dimension)), [])
-    with pytest.raises(EmptyIndex):
+    with pytest.raises(RagError, match="^index has no records$"):
         retrieve(index, "Tap OK.", 1, provider)
 
 
@@ -447,7 +441,7 @@ def test_load_rejects_non_unit_norm(tmp_path, provider, mini_corpus):
     header, block = split_index_file(path)
     block[0] += 0.5
     path.write_bytes(header + block.tobytes())
-    with pytest.raises(IndexFormatError):
+    with pytest.raises(RagError, match="record .* is not unit-norm$"):
         load_index(path)
 
 
@@ -460,7 +454,7 @@ def test_load_names_first_record_off_unit_norm(tmp_path, provider, mini_corpus):
     columns[0, 3] = float("nan")
     columns[0, 7] += 0.5
     path.write_bytes(header + block.tobytes())
-    with pytest.raises(IndexFormatError, match=f"record {index.records[3].record_id} is not unit-norm"):
+    with pytest.raises(RagError, match=f"record {index.records[3].record_id} is not unit-norm"):
         load_index(path)
 
 
@@ -477,7 +471,7 @@ def test_load_rejects_a_block_of_the_wrong_size(tmp_path, provider, mini_corpus,
     path = tmp_path / "index.bin"
     save_index(index, path)
     path.write_bytes(damage(path.read_bytes(), 8 * index.dimension))
-    with pytest.raises(IndexFormatError, match="embedding block is .* bytes"):
+    with pytest.raises(RagError, match="embedding block is .* bytes"):
         load_index(path)
 
 
@@ -527,7 +521,7 @@ def test_load_rejects_the_row_major_block_and_names_build_index(tmp_path, provid
     index = build_index(mini_corpus, provider)
     path = tmp_path / "index.bin"
     write_row_major_index(index, path)
-    with pytest.raises(IndexFormatError, match="layout None is not 'columns'; rebuild it with build-index"):
+    with pytest.raises(RagError, match="layout None is not 'columns'; rebuild it with build-index"):
         load_index(path)
 
 
@@ -545,7 +539,7 @@ def test_saved_block_holds_one_row_per_dimension(tmp_path, provider, mini_corpus
 def test_load_rejects_the_old_json_format_and_names_build_index(tmp_path, provider, mini_corpus, one_record_per_line):
     path = tmp_path / "index.json"
     path.write_text(old_json_index(build_index(mini_corpus, provider), one_record_per_line), encoding="utf-8")
-    with pytest.raises(IndexFormatError, match="build-index"):
+    with pytest.raises(RagError, match="build-index"):
         load_index(path)
 
 
@@ -610,9 +604,9 @@ def test_http_provider_round_trip(embed_server):
 
 def test_http_provider_dimension_check(embed_server, mini_corpus):
     provider = HttpEmbeddingProvider(embed_server, dimension=16)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(RagError, match=r"^endpoint returned dimension \d+, expected 16$"):
         embed("tap button", provider)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(RagError, match=r"^endpoint returned dimension \d+, expected 16$"):
         build_index(mini_corpus, provider)
 
 
@@ -639,7 +633,7 @@ def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
         provider.session.close()
     with counting_server(_OneShortHandler) as server:
         provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(RagError, match="^endpoint returned embeddings of shape"):
             build_index(mini_corpus, provider)
         provider.session.close()
 
@@ -647,7 +641,7 @@ def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
 def test_http_provider_unreachable(monkeypatch):
     monkeypatch.setattr("crashreplay.rag.EMBED_TIMEOUT_S", 0.5)
     provider = HttpEmbeddingProvider("http://127.0.0.1:9/embed", dimension=8)
-    with pytest.raises(ProviderUnavailable):
+    with pytest.raises(RagError, match="^embedding endpoint failed: "):
         embed("tap button", provider)
 
 
