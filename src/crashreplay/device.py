@@ -140,7 +140,7 @@ class CrashInfo:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecStatus:
     ok: bool
     detail: str
@@ -240,11 +240,12 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
     """
     if not feature:
         raise ValueError("feature must be nonempty")
-    lookups, scan = _resolution_tables(state)
-    folded = feature.lower()
-    for table, key in zip(lookups, (feature, feature, feature, folded)):
-        if (element := table.get(key)) is not None:
-            return element
+    (by_text, by_desc, by_rid, by_folded_text), scan = _resolution_tables(state)
+    # The exact tiers first, with the feature as given; an element is always true, so ``or`` stops at a hit.
+    element = (by_text.get(feature) or by_desc.get(feature) or by_rid.get(feature)
+               or by_folded_text.get(folded := feature.lower()))
+    if element is not None:
+        return element
     for text, desc, element in scan:
         if folded in text or folded in desc:
             return element

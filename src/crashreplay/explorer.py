@@ -38,7 +38,7 @@ class ExplorerError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtgEdge:
     from_state: str
     action: ActionCommand
@@ -131,28 +131,23 @@ def explore(
 
     origin = device.capture_state()
     graph = UtgGraph(origin=origin.state_id, nodes={origin.state_id: origin}, edges=[])
-    seen_edges: set[UtgEdge] = set()
+    end = math.inf if deadline is None else deadline
     used = 0
     current_id: str | None = origin.state_id
 
-    def spend_one(limit: float) -> None:
-        nonlocal used
-        if used + 1 > limit or (deadline is not None and time.monotonic() >= deadline):
-            raise _BudgetDone
-        used += 1
-
     def restore_to(state_id: str, rel_path: tuple[ActionCommand, ...], limit: float) -> None:
         """restart + origin path + ``rel_path`` to ``state_id``, begun only if it and one more command fit ``limit``."""
-        nonlocal current_id
+        nonlocal current_id, used
         if used + 1 + len(origin_path) + len(rel_path) + 1 > limit:
             raise _BudgetDone  # a restore only pays if the command it serves fits too
         current_id = None
-        spend_one(math.inf)
-        device.restart_app()
-        for cmd in (*origin_path, *rel_path):
-            spend_one(math.inf)
-            status = device.execute(cmd)
-            if not status.ok or status.crash:
+        for cmd in (None, *origin_path, *rel_path):  # None stands for the restart
+            if time.monotonic() >= end:
+                raise _BudgetDone
+            used += 1
+            if cmd is None:
+                device.restart_app()
+            elif not (status := device.execute(cmd)).ok or status.crash:
                 raise ExplorerError(f"restore path failed at {cmd.to_dict()}")
         current_id = state_id
 
@@ -169,7 +164,9 @@ def explore(
                 for probe in _probe_commands(state):
                     if current_id != state_id:
                         restore_to(state_id, rel_path, action_budget)
-                    spend_one(action_budget)
+                    if used + 1 > action_budget or time.monotonic() >= end:
+                        raise _BudgetDone
+                    used += 1
                     status = device.execute(probe)
                     if status.crash:
                         current_id = None
@@ -177,14 +174,12 @@ def explore(
                     if not status.ok:
                         continue
                     dest = status.new_state
-                    current_id = dest.state_id
-                    graph.nodes.setdefault(dest.state_id, dest)
-                    edge = UtgEdge(state_id, probe, dest.state_id)
-                    if edge not in seen_edges:
-                        seen_edges.add(edge)
-                        graph.edges.append(edge)
-                    if level + 1 < depth and dest.state_id not in probed:
-                        next_frontier.append((dest.state_id, rel_path + (probe,)))
+                    current_id = dest_id = dest.state_id
+                    graph.nodes.setdefault(dest_id, dest)
+                    # No edge repeats: each state is probed once, with distinct probes.
+                    graph.edges.append(UtgEdge(state_id, probe, dest_id))
+                    if level + 1 < depth and dest_id not in probed:
+                        next_frontier.append((dest_id, rel_path + (probe,)))
             frontier = next_frontier
     except (_BudgetDone, ExplorerError):
         graph.truncated = True

@@ -89,13 +89,15 @@ class ActionCommand:
         return out
 
     def problems(self) -> list[str]:
-        """What this command's verb requires and lacks, text it cannot type, and text UTF-8 cannot encode."""
+        """What the verb requires and lacks, an empty feature, text it cannot type, and text UTF-8 cannot encode."""
         spec = VERB_SPECS.get(self.action)
         if spec is None:
             return [f"unknown action {self.action!r}"]
         issues = []
         if spec.component and not self.feature:
             issues.append(f"{self.action} requires a feature")
+        elif self.feature == "":  # an empty feature names no element, whatever the verb
+            issues.append("feature is empty")
         if spec.value_required and self.input_text is None:
             issues.append(f"{self.action} requires input_text")
         if self.direction is None and spec.direction_required:

@@ -439,7 +439,7 @@ def load_index(path: str | Path) -> RagIndex:
     try:
         data = Path(path).read_bytes()
         end = data.index(b"\n")
-        header = json.loads(data[:end])
+        header = decode_json(data[:end].decode("utf-8"))  # no output could encode a lone surrogate
         provider_id = header["provider_id"]
         dimension = int(header["dimension"])
         raw_records = list(header["records"])

@@ -314,14 +314,11 @@ class SimSession:
     def _field_value(self, element_id: str) -> str:
         return self.field_values.get(element_id, self._initial_text.get(element_id, ""))
 
-    def _trigger_matches(self, trigger: Trigger, cmd: ActionCommand, element: UiElement | None) -> bool:
-        """Whether a trigger of ``cmd``'s verb fires: each field it sets is the command's.
+    def _fields_match(self, trigger: Trigger, cmd: ActionCommand) -> bool:
+        """Whether a trigger's required text and direction, where it sets them, are the command's.
 
-        The rules are keyed by verb, so the verb is not compared again, and the
-        element id is read once: a named-tuple field costs more to read than a dataclass attribute."""
-        element_id = trigger.element_id
-        if element_id is not None and (element is None or element.element_id != element_id):
-            return False
+        :meth:`step` checks the rest first: its rules are keyed by verb, and it skips
+        a rule that names another element without this call, which costs more than the comparison."""
         if trigger.required_text is not None and cmd.input_text != trigger.required_text:
             return False
         return trigger.direction is None or cmd.direction == trigger.direction
@@ -340,7 +337,7 @@ class SimSession:
             return ExecStatus(ok=True, detail="app restarted", new_state=self.build_state())
 
         state = self.build_state()
-        element: UiElement | None = None
+        element = element_id = None
         if cmd.feature is not None:
             try:
                 element = resolve_feature(state, cmd.feature)
@@ -348,15 +345,18 @@ class SimSession:
                 return ExecStatus(
                     ok=False, detail=str(exc), new_state=state, no_match_feature=cmd.feature
                 )
+            element_id = element.element_id
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)
 
         for rule in self._crash_rules.get((self.current, cmd.action), ()):
-            if not self._trigger_matches(rule.trigger, cmd, element):
+            trigger, condition = rule.trigger, rule.requires_field
+            if trigger.element_id is not None and trigger.element_id != element_id:
+                continue  # most of a page's rules name another element
+            if not self._fields_match(trigger, cmd):
                 continue
-            if rule.requires_field is not None:
-                if not rule.requires_field.holds(self._field_value(rule.requires_field.element_id)):
-                    continue
+            if condition is not None and not condition.holds(self._field_value(condition.element_id)):
+                continue
             self.crashed = rule.crash
             return ExecStatus(
                 ok=True,
@@ -376,7 +376,8 @@ class SimSession:
             applied = True
 
         for rule in self._transitions.get((self.current, cmd.action), ()):
-            if self._trigger_matches(rule.trigger, cmd, element):
+            trigger = rule.trigger
+            if (trigger.element_id is None or trigger.element_id == element_id) and self._fields_match(trigger, cmd):
                 self.current = rule.to_state
                 new_state = self.build_state()
                 return ExecStatus(

@@ -169,6 +169,23 @@ def test_extract_malformed_index_exits_3(runner, tmp_path):
         assert_cannot_read(result, "index", index)
 
 
+def test_extract_index_escaping_a_lone_surrogate_exits_3(runner, tmp_path, index_file):
+    # Every record's sentence ends in an escaped lone surrogate, which no output file could encode.
+    data = index_file.read_bytes()
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    for record in header["records"]:
+        record["sentence"] += "\ud800"
+    index_file.write_bytes(json.dumps(header).encode("ascii") + data[end:])
+    result = runner.invoke(
+        main,
+        ["extract", "--report", str(SCENARIOS / "url_crash" / "report.txt"), "--index", str(index_file),
+         "--mock-script", str(SCENARIOS / "url_crash" / "extract_mock.jsonl"), "--out", str(tmp_path / "out")],
+    )
+    assert_cannot_read(result, "index", index_file)
+    assert not (tmp_path / "out").exists()
+
+
 def test_extract_live_mode_without_env_fails(runner, tmp_path, index_file, monkeypatch):
     monkeypatch.delenv(ENV_ENDPOINT, raising=False)
     monkeypatch.delenv(ENV_MODEL, raising=False)

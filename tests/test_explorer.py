@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -312,6 +313,82 @@ def test_exploration_action_count_matches_simulator_log():
             expected.append("restart")
     assert "restart" in expected
     assert device.log == expected
+
+
+#: Labels that collide: two elements of a screen may share one, and "Open" and "open" fold to the same key.
+EXPLORE_LABELS = ["Open", "open", "Go", "Back"]
+#: Each probed verb and the element flag that makes the explorer probe it.
+PROBE_FLAGS = {"click": "clickable", "long_click": "long_clickable", "set_text": "editable", "scroll": "scrollable"}
+
+
+@st.composite
+def explorable_specs(draw):
+    """A spec of 3-8 states of 1-4 elements each, with colliding or missing labels and any mix of the probe flags,
+    and up to 12 transitions (to any state, so back to earlier ones too) and one crash rule that probes trigger."""
+    states = [f"s{i}" for i in range(draw(st.integers(3, 8)))]
+    element = st.tuples(st.sampled_from([*EXPLORE_LABELS, None]), st.sets(st.sampled_from(list(PROBE_FLAGS.values()))))
+    layouts = {
+        name: [{"id": f"e{i}", "class": "View", "bounds": [0, 10 * i, 100, 10 * i + 5],
+                **({} if label is None else {"text": label}), **dict.fromkeys(flags, True)}
+               for i, (label, flags) in enumerate(draw(st.lists(element, min_size=1, max_size=4)))]
+        for name in states
+    }
+    # A scroll probe names no element, so a scroll trigger names none either.
+    triggers = sorted({(name, verb, None if verb == "scroll" else e["id"])
+                       for name in states for e in layouts[name] for verb, flag in PROBE_FLAGS.items() if e.get(flag)},
+                      key=str)
+
+    def rule(key: str, name: str, verb: str, element_id: str | None) -> dict:
+        return {key: name, "verb": verb, **({"direction": "down"} if element_id is None else {"feature": element_id})}
+
+    chosen = draw(st.lists(st.sampled_from(triggers), max_size=12, unique=True)) if triggers else []
+    crashing = draw(st.lists(st.sampled_from(triggers), max_size=1)) if triggers else []
+    return {
+        "app_id": "t.explore",
+        "initial_state": "s0",
+        "states": {name: {"activity": f"{name}Activity", "elements": layouts[name]} for name in states},
+        "transitions": [{**rule("from", *key), "to": draw(st.sampled_from(states))} for key in chosen],
+        "crash_rules": [{**rule("state", *key), "crash": {"exception_type": "E"}} for key in crashing],
+    }
+
+
+class ScreenLoggingDevice(SimulatorDevice):
+    """Logs every command with the screen it ran on, and None for every restart."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.log: list[tuple[str, ActionCommand] | None] = []
+
+    def execute(self, cmd):
+        self.log.append((self.capture_state().state_id, cmd))
+        return super().execute(cmd)
+
+    def restart_app(self):
+        self.log.append(None)
+        return super().restart_app()
+
+
+@settings(max_examples=150)
+@given(explorable_specs(), st.sampled_from([1, 2]))
+def test_every_probe_of_a_probed_state_reaches_the_device_once(tmp_path_factory, body, depth):
+    path = tmp_path_factory.getbasetemp() / "explorable.json"  # one file, rewritten per example
+    path.write_text(json.dumps(body), encoding="utf-8")
+    device = ScreenLoggingDevice(load_spec(path))
+    graph = explore(device, depth=depth, action_budget=10_000)
+    assert not graph.truncated
+    assert_graph_invariants(graph)
+    assert len(set(graph.edges)) == len(graph.edges)
+    origin, runs = graph.origin, list(enumerate(device.log))
+    plan = probe_plan(graph.nodes[origin])
+    on_origin = [i for i, entry in runs if entry is not None and entry[0] == origin]
+    # Levels are probed in turn: the origin's probes run first, and each later command on the origin is the
+    # restore step to a page one probe away, right after a restart.
+    assert [device.log[i][1] for i in on_origin[: len(plan)]] == plan
+    assert all(device.log[i - 1] is None for i in on_origin[len(plan):])
+    # At depth 2 each page one probe away is probed too, each of its probes once.
+    pages = {e.to_state for e in graph.edges if e.from_state == origin} - {origin} if depth == 2 else set()
+    elsewhere = Counter(entry for _, entry in runs if entry is not None and entry[0] != origin)
+    assert elsewhere == Counter((page, probe) for page in pages for probe in probe_plan(graph.nodes[page]))
 
 
 def test_depth2_discovers_second_layer():

@@ -197,6 +197,20 @@ def test_parse_reports_every_bad_command():
         parse_action_sequence('[{"action": "scroll"}, {"action": "click"}]')
 
 
+@pytest.mark.parametrize(
+    "reply, problem",
+    [
+        ('[{"action": "back", "feature": ""}]', "feature is empty"),
+        ('[{"action": "scroll", "direction": "down", "feature": ""}]', "feature is empty"),
+        ('[{"action": "click", "feature": ""}]', "click requires a feature"),
+    ],
+)
+def test_parse_rejects_an_empty_feature_on_every_verb(reply, problem):
+    # The key is reported, never dropped: no element is named by an empty feature.
+    with pytest.raises(GatewayError, match=f"^action array failed validation: command 0: {problem}$"):
+        parse_action_sequence(reply)
+
+
 def test_parse_ignores_unknown_keys():
     (command,) = parse_action_sequence('[{"action": "back", "confidence": 0.9}]')
     assert command == ActionCommand(action="back")

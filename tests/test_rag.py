@@ -489,6 +489,19 @@ def test_load_aligns_the_block_after_an_unpadded_header(tmp_path, provider, mini
     assert loaded.matrix.tobytes() == index.matrix.tobytes()
 
 
+def test_load_rejects_a_header_escaping_a_lone_surrogate(tmp_path, provider, mini_corpus):
+    # The escape is ASCII, so the header reads as UTF-8; the decoded sentence could never be written out again.
+    path = tmp_path / "index.bin"
+    save_index(build_index(mini_corpus, provider), path)
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    header["records"][0]["sentence"] += "\ud800"
+    path.write_bytes(json.dumps(header).encode("ascii") + data[end:])
+    with pytest.raises(RagError, match="no binary index header .*lone surrogate.*; rebuild it with build-index$"):
+        load_index(path)
+
+
 def old_json_index(index: RagIndex, one_record_per_line: bool) -> str:
     """An index in the all-JSON format, embeddings as decimal arrays."""
     records = [

@@ -719,6 +719,15 @@ def test_run_survives_a_reply_holding_a_lone_surrogate():
     assert result.summary_dict()["trace_sha256"] == hashlib.sha256(text).hexdigest()
 
 
+def test_run_survives_a_reply_with_an_empty_feature():
+    # Resolution refuses an empty feature, so the reply must count as malformed before any device sees it.
+    report, gold, device, _, _ = load_scenario("url_crash")
+    gateway = MockGateway.from_script([{"response": '[{"action": "back", "feature": ""}]', "times": None}])
+    result = run(report, gold, device, gateway, 10.0, explore_enabled=False)
+    assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
+    assert [(rec["commands"], rec["no_actionable"]) for rec in result.trace_records] == [([], True), ([], True)]
+
+
 def test_run_builds_the_prompt_head_once(monkeypatch):
     from crashreplay import replay
 
