@@ -10,7 +10,6 @@ script as denominator.  Dimensions absent from gold report as n/a, never 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .grammar import S2RScript
@@ -81,10 +80,18 @@ def score_extraction(predicted: S2RScript, gold: S2RScript) -> ExtractionScore:
         step_matched += 1
     score.counts["step"] = (step_matched, len(gold.steps))
 
+    gold_entities, predicted_entities = [s.entity for s in gold.steps], [s.entity for s in predicted.steps]
     for dim, key in _OVERLAP_KEYS.items():
-        gold_keys = Counter(k for k in (key(step.entity) for step in gold.steps) if k is not None)
-        pred_keys = Counter(k for k in (key(step.entity) for step in predicted.steps) if k is not None)
-        score.counts[dim] = (sum((gold_keys & pred_keys).values()), sum(gold_keys.values()))
+        # The multiset overlap: each predicted key takes one of the gold keys left unmatched.
+        unmatched: dict = {}
+        for k in map(key, gold_entities):
+            unmatched[k] = unmatched.get(k, 0) + 1
+        total, matched = len(gold_entities) - unmatched.pop(None, 0), 0
+        for k in map(key, predicted_entities):
+            if unmatched.get(k):
+                unmatched[k] -= 1
+                matched += 1
+        score.counts[dim] = (matched, total)
     return score
 
 

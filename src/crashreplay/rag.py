@@ -7,7 +7,6 @@ immutable index.  At extraction time the most similar corpus sentences
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -28,6 +27,7 @@ _TINY_NORM = 1e-150
 _UNIT_ROUNDOFF = 2.0**-53
 EMBED_CHUNK = 256  #: Sentences per ``embed_raw_batch`` call in ``build_index``; it bounds the batch's temporaries.
 _LAYOUT = "columns"  #: The index file's ``layout``: its embedding block holds one row per dimension.
+_BUCKET_CAP = 2**16  #: Trigrams a bucket table holds before it is emptied.
 
 
 class RagError(Exception):
@@ -39,6 +39,7 @@ class RagError(Exception):
 
 _MARKER = re.compile(r"^\d+[.)]\s*")
 _HAS_LETTER = re.compile(r"[A-Za-z]")
+_TERMINAL_TOKEN = re.compile(r"[()]|[.!?]+\s*")  # a parenthesis, or a run of terminal marks and its spaces
 
 
 def _split_terminal(text: str) -> list[str]:
@@ -48,28 +49,15 @@ def _split_terminal(text: str) -> list[str]:
     parenthesized asides stay attached to their sentence.
     """
     out: list[str] = []
-    depth = 0
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "(":
+    depth = start = 0
+    for token in _TERMINAL_TOKEN.finditer(text):
+        if (mark := token.group()) == "(":
             depth += 1
-        elif c == ")":
+        elif mark == ")":
             depth = max(0, depth - 1)
-        elif c in ".!?" and depth == 0:
-            j = i
-            while j + 1 < n and text[j + 1] in ".!?":
-                j += 1
-            k = j + 1
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n and text[k] != "(":
-                out.append(text[start : j + 1].strip())
-                start = k
-            i = j
-        i += 1
+        elif depth == 0 and (k := token.end()) < len(text) and text[k] != "(":
+            out.append(text[start:k].strip())
+            start = k
     tail = text[start:].strip()
     if tail:
         out.append(tail)
@@ -135,11 +123,12 @@ class HashedTrigramProvider(EmbeddingProvider):
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.provider_id = f"hashed-trigram-{dimension}"
+        self._buckets = _BUCKETS.setdefault(dimension, _BucketTable(dimension))
 
     def embed_raw(self, text: str) -> np.ndarray:
         lowered = text.lower()
         grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)] or [lowered]
-        buckets = [_trigram_bucket(gram, self.dimension) for gram in grams]
+        buckets = np.fromiter(map(self._buckets.__getitem__, grams), dtype=np.intp, count=len(grams))
         return np.bincount(buckets, minlength=self.dimension).astype(np.float64)
 
     def embed_raw_batch(self, texts: list[str]) -> np.ndarray:
@@ -154,20 +143,31 @@ class HashedTrigramProvider(EmbeddingProvider):
         points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
         keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
         _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-        buckets = [_trigram_bucket(joined[i : i + 3], self.dimension) for i in starts[first].tolist()]
+        buckets = [self._buckets[joined[i : i + 3]] for i in starts[first].tolist()]
         cells = np.asarray(buckets, dtype=np.int64)[slot] * n + np.repeat(np.arange(n), grams)
         # A text under three characters is its one gram.
-        short = [_trigram_bucket(lowered[j], self.dimension) * n + j for j in np.flatnonzero(grams == 0).tolist()]
+        short = [self._buckets[lowered[j]] * n + j for j in np.flatnonzero(grams == 0).tolist()]
         cells = np.concatenate([cells, np.asarray(short, dtype=np.int64)])
         # Weights of ones count straight into float64, the type of ``embed_raw``'s counts.
         return np.bincount(cells, weights=np.ones(len(cells)), minlength=self.dimension * n).reshape(-1, n)
 
 
+class _BucketTable(dict):
+    """Each trigram's bucket in one dimension, hashed on its first lookup; emptied when it holds ``_BUCKET_CAP``."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+
+    def __missing__(self, gram: str) -> int:
+        if len(self) >= _BUCKET_CAP:
+            self.clear()
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        self[gram] = bucket = int.from_bytes(digest, "big") % self.dimension
+        return bucket
+
+
 # Module-level because a provider is made per extraction (``cli.provider_for_index``).
-@functools.lru_cache(maxsize=2**16)
-def _trigram_bucket(gram: str, dimension: int) -> int:
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % dimension
+_BUCKETS: dict[int, _BucketTable] = {}
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
@@ -211,7 +211,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """Embed ``text`` and L2-normalize the result, whatever the provider returned."""
     vec = _raw_vector(text, provider)
-    _normalize_columns(vec[:, None], provider.provider_id)
+    if _TINY_NORM < (norm := math.sqrt(_square_sums(vec))) < math.inf:
+        vec /= norm
+    else:  # rescaled as a one-column block
+        _normalize_columns(vec[:, None], provider.provider_id)
     return vec
 
 
@@ -225,9 +228,14 @@ def _raw_vector(text: str, provider: EmbeddingProvider) -> np.ndarray:
     return vec
 
 
+def _square_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's squares summed pairwise along a contiguous copy, so a vector and a block column agree bitwise."""
+    return np.square(rows, order="C").sum(axis=-1)
+
+
 def _normalize_columns(block: np.ndarray, provider_id: str) -> None:
     """Scale each column of the D x n ``block`` to unit 2-norm in place, to the same bytes at any width n."""
-    norms = np.sqrt(np.square(block.T, order="C").sum(axis=1))  # each column's squares summed along a contiguous row
+    norms = np.sqrt(_square_sums(block.T))
     for j in [j for j, norm in enumerate(norms.tolist()) if not _TINY_NORM < norm < math.inf]:
         # The plain norm lost precision, overflowed or is NaN: rescale by the
         # largest component first.  Ordinary vectors skip this and keep their bytes.
@@ -403,17 +411,17 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
     query = embed(query_sentence, provider)
     # Pre-select with one product over the block rows where the query is nonzero: every
     # record that can be in the top k has a fast score within _score_margin of the k-th.
-    nz = np.flatnonzero(query)
-    fast = query[nz] @ index.matrix.T[nz]
+    nz = query.nonzero()[0]
+    q, rows = query[nz], index.matrix.T[nz]
+    fast = q @ rows
     kth = len(fast) - min(k, len(fast))
     threshold = np.partition(fast, kth)[kth] - _score_margin(index.dimension)
     # Correctly-rounded exact dot products (fsum) of the candidates only, over
     # the nonzero terms (the rest are exact zeros): a score is a unique,
     # summation-order-independent double, so rankings and the record-id tie
     # rule are reproducible by any independent implementation.
-    q = query[nz]
-    candidates = [index.records[row] for row in np.flatnonzero(fast >= threshold)]
-    hits = [RetrievalHit(record, math.fsum((record.embedding[nz] * q).tolist())) for record in candidates]
+    candidates = (fast >= threshold).nonzero()[0].tolist()
+    hits = [RetrievalHit(index.records[row], math.fsum((rows[:, row] * q).tolist())) for row in candidates]
     return sorted(hits, key=lambda hit: (-hit.score, hit.record.record_id))[:k]
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from . import __version__
 from .device import (
     AlreadyCrashed,
     CrashInfo,
@@ -28,6 +29,7 @@ from .device import (
     encode_state_text,
 )
 from .explorer import (
+    EXPLORE_FILL_TEXT,
     ExplorerError,
     explore,
     load_knowledge,
@@ -265,9 +267,11 @@ def run(
     started_at = time.monotonic()
     deadline = started_at + budget
     loop = _RunState(gateway=gateway, started_at=started_at, llm_base=gateway.total_llm_time)
-    # Cached knowledge is only reused under the settings that built it.
-    settings = [explore_depth, explore_action_budget, gateway.config.model_name]
-    settings_key = hashlib.sha256(json.dumps(settings).encode("utf-8")).hexdigest()[:16]
+    if utg_cache_dir is not None:
+        # Cached knowledge is reused only under the settings, fill text, templates and package version that built it.
+        settings = [explore_depth, explore_action_budget, gateway.config.model_name, EXPLORE_FILL_TEXT, __version__]
+        settings += [load_template(name) for name in ("functionality_summary.txt", "state_summary.txt")]
+        settings_key = hashlib.sha256(json.dumps(settings).encode("utf-8")).hexdigest()[:16]
 
     def handle_stuck(record: dict) -> UiState | None:
         """Flag a stuck loop in ``record``; explore a newly stuck page once.

@@ -4,7 +4,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crashreplay.evaluator import (
@@ -222,7 +222,21 @@ random_scripts = st.lists(
 ).map(lambda steps: S2RScript(steps=tuple(steps)))
 
 
+def script_of(*entities: tuple) -> S2RScript:
+    return S2RScript(steps=tuple(ScriptStep(S2REntity(*entity)) for entity in entities))
+
+
+_TAP_OK, _TAP_NONE = (ActionType.TAP, "OK", None, None), (ActionType.TAP, None, None, None)
+_INPUT_A = (ActionType.INPUT, "field", " A", None)
+
+
 @given(random_scripts, random_scripts)
+# Predicted longer than gold, with repeated keys and None components on both sides.
+@example(script_of(_TAP_OK, _TAP_OK, _TAP_OK, _TAP_NONE, _INPUT_A, _INPUT_A), script_of(_TAP_OK, _TAP_NONE, _INPUT_A))
+# Predicted shorter than gold, and each side empty.
+@example(script_of(_TAP_NONE), script_of(_TAP_OK, _TAP_OK, _TAP_NONE, _INPUT_A))
+@example(script_of(), script_of(_TAP_OK, _TAP_NONE))
+@example(script_of(_TAP_OK, _TAP_NONE), script_of())
 def test_entity_dimensions_equal_the_per_dimension_counter_reference(predicted, gold):
     counts = score_extraction(predicted, gold).counts
     assert {dim: counts[dim] for dim in ("action", "component", "input", "direction")} == reference_entity_counts(

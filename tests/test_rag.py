@@ -5,6 +5,7 @@ import json
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import _EmbedHandler, counting_server, script_from_report
+from crashreplay import rag
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
     EMBED_CHUNK,
@@ -125,6 +127,42 @@ def test_segment_keeps_parenthesized_aside_attached():
     ]
 
 
+def reference_split_terminal(text: str) -> list[str]:
+    """The per-character scan that ``rag._split_terminal`` replaced, kept as its oracle."""
+    out, depth, start, i, n = [], 0, 0, 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth = max(0, depth - 1)
+        elif c in ".!?" and depth == 0:
+            j = i
+            while j + 1 < n and text[j + 1] in ".!?":
+                j += 1
+            k = j + 1
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n and text[k] != "(":
+                out.append(text[start : j + 1].strip())
+                start = k
+            i = j
+        i += 1
+    return out + [tail] if (tail := text[start:].strip()) else out
+
+
+# Terminal marks, parentheses and every kind of space that str.isspace accepts.
+_SPLIT_ALPHABET = "ab.!?() é😀" + "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=_SPLIT_ALPHABET, max_size=24))
+@example("e.g. (see above). Then tap OK!? (x) y")
+@example("a)) . (b. c) d.\u2003\x1cz")
+def test_split_terminal_matches_a_character_scan(text):
+    assert rag._split_terminal(text) == reference_split_terminal(text)
+
+
 def test_segment_drops_whitespace_fragments():
     assert segment_report("\n\n  \nTap OK.\n\n") == ["Tap OK."]
 
@@ -202,6 +240,55 @@ def test_trigram_embedding_matches_reference(texts):
             expected = reference_trigram_embedding(text, dimension).tobytes()
             assert provider.embed_raw(text).tobytes() == expected
             assert block[:, j].tobytes() == expected
+
+
+_EMBED_TEXTS = st.text(max_size=2) | st.text(max_size=40) | st.text(alphabet="abİßΣς😀 .", max_size=12)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(_EMBED_TEXTS.filter(str.strip), min_size=1, max_size=12),
+    st.integers(1, 700),
+    st.integers(1, 9),
+)
+@example(["İ", "a", "ab", "😀", "x😀İ", "İİİ Σ"], 384, 2)
+def test_embed_equals_the_build_index_row_of_its_text(texts, dimension, chunk):
+    provider = HashedTrigramProvider(dimension)
+    with mock.patch.object(rag, "EMBED_CHUNK", chunk):
+        index = build_index([make_report("r", texts)], provider)
+    for text, record in zip(texts, index.records, strict=True):
+        assert embed(text, provider).tobytes() == record.embedding.tobytes()
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 300), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_embed_equals_the_build_index_row_of_any_float_vector(dimension, chunk, count, seed):
+    # Float components, unlike trigram counts, make the sum of squares depend on its summation order.
+    rng = np.random.default_rng(seed)
+    vectors = {f"v{i}": rng.standard_normal(dimension) * 10.0 ** rng.integers(-5, 5) for i in range(count)}
+    provider = StubProvider({"query": vectors["v0"], **vectors})
+    with mock.patch.object(rag, "EMBED_CHUNK", chunk):
+        index = build_index([make_report("r", list(vectors))], provider)
+    for record in index.records:
+        assert embed(record.sentence, provider).tobytes() == record.embedding.tobytes()
+
+
+def test_bucket_table_stays_bounded_and_keeps_the_buckets():
+    dimension = 389  # a table of its own, apart from the other tests' dimensions
+    provider = HashedTrigramProvider(dimension)
+    table = rag._BUCKETS[dimension]
+    probes = ["tap the OK button", "İ", "ab"]
+    before = [embed(text, provider).tobytes() for text in probes]
+    # 700 texts of 100 distinct trigrams each: 70,000 in all, more than the table holds.
+    for t in range(700):
+        text = "".join(chr(0x20000 + t * 102 + i) for i in range(102))  # past the surrogates
+        assert provider.embed_raw(text).tobytes() == reference_trigram_embedding(text, dimension).tobytes()
+        assert len(table) <= 2**16 + 100
+    assert len(table) < 70_000  # emptied at least once
+    assert [embed(text, provider).tobytes() for text in probes] == before
+    batch = provider.embed_raw_batch(probes)
+    for j, text in enumerate(probes):
+        assert batch[:, j].tobytes() == reference_trigram_embedding(text, dimension).tobytes()
 
 
 def test_embed_similarity_ordering(provider):

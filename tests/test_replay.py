@@ -562,6 +562,37 @@ def test_utg_cache_is_never_served_under_other_exploration_settings(tmp_path, se
     assert any("Summarize" in e.prompt for e in gateway.exchanges)  # explored afresh
 
 
+@pytest.mark.parametrize(
+    "changed", ["state_summary.txt", "functionality_summary.txt", "EXPLORE_FILL_TEXT", "__version__"]
+)
+def test_utg_cache_is_never_served_under_another_template_fill_text_or_version(tmp_path, monkeypatch, changed):
+    from crashreplay import replay
+
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+
+    if changed.endswith(".txt"):
+        original = replay.load_template
+        monkeypatch.setattr(replay, "load_template", lambda name: original(name) + ("\nv2" if name == changed else ""))
+    else:
+        monkeypatch.setattr(replay, changed, "another")
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    run(report, gold, device, gateway, 10.0, utg_cache_dir=tmp_path)
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert any("Summarize" in e.prompt for e in gateway.exchanges)  # explored afresh
+
+
+def test_run_without_a_utg_cache_reads_no_summary_template(monkeypatch):
+    from crashreplay import replay
+
+    read = []
+    original = replay.load_template
+    monkeypatch.setattr(replay, "load_template", lambda name: read.append(name) or original(name))
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    assert run(report, gold, device, gateway, 10.0).outcome == Outcome.REPRODUCED
+    assert not [name for name in read if "summary" in name]
+
+
 @pytest.mark.parametrize("action_budget", [1, 3, 5])
 def test_run_restores_the_page_after_a_truncated_exploration(monkeypatch, action_budget):
     from crashreplay import replay
