@@ -217,6 +217,8 @@ class AdbDevice(Device):
             x, y = element.bounds.center()
             self._shell("input", "swipe", str(x), str(y), str(x), str(y), str(LONG_PRESS_MS))
         elif cmd.action == "set_text":
+            if not element.editable:  # the tap that would focus it could navigate, as a tap on a button does
+                return ExecStatus(ok=False, detail=f"element {cmd.feature!r} is not editable", new_state=state)
             x, y = element.bounds.center()
             self._shell("input", "tap", str(x), str(y))
             # adb hands the joined line to the device's shell: the text goes as one quoted word.

@@ -115,8 +115,10 @@ class ActionCommand:
 
 
 _DECODER = json.JSONDecoder()
-#: ``json.dumps(value, ensure_ascii=False)`` for any acyclic value, with the encoder built once per process.
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(  # None without the C module
+    None, _ENCODER.default, json.encoder.encode_basestring, None, ": ", ", ", False, False, True
+)
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -126,6 +128,11 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 MAX_REPLY_CHARS = 2**16
 MAX_REPLY_NESTING = 64
 _BRACKET = re.compile(r"[][{}]")
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)``, from a C encoder kept for the process, not built per call."""
+    return "".join(_C_ENCODER(value, 0)) if _C_ENCODER else _ENCODER.encode(value)
 
 
 def decode_json(text: str):
@@ -177,6 +184,14 @@ def filter_json_payload(text: str) -> str | None:
     return encode_json(commands)
 
 
+@functools.lru_cache(maxsize=256)
+def _device_verb(name: str) -> str:
+    """The device verb of a reply's action name: its grammar action's verb, else the name with ``_`` for spaces."""
+    name = normalize_verb(name)
+    action = ACTION_NAMES.get(name)
+    return (action and VOCABULARY[action].device_verb) or name.replace(" ", "_")
+
+
 def parse_action_sequence(json_text: str) -> list[ActionCommand]:
     """Map a JSON action array onto validated commands.
 
@@ -193,15 +208,13 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
         if not isinstance(raw, dict):
             issues.append(f"command {index}: not an object")
             continue
-        name = normalize_verb(raw.get("action", ""))
-        action = ACTION_NAMES.get(name)
-        verb = (action and VOCABULARY[action].device_verb) or name.replace(" ", "_")
+        feature, input_text = raw.get("feature"), raw.get("input_text")
         direction = raw.get("direction", raw.get("target_direction"))
         cmd = ActionCommand(
-            action=verb,
-            feature=None if raw.get("feature") is None else str(raw["feature"]),
-            input_text=None if raw.get("input_text") is None else str(raw["input_text"]),
-            direction=None if direction is None else str(direction).strip().lower(),
+            _device_verb(str(raw.get("action", ""))),
+            None if feature is None else str(feature),
+            None if input_text is None else str(input_text),
+            None if direction is None else str(direction).strip().lower(),
         )
         problems = cmd.problems()
         if problems:
@@ -213,7 +226,7 @@ def parse_action_sequence(json_text: str) -> list[ActionCommand]:
     return commands
 
 
-@dataclass
+@dataclass(slots=True)
 class LlmExchange:
     prompt: str
     raw_response: str

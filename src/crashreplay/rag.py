@@ -28,6 +28,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 EMBED_CHUNK = 256  #: Sentences per ``embed_raw_batch`` call in ``build_index``; it bounds the batch's temporaries.
 _LAYOUT = "columns"  #: The index file's ``layout``: its embedding block holds one row per dimension.
 _BUCKET_CAP = 2**16  #: Trigrams a bucket table holds before it is emptied.
+_TABLE_CAP = 4  #: Bucket tables, one per embedding dimension, kept in ``_BUCKETS``.
 
 
 class RagError(Exception):
@@ -115,7 +116,9 @@ class HashedTrigramProvider(EmbeddingProvider):
 
     Lowercases the text, extracts character trigrams, hashes each trigram
     into a fixed-size term-frequency vector.  Needs no network and no model
-    weights, so every test can run against it.
+    weights, so every test can run against it.  Providers of one dimension
+    share its bucket table; at most ``_TABLE_CAP`` tables are kept, and a
+    provider of a new dimension past the cap empties them all.
     """
 
     def __init__(self, dimension: int = 384):
@@ -123,6 +126,8 @@ class HashedTrigramProvider(EmbeddingProvider):
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.provider_id = f"hashed-trigram-{dimension}"
+        if dimension not in _BUCKETS and len(_BUCKETS) >= _TABLE_CAP:
+            _BUCKETS.clear()
         self._buckets = _BUCKETS.setdefault(dimension, _BucketTable(dimension))
 
     def embed_raw(self, text: str) -> np.ndarray:

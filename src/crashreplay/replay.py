@@ -102,7 +102,7 @@ class ReplayResult:
 
     @functools.cached_property
     def _trace_text(self) -> str:
-        return "".join(encode_json(rec) + "\n" for rec in self.trace_records)
+        return "\n".join([*map(encode_json, self.trace_records), ""])
 
 
 class StuckTracker:
@@ -319,6 +319,7 @@ def run(
 
     feedback: str | None = None
     head = replay_prompt_head(report, script)
+    head_sha = hashlib.sha256(head.encode("utf-8"))  # every prompt starts with the head, so it is hashed once
     try:
         state = device.capture_state()
         while True:
@@ -326,11 +327,13 @@ def run(
             if time.monotonic() >= deadline or (max_iterations is not None and iteration > max_iterations):
                 return loop.result(Outcome.BUDGET_EXHAUSTED)
             prompt = build_replay_prompt(head, encode_state_text(state), loop.knowledge, feedback)
+            prompt_sha = head_sha.copy()
+            prompt_sha.update(prompt[len(head) :].encode("utf-8"))
             record: dict = {
                 "iteration": iteration,
                 "state": state.state_id,
                 "activity": state.activity_name,
-                "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+                "prompt_sha256": prompt_sha.hexdigest(),
                 "responses": [],
                 "commands": [],
                 "statuses": [],
@@ -348,10 +351,9 @@ def run(
                 return loop.result(Outcome.BUDGET_EXHAUSTED)
             except GatewayError:
                 commands = None
-            record["responses"] = [ex.raw_response for ex in gateway.exchanges[exchanges_before:]]
-            record["llm_latency_s"] = round(
-                sum(ex.latency for ex in gateway.exchanges[exchanges_before:]), 6
-            )
+            exchanges = gateway.exchanges[exchanges_before:]
+            record["responses"] = [ex.raw_response for ex in exchanges]
+            record["llm_latency_s"] = round(sum(ex.latency for ex in exchanges), 6)
 
             if not commands:
                 record["no_actionable"] = True

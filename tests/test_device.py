@@ -361,6 +361,14 @@ def test_adb_set_text_taps_then_types(fake_adb):
     assert typed[-1] == "a%sb"
 
 
+def test_adb_refuses_set_text_on_an_element_that_is_not_editable_and_sends_no_input(fake_adb):
+    # A tap on REFRESH could navigate, so the simulator's refusal is the only answer that leaves the screen.
+    device, runner = fake_adb
+    status = device.execute(ActionCommand(action="set_text", feature="REFRESH", input_text="x"))
+    assert (status.ok, status.detail, status.crash) == (False, "element 'REFRESH' is not editable", None)
+    assert not any("input" in call for call in runner.calls)
+
+
 def test_adb_no_match_leaves_state(fake_adb):
     device, runner = fake_adb
     status = device.execute(ActionCommand(action="click", feature="Nonexistent"))

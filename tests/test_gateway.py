@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crashreplay import gateway as gateway_module
 from crashreplay.device import UiElement, UiState
 from crashreplay.explorer import UtgGraph, synthesize_ui_functions
 from crashreplay.gateway import (
@@ -21,11 +22,13 @@ from crashreplay.gateway import (
     LlmGateway,
     MockGateway,
     TransportError,
+    _device_verb,
     decode_json,
     encode_json,
     filter_json_payload,
     parse_action_sequence,
 )
+from crashreplay.grammar import ACTION_NAMES, VOCABULARY, normalize_verb
 from conftest import counting_server, json_values, unstructured_example
 
 TABLE_SINGLE = """[
@@ -142,6 +145,22 @@ def test_the_shared_encoder_writes_what_json_dumps_writes(value):
     assert encode_json(value) == json.dumps(value, ensure_ascii=False)
 
 
+@pytest.mark.parametrize("value", [{1, 2}, object(), [1, {"a": frozenset()}], {"k": b"x"}])
+def test_the_shared_encoder_refuses_what_json_dumps_refuses_with_its_message(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, ensure_ascii=False)
+    with pytest.raises(TypeError) as refused:
+        encode_json(value)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_the_shared_encoder_writes_the_same_without_the_c_module(monkeypatch):
+    values = [[{"action": "set_text", "input_text": "é\u2028\x00"}], 1e-7, float("nan"), "ü", None, {"": [True]}]
+    kept = [encode_json(value) for value in values]
+    monkeypatch.setattr(gateway_module, "_C_ENCODER", None)
+    assert [encode_json(value) for value in values] == kept == [json.dumps(v, ensure_ascii=False) for v in values]
+
+
 @given(
     st.lists(st.tuples(any_json, st.dictionaries(st.text(max_size=4), any_json, max_size=3)), min_size=1, max_size=3),
     st.text(st.characters(exclude_characters="[")),
@@ -180,6 +199,25 @@ def test_parse_normalizes_verb_and_key_aliases():
     )
     assert [c.action for c in commands] == ["click", "long_click", "double_click", "set_text", "scroll"]
     assert commands[4].direction == "down"
+
+
+def test_the_verb_memo_stays_bounded_and_maps_each_name_as_the_grammar_does():
+    # 1,000 distinct hostile names: separators, case, non-ASCII, long text, and JSON values that are not strings.
+    stems = ("Tap", "long-TAP", " frob_", "İnput")
+    names: list = [f"{stems[i % 4]}{'_- '[i % 3]}{i}{'é' * (i % 5)}" for i in range(850)]
+    names += ["x" * (1000 + i) for i in range(50)] + [[i] for i in range(40)] + [{"a": i} for i in range(40)]
+    names += [i + 0.5 for i in range(18)] + [None, True]
+    assert len({json.dumps(name) for name in names}) == 1000
+    for name in names + ["Double-Tap", "long tap", "input", "BACK"]:
+        normalized = normalize_verb(name)
+        action = ACTION_NAMES.get(normalized)
+        expected = (action and VOCABULARY[action].device_verb) or normalized.replace(" ", "_")
+        try:
+            (command,) = parse_action_sequence(json.dumps([{"action": name, "feature": "f", "input_text": "x"}]))
+            assert command.action == expected
+        except GatewayError as exc:
+            assert f"command 0: unknown action {expected!r}" in str(exc)
+        assert _device_verb.cache_info().currsize <= 256
 
 
 def test_parse_rejects_missing_input_text():

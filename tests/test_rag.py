@@ -291,6 +291,20 @@ def test_bucket_table_stays_bounded_and_keeps_the_buckets():
         assert batch[:, j].tobytes() == reference_trigram_embedding(text, dimension).tobytes()
 
 
+def test_bucket_tables_are_bounded_in_number_and_keep_every_vector():
+    texts = ["tap the OK button", "İ", "ab", "Scroll down to Settings"]
+    for dimension in range(500, 540):  # 40 dimensions, each a table of its own
+        provider = HashedTrigramProvider(dimension)
+        assert len(rag._BUCKETS) <= rag._TABLE_CAP
+        batch = provider.embed_raw_batch(texts)
+        for j, text in enumerate(texts):
+            expected = reference_trigram_embedding(text, dimension).tobytes()
+            assert provider.embed_raw(text).tobytes() == batch[:, j].tobytes() == expected
+    assert len(rag._BUCKETS) <= rag._TABLE_CAP
+    early = HashedTrigramProvider(500)  # its table is no longer kept, so this provider starts a new one
+    assert early.embed_raw(texts[0]).tobytes() == reference_trigram_embedding(texts[0], 500).tobytes()
+
+
 def test_embed_similarity_ordering(provider):
     base = embed("tap button", provider)
     near = embed("tap the button", provider)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crashreplay.device import Bounds, ExecStatus, UiElement, UiState
 from crashreplay.explorer import explore, synthesize_functionality, synthesize_ui_functions
-from crashreplay.gateway import ActionCommand, MockGateway
+from crashreplay.gateway import ActionCommand, MockEntry, MockGateway
 from crashreplay.grammar import ActionType, S2REntity, S2RScript, ScriptStep
 from crashreplay.replay import (
     NO_ACTIONABLE_THRESHOLD,
@@ -715,6 +715,28 @@ def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(
     assert not graph.truncated and explored[3:] == ["restart", ActionCommand(action="click", feature="Tools")]
     assert result.outcome == Outcome.REPRODUCED
     assert all(len(rec["statuses"]) == len(rec["commands"]) for rec in result.trace_records)
+
+
+def test_each_record_hashes_the_action_prompt_of_its_iteration():
+    # hidden_about explores, so later prompts carry knowledge; executed commands add feedback; a first reply in
+    # prose makes the gateway send a repair prompt, which the record must not hash.
+    report, gold, device, scripted, _ = load_scenario("hidden_about")
+    prompts: list[str] = []
+
+    class RecordingGateway(MockGateway):
+        def request_actions(self, prompt, deadline=None):
+            prompts.append(prompt)
+            return super().request_actions(prompt, deadline)
+
+    gateway = RecordingGateway([MockEntry(response="I would tap Tools.", times=1), *scripted.entries])
+    result = run(report, gold, device, gateway, 10.0, max_iterations=12)
+    assert result.outcome == Outcome.REPRODUCED
+    assert any(ex.prompt.startswith(prompts[0]) and ex.prompt != prompts[0] for ex in gateway.exchanges)
+    assert any("## Learned app knowledge" in p for p in prompts)
+    assert any("Previous action feedback" in p for p in prompts)
+    assert len(prompts) == len(result.trace_records)
+    for prompt, record in zip(prompts, result.trace_records):
+        assert record["prompt_sha256"] == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 def test_summary_hashes_the_trace_text_encoded_once(monkeypatch):
