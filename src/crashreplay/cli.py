@@ -71,22 +71,15 @@ def _read_text(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_json(path):
-    try:
-        return decode_json(_read_text(path))
-    except RecursionError as exc:
-        raise ValueError(f"JSON nested too deeply to decode ({exc})") from exc
-
-
 def _read_object(path) -> dict:
-    value = _read_json(path)
+    value = decode_json(_read_text(path))
     if not isinstance(value, dict):
         raise ValueError("not a JSON object")
     return value
 
 
 def _read_script(path) -> S2RScript:
-    return S2RScript.from_dict(_read_json(path))
+    return S2RScript.from_dict(decode_json(_read_text(path)))
 
 
 def _write(path: Path, write: Callable[[Path], object]) -> None:
@@ -218,6 +211,12 @@ def _make_device(sim_spec_path, device_serial, app_package, app_activity):
     return AdbDevice(device_serial, app_package, app_activity)
 
 
+class _Budget(click.FloatRange):
+    def convert(self, value, param, ctx):  # refuses nan, which no deadline check is ever past
+        seconds = super().convert(value, param, ctx)
+        return seconds if seconds == seconds else self.fail("nan is no time bound", param, ctx)
+
+
 @main.command("replay")
 @click.option("--report", "report_path", required=True, help="Bug report text file.")
 @click.option("--script", "script_path", default=None, help="Extracted script JSON.")
@@ -227,7 +226,7 @@ def _make_device(sim_spec_path, device_serial, app_package, app_activity):
 @click.option("--app-activity", default=None)
 @click.option("--gateway", "gateway_mode", type=click.Choice(["mock", "live"]), default="mock")
 @click.option("--mock-script", "mock_script_path", default=None)
-@click.option("--budget", "budget_s", type=click.FloatRange(min=0), default=DEFAULT_BUDGET_S, help="Wall-clock budget (s).")
+@click.option("--budget", "budget_s", type=_Budget(min=0), default=DEFAULT_BUDGET_S, help="Wall-clock budget (s).")
 @click.option("--depth", type=click.IntRange(min=1), default=DEFAULT_DEPTH, help="Exploration depth.")
 @click.option("--explore-actions", type=click.IntRange(min=1), default=DEFAULT_EXPLORE_ACTIONS, help="Device commands for probing a page; the return to it is extra.")
 @click.option("--exploration/--no-exploration", default=True)

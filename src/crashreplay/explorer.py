@@ -26,7 +26,7 @@ from .device import (
     interactable_elements,
     resolve_feature,
 )
-from .gateway import ActionCommand, GatewayError, LlmGateway, load_template
+from .gateway import ActionCommand, GatewayError, LlmGateway, decode_json, load_template
 
 #: Text typed into editable fields while probing; the value is arbitrary.
 EXPLORE_FILL_TEXT = "test"
@@ -280,8 +280,8 @@ def load_knowledge(path: str | Path) -> str:
     ``"knowledge"`` is a string; OSError when it cannot be read.
     """
     try:
-        text = json.loads(Path(path).read_text(encoding="utf-8"))["knowledge"]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        text = decode_json(Path(path).read_text(encoding="utf-8"))["knowledge"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise ExplorerError(f"{path} holds no knowledge record: {exc!r}") from exc
     if not isinstance(text, str):
         raise ExplorerError(f"{path} holds no knowledge text")

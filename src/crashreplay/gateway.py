@@ -136,12 +136,17 @@ def encode_json(value) -> str:
 
 
 def decode_json(text: str):
-    """``json.loads(text)``, raising ValueError when a decoded string holds a lone surrogate code point.
+    """``json.loads(text)`` for JSON from outside the program: the one decoder that knows its input rules.
 
-    UTF-8 decoded strictly holds none, so only a ``\\ud800``-``\\udfff`` escape can
+    Raises ValueError for text that is not JSON, for JSON nested too deeply to
+    decode, and when a decoded string holds a lone surrogate code point.  UTF-8
+    decoded strictly holds none, so only a ``\\ud800``-``\\udfff`` escape can
     bring one in, and text without one is not searched further.
     """
-    value = json.loads(text)
+    try:
+        value = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply to decode ({exc})") from exc
     if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(encode_json(value)):
         raise ValueError("a string holds a lone surrogate code point")
     return value
@@ -340,11 +345,9 @@ class MockGateway(LlmGateway):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             try:
-                value = json.loads(line)
+                value = decode_json(line)
             except json.JSONDecodeError:
                 value = line  # a raw response line, consumed once
-            except RecursionError as exc:
-                raise ValueError(f"a line is JSON nested too deeply to decode ({exc})") from exc
             entries.append(_entry_from_value(value))
         return cls(entries)
 
@@ -382,17 +385,17 @@ class HttpGateway(LlmGateway):
         try:
             resp = self.session.post(self.config.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
             resp.raise_for_status()
-            payload = resp.json()
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         latency = time.monotonic() - start
         try:
+            payload = decode_json(resp.content.decode("utf-8"))  # RFC 8259: JSON is UTF-8
             if "choices" in payload:
                 text = payload["choices"][0]["message"]["content"]
             else:
                 text = payload["text"]
             if not isinstance(text, str):
                 raise TypeError(f"the completion is {text!r}, not a string")
-        except (KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"bad completion payload: {exc}") from exc
         return text, latency

@@ -199,10 +199,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         try:
             resp = self.session.post(self.endpoint, json={"texts": texts}, timeout=EMBED_TIMEOUT_S)
             resp.raise_for_status()
-            payload = resp.json()
         except requests.RequestException as exc:
             raise RagError(f"embedding endpoint failed: {exc}") from exc
         try:
+            payload = decode_json(resp.content.decode("utf-8"))  # RFC 8259: JSON is UTF-8
             rows = np.asarray(payload["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise RagError(f"bad embedding payload: {exc}") from exc
@@ -456,7 +456,7 @@ def load_index(path: str | Path) -> RagIndex:
         provider_id = header["provider_id"]
         dimension = int(header["dimension"])
         raw_records = list(header["records"])
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise RagError(f"{path}: no binary index header ({exc}); rebuild it with build-index") from exc
     if (layout := header.get("layout")) != _LAYOUT:
         raise RagError(f"{path}: index layout {layout!r} is not {_LAYOUT!r}; rebuild it with build-index")

@@ -175,7 +175,7 @@ def load_spec(path: str | Path) -> SimAppSpec:
     """Load and fully validate an app spec file; raises :class:`SpecInvalid`."""
     try:
         raw = decode_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (OSError, ValueError) as exc:
         raise SpecInvalid([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise SpecInvalid([f"{path}: the top level is not a JSON object"])

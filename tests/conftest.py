@@ -38,7 +38,7 @@ def json_values(keys: list[str], words: list[str] = ()):
     )
 
 
-#: JSON nested too deeply for the decoder: it raises RecursionError, which every input reader must turn into its own error.
+#: JSON nested too deeply for the decoder: it raises RecursionError, which ``gateway.decode_json`` turns into ValueError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
@@ -110,10 +110,12 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         rngs = [random.Random(text) for text in texts]
         return [[rng.random() for _ in range(self.dimension)] for rng in rngs]
 
+    def body(self, texts: list[str]) -> bytes:
+        return json.dumps({"embeddings": self.embeddings(texts)}).encode()
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        body = json.dumps({"embeddings": self.embeddings(payload["texts"])}).encode()
+        body = self.body(json.loads(self.rfile.read(length))["texts"])
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -247,6 +247,15 @@ def test_replay_zero_budget_fails_domain(runner, tmp_path):
     assert summary["outcome"] == "budget_exhausted"
 
 
+def test_replay_nan_budget_is_a_usage_error(runner, tmp_path):
+    args = replay_args("url_crash", tmp_path / "out")
+    args[args.index("--budget") + 1] = "nan"
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "'--budget'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_hidden_about_needs_exploration(runner, tmp_path):
     ok = runner.invoke(main, replay_args("hidden_about", tmp_path / "with"))
     assert ok.exit_code == 0, ok.output
@@ -305,6 +314,7 @@ def test_replay_requires_exactly_one_backend(runner, tmp_path):
         ("--mock-script", "mock script", '{"when": "Screen"}'),
         ("--mock-script", "mock script", '{"response": 5}'),
         ("--mock-script", "mock script", '{"response": "x", "times": "2"}'),
+        pytest.param("--mock-script", "mock script", '{"response": "x\\ud800"}', id="mock script-lone surrogate"),
         *(pytest.param(option, what, DEEP_JSON, id=f"{option}-{what}-nested too deeply")
           for option, what in (("--script", "script"), ("--sim-spec", "app spec"), ("--mock-script", "mock script"))),
     ],
@@ -400,8 +410,8 @@ def test_eval_scenario_values_are_converted_like_flags(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("depth", "x"), ("depth", 0), ("explore_actions", 0), ("budget_s", "soon"), ("exploration", "maybe"),
-     ("max_iterations", -1), ("k", "x"), ("k", 0)],
+    [("depth", "x"), ("depth", 0), ("explore_actions", 0), ("budget_s", "soon"), ("budget_s", float("nan")),
+     ("exploration", "maybe"), ("max_iterations", -1), ("k", "x"), ("k", 0)],
 )
 def test_eval_bad_scenario_value_names_file_and_key(runner, tmp_path, key, value):
     suite = one_scenario_suite(tmp_path, **{key: value})
@@ -502,6 +512,7 @@ def test_config_file_flag_wins_for_replay(runner, tmp_path):
         ("replay", "depth", 0, "--depth"),
         ("replay", "explore_actions", 0, "--explore-actions"),
         ("replay", "budget_s", -5, "--budget"),
+        ("replay", "budget_s", float("nan"), "--budget"),
         ("replay", "max_iterations", -1, "--max-iterations"),
         ("extract", "retrieval_k", 0, "--k"),
         ("build-index", "dimension", 0, "--dimension"),

@@ -686,7 +686,7 @@ def test_knowledge_save_that_fails_midway_keeps_the_previous_file(tmp_path, monk
 @pytest.mark.parametrize(
     "content",
     ["{corrupt", "{}", '{"graph": []}', "[1]", "", '"text"', '{"knowledge": ["x"]}', '{"knowledge": null}',
-     pytest.param(DEEP_JSON, id="nested too deeply")],
+     pytest.param(DEEP_JSON, id="nested too deeply"), pytest.param('{"knowledge": "x\\ud800"}', id="lone surrogate")],
 )
 def test_knowledge_load_of_a_malformed_file_is_an_explorer_error(tmp_path, content):
     path = tmp_path / "knowledge.json"

@@ -28,8 +28,9 @@ from crashreplay.gateway import (
     filter_json_payload,
     parse_action_sequence,
 )
-from crashreplay.grammar import ACTION_NAMES, VOCABULARY, normalize_verb
-from conftest import counting_server, json_values, unstructured_example
+from crashreplay.grammar import ACTION_NAMES, VOCABULARY, S2RScript, normalize_verb
+from crashreplay.replay import Outcome, run
+from conftest import DEEP_JSON, counting_server, json_values, unstructured_example
 
 TABLE_SINGLE = """[
     {
@@ -262,6 +263,12 @@ def test_a_command_field_holding_a_lone_surrogate_is_malformed(field):
         parse_action_sequence(reply)
 
 
+def test_decode_json_refuses_json_nested_too_deeply_as_a_value_error():
+    with pytest.raises(ValueError, match="^JSON nested too deeply to decode ") as caught:
+        decode_json(DEEP_JSON)
+    assert not isinstance(caught.value, json.JSONDecodeError)  # a mock script line that is not JSON stays a raw reply
+
+
 def test_decode_json_rejects_a_lone_surrogate_and_keeps_an_escaped_pair():
     # An escaped pair decodes to one code point, and an escaped backslash leaves no surrogate at all.
     assert decode_json(r'["\ud83d\ude00", "\\ud800"]') == ["\U0001f600", "\\ud800"]
@@ -460,12 +467,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     content = '[{"action": "back"}]'
 
+    def body(self) -> bytes:
+        return json.dumps({"choices": [{"message": {"content": self.content}}]}).encode()
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length))
         assert request["model"] == "test-model"
         assert request["temperature"] == 0.0
-        body = json.dumps({"choices": [{"message": {"content": self.content}}]}).encode()
+        body = self.body()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -486,6 +496,29 @@ class _NullChatHandler(_ChatHandler):
         super().do_POST()
 
 
+class _TextChatHandler(_ChatHandler):
+    """An endpoint that replies in the plain ``{"text": ...}`` completion form."""
+
+    content = '[{"action": "click", "feature": "OK"}]'
+
+    def body(self) -> bytes:
+        return json.dumps({"text": self.content}).encode()
+
+
+class _DeepChatHandler(_ChatHandler):
+    """An endpoint whose whole reply is JSON nested too deeply to decode."""
+
+    def body(self) -> bytes:
+        return DEEP_JSON.encode()
+
+
+class _Latin1ChatHandler(_ChatHandler):
+    """An endpoint whose reply is not UTF-8."""
+
+    def body(self) -> bytes:
+        return '{"text": "café"}'.encode("latin-1")
+
+
 def chat_config(server) -> LlmConfig:
     return LlmConfig(
         endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
@@ -500,6 +533,24 @@ def test_http_gateway_parses_chat_completion_reply():
         commands = gateway.request_actions("go back")
         assert commands == [ActionCommand(action="back")]
         assert gateway.exchanges[0].latency > 0.0
+        gateway.session.close()
+
+
+def test_http_gateway_parses_a_plain_text_completion():
+    with counting_server(_TextChatHandler) as server:
+        gateway = HttpGateway(chat_config(server))
+        assert gateway.request_actions("tap OK") == [ActionCommand(action="click", feature="OK")]
+        gateway.session.close()
+
+
+@pytest.mark.parametrize("handler", [_DeepChatHandler, _Latin1ChatHandler], ids=["nested too deeply", "not UTF-8"])
+def test_http_gateway_treats_an_undecodable_reply_as_a_bad_payload(handler, url_crash_device):
+    with counting_server(handler) as server:
+        gateway = HttpGateway(chat_config(server))
+        with pytest.raises(TransportError, match="^bad completion payload: "):
+            gateway.complete("go back")
+        result = run("The app crashes.", S2RScript(steps=()), url_crash_device, gateway, 10.0, explore_enabled=False)
+        assert result.outcome == Outcome.NO_ACTIONABLE_OUTPUT
         gateway.session.close()
 
 

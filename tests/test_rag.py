@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import _EmbedHandler, counting_server, script_from_report
+from conftest import DEEP_JSON, _EmbedHandler, counting_server, script_from_report
 from crashreplay import rag
 from crashreplay.grammar import ActionType, S2REntity
 from crashreplay.rag import (
@@ -749,6 +749,25 @@ def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
         provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
         with pytest.raises(RagError, match="^endpoint returned embeddings of shape"):
             build_index(mini_corpus, provider)
+        provider.session.close()
+
+
+class _DeepHandler(_EmbedHandler):
+    def body(self, texts):
+        return DEEP_JSON.encode()
+
+
+class _Latin1Handler(_EmbedHandler):
+    def body(self, texts):
+        return b'{"embeddings": [[1.0]], "note": "caf\xe9"}'
+
+
+@pytest.mark.parametrize("handler", [_DeepHandler, _Latin1Handler], ids=["nested too deeply", "not UTF-8"])
+def test_http_provider_treats_an_undecodable_reply_as_a_bad_payload(handler):
+    with counting_server(handler) as server:
+        provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=1)
+        with pytest.raises(RagError, match="^bad embedding payload: "):
+            provider.embed_raw("tap button")
         provider.session.close()
 
 

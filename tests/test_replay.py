@@ -513,7 +513,9 @@ def write_earlier_record(path, entry_fields: dict) -> None:
 
 
 @pytest.mark.parametrize(
-    "how", ["{corrupt", "{}", '{"knowledge": ["x"]}', *EARLIER_ENTRY_FIELDS, pytest.param(DEEP_JSON, id="nested too deeply")]
+    "how",
+    ["{corrupt", "{}", '{"knowledge": ["x"]}', *EARLIER_ENTRY_FIELDS, pytest.param(DEEP_JSON, id="nested too deeply"),
+     pytest.param('{"knowledge": "x\\ud800"}', id="lone surrogate")],
 )
 def test_run_treats_an_unreadable_utg_cache_file_as_a_miss(tmp_path, how):
     report, gold, device, gateway, _ = load_scenario("hidden_about")
