@@ -229,9 +229,6 @@ class AdbDevice(Device):
             self._rotate(cmd.direction)
         elif cmd.action == "back":
             self._shell("input", "keyevent", "KEYCODE_BACK")
-        elif cmd.action == "restart":
-            new_state = self.restart_app()
-            return ExecStatus(ok=True, detail="app restarted", new_state=new_state)
         else:
             return ExecStatus(ok=False, detail=f"unsupported action {cmd.action}", new_state=state)
 

@@ -253,7 +253,9 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
 
 
 class Device:
-    """A device session owned by exactly one replay or exploration loop."""
+    """A device session owned by exactly one replay or exploration loop.
+
+    ``execute`` takes the UI verbs; ``restart_app`` is the one restart."""
 
     @property
     def app_id(self) -> str:

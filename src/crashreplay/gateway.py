@@ -8,6 +8,7 @@ prose); a scriptable mock makes the whole pipeline deterministic offline.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import os
 import re
@@ -122,9 +123,9 @@ _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(  # Non
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-#: Longest reply and deepest bracket nesting the filter decodes.  Decoding
-#: from each ``[`` scans at most the value nested below it, so together they
-#: bound the filter's work to about MAX_REPLY_NESTING scans of the reply.
+#: Longest reply and deepest bracket nesting the filter decodes.  Brackets inside strings can hide
+#: nesting from the count, so no decode starts inside MAX_REPLY_NESTING earlier ones either: together
+#: the decodes scan each character about MAX_REPLY_NESTING times at most.
 MAX_REPLY_CHARS = 2**16
 MAX_REPLY_NESTING = 64
 _BRACKET = re.compile(r"[][{}]")
@@ -159,8 +160,8 @@ def filter_json_payload(text: str) -> str | None:
     qualifies when it is an array of objects each carrying an ``"action"``
     key.  The scan resumes after a qualifying array, so multiple qualifying
     arrays are concatenated in textual order.  Returns None when nothing
-    qualifies, and for a reply over ``MAX_REPLY_CHARS`` or nested deeper than
-    ``MAX_REPLY_NESTING``.
+    qualifies, and for a reply over ``MAX_REPLY_CHARS``, or nested deeper than
+    ``MAX_REPLY_NESTING`` by its bracket count or by its decodes.
     """
     if len(text) > MAX_REPLY_CHARS:
         return None
@@ -172,17 +173,25 @@ def filter_json_payload(text: str) -> str | None:
                 return None
     commands: list[dict] = []
     found = False
+    covering: list[int] = []  # a heap of the ends of the earlier decodes that span ``i``
     i = text.find("[")
     while i != -1:
+        while covering and covering[0] <= i:
+            heapq.heappop(covering)
+        if len(covering) == MAX_REPLY_NESTING:
+            return None
         try:
             value, end = _DECODER.raw_decode(text, i)
-        except (ValueError, RecursionError):  # too deep to decode is no candidate
-            value = None
+        except ValueError as exc:  # an integer too long to convert has no position: it may cover the rest
+            value, end = None, getattr(exc, "pos", len(text))
+        except RecursionError:  # nested past the count, behind brackets inside strings
+            return None
         if isinstance(value, list) and all(isinstance(o, dict) and "action" in o for o in value):
             commands.extend(value)
             found = True
             i = text.find("[", end)
             continue
+        heapq.heappush(covering, end)
         i = text.find("[", i + 1)
     if not found:
         return None

@@ -315,7 +315,6 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
 class RagRecord:
     record_id: str
     sentence: str
-    embedding: np.ndarray
     labels: tuple[S2REntity, ...]
 
 
@@ -328,21 +327,18 @@ class RetrievalHit:
 class RagIndex:
     """Immutable index over embedded corpus sentences.
 
-    The embeddings live in one contiguous, read-only float64 block with one
-    row per dimension (D x N); ``matrix`` is its N x D transposed view, and
-    each record's ``embedding`` is a view of its row.  ``entries`` gives each
-    record's ``(record_id, sentence, labels)``, in row order.
+    The embeddings live in ``columns``, one contiguous, read-only float64
+    block with one row per dimension and one column per record (D x N).
+    ``entries`` gives each record's ``(record_id, sentence, labels)``, in
+    column order.
     """
 
-    def __init__(self, provider_id: str, matrix: np.ndarray, entries: list[tuple]):
-        matrix.flags.writeable = False
+    def __init__(self, provider_id: str, columns: np.ndarray, entries: list[tuple]):
+        columns.flags.writeable = False
         self.provider_id = provider_id
-        self.dimension = matrix.shape[1]
-        self.matrix = matrix
-        self.records = tuple(
-            RagRecord(record_id, sentence, row, labels)
-            for (record_id, sentence, labels), row in zip(entries, matrix, strict=True)
-        )
+        self.dimension = columns.shape[0]
+        self.columns = columns
+        self.records = tuple(RagRecord(*entry) for entry in entries)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -366,13 +362,13 @@ def build_index(corpus: list[LabeledReport], provider: EmbeddingProvider) -> Rag
         chunk = columns[:, lo : lo + len(texts)]
         chunk[...] = block
         _normalize_columns(chunk, provider.provider_id)
-    return RagIndex(provider.provider_id, columns.T, entries)
+    return RagIndex(provider.provider_id, columns, entries)
 
 
 def _score_margin(dimension: int) -> float:
     """How far below the k-th fast score a top-k record's fast score can lie.
 
-    Let u = 2^-53 and gamma_n = n*u / (1 - n*u).  A record row e is
+    Let u = 2^-53 and gamma_n = n*u / (1 - n*u).  A record column e is
     unit-norm within NORM_TOLERANCE (``embed`` normalizes it and
     ``load_index`` checks it) and the query q within a few ulps, so
     |e|*|q| <= (1+tol)^2.  For each record:
@@ -417,7 +413,7 @@ def retrieve(index: RagIndex, query_sentence: str, k: int, provider: EmbeddingPr
     # Pre-select with one product over the block rows where the query is nonzero: every
     # record that can be in the top k has a fast score within _score_margin of the k-th.
     nz = query.nonzero()[0]
-    q, rows = query[nz], index.matrix.T[nz]
+    q, rows = query[nz], index.columns[nz]
     fast = q @ rows
     kth = len(fast) - min(k, len(fast))
     threshold = np.partition(fast, kth)[kth] - _score_margin(index.dimension)
@@ -441,7 +437,7 @@ def save_index(index: RagIndex, path: str | Path) -> None:
     with open(path, "wb") as out:
         # Trailing spaces start the block at a multiple of 8 bytes, so a view of it is aligned for BLAS.
         out.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
-        out.write(np.ascontiguousarray(index.matrix.T, dtype="<f8").data)  # no copy of a built or loaded block
+        out.write(np.ascontiguousarray(index.columns, dtype="<f8").data)  # no copy of a built or loaded block
 
 
 def load_index(path: str | Path) -> RagIndex:
@@ -473,9 +469,9 @@ def load_index(path: str | Path) -> RagIndex:
     columns = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(dimension, len(entries))
     if not columns.flags.aligned:  # an unpadded header; products with an unaligned view run ~5x slower
         columns = columns.copy()
-    index = RagIndex(provider_id, columns.T, entries)
+    index = RagIndex(provider_id, columns, entries)
     # Written as "not within" so that a NaN norm fails too; einsum sums the squares without a temporary block.
-    norms = np.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix))
+    norms = np.sqrt(np.einsum("ij,ij->j", columns, columns))
     off_norm = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
     if off_norm.size:
         raise RagError(f"{path}: record {index.records[off_norm[0]].record_id} is not unit-norm")

@@ -368,14 +368,16 @@ def run(
                     if time.monotonic() >= deadline:
                         return loop.result(Outcome.BUDGET_EXHAUSTED)
                     previous_id = state.state_id
+                    restart = cmd.action == "restart"  # restart_app is the one restart; execute takes UI verbs
                     try:
-                        status = device.execute(cmd)
+                        status = (ExecStatus(True, "app restarted", device.restart_app()) if restart
+                                  else device.execute(cmd))
                     except AlreadyCrashed:
                         break
                     loop.history.add(previous_id, status)
                     record["statuses"].append(_status_dict(status))
                     state = status.new_state
-                    if cmd.action == "restart":
+                    if restart:
                         loop.path_from_start = []
                     elif status.ok and state.state_id != previous_id:
                         loop.path_from_start.append(cmd)

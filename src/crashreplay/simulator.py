@@ -290,11 +290,6 @@ class SimSession:
 
     # -- observation -------------------------------------------------------
 
-    def _effective_text(self, element: UiElement) -> str | None:
-        if element.editable and element.element_id in self.field_values:
-            return self.field_values[element.element_id]
-        return element.text
-
     def build_state(self) -> UiState:
         name = self.current
         editable = self._editable[name]
@@ -303,7 +298,8 @@ class SimSession:
         if memo is not None and memo[0] == values:
             return memo[1]
         state_spec = self.spec.states[name]
-        children = tuple(replace(e, text=self._effective_text(e)) for e in state_spec.elements)
+        children = tuple(replace(e, text=self.field_values.get(e.element_id, e.text)) if e.editable else e
+                         for e in state_spec.elements)  # a field's typed text, else as declared
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
         screen = UiState(activity_name=state_spec.activity, root=root)
         self._screens[name] = (values, screen)
@@ -324,17 +320,14 @@ class SimSession:
         return trigger.direction is None or cmd.direction == trigger.direction
 
     def step(self, cmd: ActionCommand) -> ExecStatus:
-        """Apply one command: crash rules match first, then transitions.
+        """Apply one UI command: crash rules match first, then transitions.
 
         ``set_text`` updates the field store even without a transition;
         any other unmatched command returns ok=False with the state
-        unchanged.
+        unchanged.  :meth:`restart` is the one restart.
         """
         if self.crashed is not None:
             raise AlreadyCrashed(f"session already crashed: {self.crashed.exception_type}")
-        if cmd.action == "restart":
-            self.restart()
-            return ExecStatus(ok=True, detail="app restarted", new_state=self.build_state())
 
         state = self.build_state()
         element = element_id = None

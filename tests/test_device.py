@@ -597,6 +597,18 @@ def test_a_reply_typing_a_control_character_is_no_actionable_output_and_sends_no
     assert not any("input" in call for call in runner.calls)
 
 
+def test_a_model_restart_is_restart_app_and_dumps_the_hierarchy_once(clock):
+    device, runner = fake_device(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
+    gateway = MockGateway.from_script([{"response": '[{"action": "restart"}]'}])
+    result = run("report", S2RScript(steps=()), device, gateway, 10.0, explore_enabled=False, max_iterations=1)
+    shell = [call[4:] for call in runner.calls if call[3:4] == ["shell"]]
+    (record,) = result.trace_records
+    assert record["statuses"] == [{"ok": True, "detail": "app restarted", "new_state": record["state"], "crash": None}]
+    # The run's first capture, then the restart: a stop, a launch and one capture of the new screen.
+    launches = [words[:2] for words in shell if words[0] in ("uiautomator", "am")]
+    assert launches == [["uiautomator", "dump"], ["am", "force-stop"], ["am", "start"], ["uiautomator", "dump"]]
+
+
 def test_adb_output_that_is_not_utf8_decodes_with_replacement():
     # A native library can log any bytes; one that is not UTF-8 must not escape the run as UnicodeDecodeError.
     program = "import sys; sys.stdout.buffer.write(b'E/x: \\xff\\n')"

@@ -89,6 +89,11 @@ def test_filter_ignores_non_action_arrays():
     assert filter_json_payload("values: [1, 2, 3] and [\"a\"]") is None
 
 
+def test_filter_skips_an_integer_too_long_to_convert():
+    # int() refuses over 4,300 digits with a ValueError that is not a JSONDecodeError.
+    assert json.loads(filter_json_payload("[" + "1" * 5000 + '] [{"action": "back"}]')) == [{"action": "back"}]
+
+
 def test_filter_handles_brackets_inside_strings():
     for text, expected in (
         ('[{"action": "click", "feature": "weird ] name"}]', [{"action": "click", "feature": "weird ] name"}]),
@@ -104,18 +109,31 @@ def test_filter_idempotent():
         assert filter_json_payload(once) == once
 
 
+#: A 900-deep JSON array whose every level opens with the string "]", which hides its nesting from a bracket count.
+CLOSED_STRING_BRACKET_BLOCK = '["]",' * 899 + '["]"]' + "]" * 899
+
+
 @pytest.mark.parametrize(
-    "reply",
+    ("reply", "seconds"),
     [
-        pytest.param("[" * 16000, id="unclosed-brackets"),
-        pytest.param("[" * 70 + '{"action": "back"}' + "]" * 70, id="over-nesting"),
-        pytest.param('[{"action": "back"}]' + " " * MAX_REPLY_CHARS, id="over-length"),
+        pytest.param("[" * 16000, 0.05, id="unclosed-brackets"),
+        pytest.param("[" * 70 + '{"action": "back"}' + "]" * 70, 0.05, id="over-nesting"),
+        pytest.param('[{"action": "back"}]' + " " * MAX_REPLY_CHARS, 0.05, id="over-length"),
+        # Past the decoder's recursion limit, and closed blocks below it, each decoded from every "[".
+        pytest.param('["]",' * 13107, 0.25, id="string-brackets-past-the-recursion-limit"),
+        pytest.param(CLOSED_STRING_BRACKET_BLOCK * (MAX_REPLY_CHARS // len(CLOSED_STRING_BRACKET_BLOCK)), 0.25,
+                     id="closed-string-bracket-blocks"),
     ],
 )
-def test_filter_treats_a_reply_over_its_bounds_as_non_actionable(reply):
+def test_filter_treats_a_reply_over_its_bounds_as_non_actionable(reply, seconds):
     start = time.process_time()
     assert filter_json_payload(reply) is None
-    assert time.process_time() - start < 0.05
+    assert time.process_time() - start < seconds
+
+
+def test_a_closed_string_bracket_block_decodes_below_the_recursion_limit():
+    # So the filter must stop the closed blocks by the nesting of its decodes, not by a RecursionError.
+    assert len(json.loads(CLOSED_STRING_BRACKET_BLOCK)) == 2
 
 
 def test_filter_decodes_nesting_up_to_its_bound():

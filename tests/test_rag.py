@@ -256,8 +256,9 @@ def test_embed_equals_the_build_index_row_of_its_text(texts, dimension, chunk):
     provider = HashedTrigramProvider(dimension)
     with mock.patch.object(rag, "EMBED_CHUNK", chunk):
         index = build_index([make_report("r", texts)], provider)
-    for text, record in zip(texts, index.records, strict=True):
-        assert embed(text, provider).tobytes() == record.embedding.tobytes()
+    assert len(index) == len(texts)
+    for i, text in enumerate(texts):
+        assert embed(text, provider).tobytes() == index.columns[:, i].tobytes()
 
 
 @settings(max_examples=100)
@@ -269,8 +270,8 @@ def test_embed_equals_the_build_index_row_of_any_float_vector(dimension, chunk, 
     provider = StubProvider({"query": vectors["v0"], **vectors})
     with mock.patch.object(rag, "EMBED_CHUNK", chunk):
         index = build_index([make_report("r", list(vectors))], provider)
-    for record in index.records:
-        assert embed(record.sentence, provider).tobytes() == record.embedding.tobytes()
+    for i, record in enumerate(index.records):
+        assert embed(record.sentence, provider).tobytes() == index.columns[:, i].tobytes()
 
 
 def test_bucket_table_stays_bounded_and_keeps_the_buckets():
@@ -339,8 +340,8 @@ def test_duplicate_sentences_kept_as_distinct_records(provider):
 def test_mini_corpus_builds_unit_norm_records(mini_corpus, provider, tmp_path):
     index = build_index(mini_corpus, provider)
     assert len(index) == 20
-    for record in index.records:
-        assert abs(np.linalg.norm(record.embedding) - 1.0) <= 1e-6
+    for i in range(len(index)):
+        assert abs(np.linalg.norm(index.columns[:, i]) - 1.0) <= 1e-6
     save_index(index, tmp_path / "index.bin")
     digest = hashlib.sha256((tmp_path / "index.bin").read_bytes()).hexdigest()
     assert digest == "3ed36ddd181e332ecc7f096063f6d72002384686aaed1fda7b61ba2427358199"
@@ -357,8 +358,8 @@ def test_build_index_records_equal_embed_across_chunks():
     texts = list(vectors)
     index = build_index([make_report("a", texts[:100]), make_report("b", texts[100:])], provider)
     assert [record.sentence for record in index.records] == texts
-    for record in index.records:
-        assert record.embedding.tobytes() == embed(record.sentence, provider).tobytes()
+    for i, record in enumerate(index.records):
+        assert index.columns[:, i].tobytes() == embed(record.sentence, provider).tobytes()
     for bad in ([0.0, 0.0], [np.inf, 1.0], [1e200, np.nan]):
         stub = StubProvider({**provider.vectors, texts[EMBED_CHUNK + 3]: np.array(bad)})
         with pytest.raises(RagError, match="returned a (zero|non-finite) vector$"):
@@ -372,8 +373,8 @@ def brute_force_ranking(index: RagIndex, query: np.ndarray) -> list[tuple[str, f
     """Every record with its D-term ``fsum`` score, best first: the full scan that ``retrieve``'s
     first k hits must equal, ids and score bits alike."""
     scored = []
-    for record in index.records:
-        score = math.fsum(float(q) * float(e) for q, e in zip(query, record.embedding))
+    for i, record in enumerate(index.records):
+        score = math.fsum(float(q) * float(e) for q, e in zip(query, index.columns[:, i]))
         scored.append((record.record_id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
@@ -463,8 +464,8 @@ def test_retrieve_matches_brute_force_on_near_ties(case, rng):
     report_ids = rng.sample(range(len(vectors)), len(vectors))
     corpus = [make_report(f"r{report_ids[i]:02d}", [f"v{i}"]) for i in range(len(vectors))]
     index = build_index(corpus, provider)
-    assert not index.matrix.flags.writeable
-    assert all(np.shares_memory(r.embedding, index.matrix) for r in index.records)
+    assert not index.columns.flags.writeable
+    assert index.columns.flags.c_contiguous and index.columns.shape == (index.dimension, len(index))
     query = embed("query", provider)
     expected = brute_force_ranking(index, query)
     for k in (1, 2, len(index)):
@@ -494,7 +495,7 @@ def test_retrieve_rejects_provider_mismatch(mini_corpus, provider):
 
 
 def test_retrieve_rejects_empty_index(provider):
-    index = RagIndex(provider.provider_id, np.empty((0, provider.dimension)), [])
+    index = RagIndex(provider.provider_id, np.empty((provider.dimension, 0)), [])
     with pytest.raises(RagError, match="^index has no records$"):
         retrieve(index, "Tap OK.", 1, provider)
 
@@ -530,8 +531,8 @@ def test_index_save_load_round_trip(mini_corpus, provider, tmp_path):
     assert loaded.provider_id == index.provider_id
     assert loaded.dimension == index.dimension
     assert [r.record_id for r in loaded.records] == [r.record_id for r in index.records]
+    assert np.array_equal(loaded.columns, index.columns)
     for a, b in zip(loaded.records, index.records):
-        assert np.array_equal(a.embedding, b.embedding)
         assert a.labels == b.labels
 
 
@@ -586,8 +587,8 @@ def test_load_aligns_the_block_after_an_unpadded_header(tmp_path, provider, mini
         line += b" "
     path.write_bytes(line + b"\n" + block.tobytes())
     loaded = load_index(path)
-    assert loaded.matrix.flags.aligned and not loaded.matrix.flags.writeable
-    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    assert loaded.columns.flags.aligned and not loaded.columns.flags.writeable
+    assert loaded.columns.tobytes() == index.columns.tobytes()
 
 
 def test_load_rejects_a_header_escaping_a_lone_surrogate(tmp_path, provider, mini_corpus):
@@ -609,11 +610,11 @@ def old_json_index(index: RagIndex, one_record_per_line: bool) -> str:
         {
             "record_id": r.record_id,
             "sentence": r.sentence,
-            "embedding": r.embedding.tolist(),
+            "embedding": index.columns[:, i].tolist(),
             "labels": [e.to_label() for e in r.labels],
             "source_report": r.record_id.rpartition(":")[0],
         }
-        for r in index.records
+        for i, r in enumerate(index.records)
     ]
     if not one_record_per_line:
         return json.dumps({"provider_id": index.provider_id, "dimension": index.dimension, "records": records})
@@ -628,7 +629,7 @@ def write_row_major_index(index: RagIndex, path) -> None:
         for r in index.records
     ]
     line = json.dumps({"provider_id": index.provider_id, "dimension": index.dimension, "records": records}).encode()
-    path.write_bytes(line + b" " * (-(len(line) + 1) % 8) + b"\n" + np.ascontiguousarray(index.matrix).tobytes())
+    path.write_bytes(line + b" " * (-(len(line) + 1) % 8) + b"\n" + np.ascontiguousarray(index.columns.T).tobytes())
 
 
 def test_load_rejects_the_row_major_block_and_names_build_index(tmp_path, provider, mini_corpus):
@@ -645,8 +646,8 @@ def test_saved_block_holds_one_row_per_dimension(tmp_path, provider, mini_corpus
     save_index(index, path)
     header, block = split_index_file(path)
     assert json.loads(header)["layout"] == "columns"
-    assert np.array_equal(block.reshape(index.dimension, len(index)), index.matrix.T)
-    assert index.matrix.T.flags.c_contiguous and load_index(path).matrix.T.flags.c_contiguous
+    assert np.array_equal(block.reshape(index.dimension, len(index)), index.columns)
+    assert index.columns.flags.c_contiguous and load_index(path).columns.flags.c_contiguous
 
 
 @pytest.mark.parametrize("one_record_per_line", [True, False])
@@ -670,30 +671,31 @@ LABELS = [
 
 @st.composite
 def indexes(draw):
-    """Small indexes with arbitrary text fields and unit-norm rows of any magnitude."""
+    """Small indexes with arbitrary text fields and unit-norm columns of any magnitude."""
     dimension = draw(st.integers(1, 6))
     vector = arrays(np.float64, dimension, elements=st.floats(-1e300, 1e300)).filter(np.any)
     vectors = draw(st.lists(vector, max_size=5))
-    matrix = np.array([embed("query", StubProvider({"query": v})) for v in vectors]).reshape(len(vectors), dimension)
+    rows = np.array([embed("query", StubProvider({"query": v})) for v in vectors]).reshape(len(vectors), dimension)
+    columns = np.ascontiguousarray(rows.T)
     entries = [
         (draw(st.text()), draw(st.text()), tuple(draw(st.lists(st.sampled_from(LABELS), max_size=3))))
         for _ in vectors
     ]
-    return RagIndex(draw(st.text()), matrix, entries)
+    return RagIndex(draw(st.text()), columns, entries)
 
 
 @settings(max_examples=100)
 @given(indexes())
-@example(RagIndex("hashed-trigram-2", np.array([[0.6, 0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", ())]))
+@example(RagIndex("hashed-trigram-2", np.array([[0.6], [0.8]]), [("r:0001", "Tippe auf »Öffnen«\n\u2028", ())]))
 def test_save_load_round_trip_is_exact(tmp_path_factory, index):
     path = tmp_path_factory.getbasetemp() / "round_trip_index.bin"  # one file, rewritten per example
     save_index(index, path)
     loaded = load_index(path)
     assert (loaded.provider_id, loaded.dimension) == (index.provider_id, index.dimension)
-    assert loaded.matrix.tobytes() == index.matrix.tobytes()
-    assert not loaded.matrix.flags.writeable
-    assert loaded.matrix.flags.aligned and (path.read_bytes().index(b"\n") + 1) % 8 == 0
-    assert all(np.shares_memory(r.embedding, loaded.matrix) for r in loaded.records)
+    assert loaded.columns.tobytes() == index.columns.tobytes()
+    assert not loaded.columns.flags.writeable
+    assert loaded.columns.flags.aligned and (path.read_bytes().index(b"\n") + 1) % 8 == 0
+    assert loaded.columns.flags.c_contiguous and loaded.columns.shape == (loaded.dimension, len(loaded))
     fields = [(r.record_id, r.sentence, r.labels) for r in loaded.records]
     assert fields == [(r.record_id, r.sentence, r.labels) for r in index.records]
     assert b"source_report" not in path.read_bytes()
@@ -741,8 +743,8 @@ def test_http_provider_reuses_one_connection_for_every_post(mini_corpus):
         provider = HttpEmbeddingProvider(f"http://127.0.0.1:{server.server_port}/embed", dimension=8)
         index = build_index(mini_corpus, provider)
         assert len(index) == 20 and posts == [20]  # the whole corpus is one chunk
-        for record in index.records:
-            assert record.embedding.tobytes() == embed(record.sentence, provider).tobytes()
+        for i, record in enumerate(index.records):
+            assert index.columns[:, i].tobytes() == embed(record.sentence, provider).tobytes()
         assert server.connections == 1
         provider.session.close()
     with counting_server(_OneShortHandler) as server:

@@ -719,6 +719,32 @@ def test_run_recovers_when_a_cut_exploration_leaves_the_app_crashed_on_the_page(
     assert all(len(rec["statuses"]) == len(rec["commands"]) for rec in result.trace_records)
 
 
+def test_a_model_restart_after_a_move_relaunches_through_restart_app_and_empties_the_restore_path(monkeypatch):
+    from crashreplay import replay
+
+    origins = []
+
+    def recording_explore(device, **kwargs):
+        origins.append(kwargs["origin_path"])
+        return explore(device, **kwargs)
+
+    monkeypatch.setattr(replay, "explore", recording_explore)
+    report, gold, device, _, _ = load_scenario("hidden_about")
+    launch = device.capture_state().state_id
+    sent = []  # each executed command's verb, and "restart_app" for every restart
+    device.execute = lambda cmd: sent.append(cmd.action) or SimulatorDevice.execute(device, cmd)
+    device.restart_app = lambda: sent.append("restart_app") or SimulatorDevice.restart_app(device)
+    # Each reply moves to Tools and restarts, so the second ends on the launch screen revisited, which is explored.
+    gateway = MockGateway.from_script([{"response": '[{"action": "click", "feature": "Tools"}, {"action": "restart"}]'}])
+    result = run(report, gold, device, gateway, 10.0, max_iterations=2)
+    first, second = result.trace_records
+    assert first["statuses"][0]["new_state"] != launch
+    assert first["statuses"][1] == {"ok": True, "detail": "app restarted", "new_state": launch, "crash": None}
+    assert second["state"] == launch
+    assert sent[:4] == ["click", "restart_app", "click", "restart_app"]
+    assert second["explored"] and origins == [()]
+
+
 def test_each_record_hashes_the_action_prompt_of_its_iteration():
     # hidden_about explores, so later prompts carry knowledge; executed commands add feedback; a first reply in
     # prose makes the gateway send a repair prompt, which the record must not hash.

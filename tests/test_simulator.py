@@ -522,7 +522,7 @@ def _features(spec: SimAppSpec) -> list[str]:
 @st.composite
 def command_runs(draw):
     """A bundled spec and a run of clicks, text entries (values repeat and
-    change), backs and restarts over the features its screens declare."""
+    change), backs and restarts (None) over the features its screens declare."""
     name = draw(st.sampled_from(sorted(BUNDLED)))
     features = st.sampled_from(_features(BUNDLED[name]))
     values = st.sampled_from(["", "x", "boom", "-1", "xxyyzz", "https://librenews.io/api"])
@@ -530,7 +530,7 @@ def command_runs(draw):
         st.builds(ActionCommand, action=st.just("click"), feature=features),
         st.builds(ActionCommand, action=st.just("set_text"), feature=features, input_text=values),
         st.just(ActionCommand(action="back")),
-        st.just(ActionCommand(action="restart")),
+        st.none(),
     )
     return name, draw(st.lists(command, max_size=25))
 
@@ -550,6 +550,10 @@ def test_memoized_screens_equal_a_cold_build(run):
     name, commands = run
     session = SimSession(BUNDLED[name])
     for cmd in commands:
+        if cmd is None:  # a restart goes through restart(), as restart_app sends it
+            session.restart()
+            _assert_same_as_cold_build(session, session.build_state())
+            continue
         try:
             status = session.step(cmd)
         except AlreadyCrashed:
@@ -595,7 +599,7 @@ RULE_ELEMENTS = [
 @st.composite
 def rule_runs(draw):
     """A spec of 2-5 states with rules of several verbs, with and without a
-    feature, text or direction, guarded crash rules, and a run of commands."""
+    feature, text or direction, guarded crash rules, and a run of commands and restarts (None)."""
     states = RULE_STATES[: draw(st.integers(2, 5))]
     state = st.sampled_from(states)
     trigger = st.fixed_dictionaries(
@@ -623,7 +627,7 @@ def rule_runs(draw):
     }
     command = st.builds(
         ActionCommand,
-        action=st.sampled_from(RULE_VERBS + ["restart"]),
+        action=st.sampled_from(RULE_VERBS),
         feature=st.none() | st.sampled_from(["Go", "field", "list", "nothing"]),
         input_text=st.none() | st.sampled_from(RULE_TEXTS),
         direction=st.none() | st.sampled_from(["up", "down"]),
@@ -636,7 +640,7 @@ def rule_runs(draw):
                                                 rule.get("direction")),
             st.sampled_from(triggers), st.sampled_from(["btn", "field", "list"]),
         )
-    return body, draw(st.lists(command, min_size=10, max_size=30))
+    return body, draw(st.lists(command | st.none(), min_size=10, max_size=30))
 
 
 class ScanningSession:
@@ -659,9 +663,6 @@ class ScanningSession:
 
     def step(self, cmd: ActionCommand) -> tuple:
         """(ok, detail, state id, crash, no_match_feature) of one command."""
-        if cmd.action == "restart":
-            self.restart()
-            return True, "app restarted", self.screen().state_id, None, None
         screen, element = self.screen(), None
         if cmd.feature is not None:
             try:
@@ -705,9 +706,12 @@ def test_indexed_rules_step_as_a_scan_of_every_rule_in_spec_order(tmp_path_facto
     spec = load_spec(path)
     session, reference = SimSession(spec), ScanningSession(spec)
     for cmd in commands:
-        if session.crashed is not None:
+        if cmd is None or session.crashed is not None:  # restarts interleave with commands on both sides
             session.restart()
             reference.restart()
+            assert session.build_state().state_id == reference.screen().state_id
+        if cmd is None:
+            continue
         status = session.step(cmd)
         assert (status.ok, status.detail, status.new_state.state_id, status.crash, status.no_match_feature) == reference.step(cmd)
 
