@@ -24,9 +24,9 @@ from .device import (
     Device,
     DeviceUnavailable,
     ExecStatus,
-    NoMatchError,
     UiElement,
     UiState,
+    no_match,
     resolve_feature,
 )
 from .gateway import ActionCommand
@@ -194,17 +194,12 @@ class AdbDevice(Device):
     # -- execution -----------------------------------------------------------
 
     def execute(self, cmd: ActionCommand) -> ExecStatus:
-        state = self.capture_state()
         element = None
-        if cmd.feature is not None:
-            try:
-                element = resolve_feature(state, cmd.feature)
-            except NoMatchError as exc:
-                # A crash logged after the previous command's log poll is reported here.
-                crash = self._poll_crash()
-                return ExecStatus(
-                    ok=False, detail=str(exc), new_state=state, crash=crash, no_match_feature=cmd.feature
-                )
+        if cmd.feature is not None:  # only resolution reads the screen before the command acts
+            state = self.capture_state()
+            element = resolve_feature(state, cmd.feature)
+            if element is None:  # a crash logged after the previous command's log poll is reported here
+                return no_match(state, cmd.feature, self._poll_crash())
 
         if cmd.action == "click":
             x, y = element.bounds.center()
@@ -230,7 +225,7 @@ class AdbDevice(Device):
         elif cmd.action == "back":
             self._shell("input", "keyevent", "KEYCODE_BACK")
         else:
-            return ExecStatus(ok=False, detail=f"unsupported action {cmd.action}", new_state=state)
+            return ExecStatus(ok=False, detail=f"unsupported action {cmd.action}", new_state=self.capture_state())
 
         time.sleep(SETTLE_INTERVAL_S)
         new_state = self.capture_state()

@@ -31,13 +31,6 @@ _TIER_MISSES = (
 )
 
 
-class NoMatchError(Exception):
-    """No element matched a feature at any tier of :func:`resolve_feature`'s cascade."""
-
-    def __init__(self, feature: str):
-        super().__init__(f"no element matched feature {feature!r} ({_TIER_MISSES})")
-
-
 class Bounds(NamedTuple):
     left: int
     top: int
@@ -149,6 +142,11 @@ class ExecStatus:
     no_match_feature: str | None = None
 
 
+def no_match(state: UiState, feature: str, crash: CrashInfo | None = None) -> ExecStatus:
+    """The status of a command whose feature :func:`resolve_feature` found on no tier; the screen is unchanged."""
+    return ExecStatus(False, f"no element matched feature {feature!r} ({_TIER_MISSES})", state, crash, feature)
+
+
 def _canonical_walk(element: UiElement, depth: int) -> Iterator[tuple[UiElement, int]]:
     for child in sorted(element.children, key=_sort_key):
         yield child, depth
@@ -230,13 +228,13 @@ def _resolution_tables(state: UiState) -> tuple:
     return state._tables
 
 
-def resolve_feature(state: UiState, feature: str) -> UiElement:
+def resolve_feature(state: UiState, feature: str) -> UiElement | None:
     """Resolve a feature string to one element via a fixed matching cascade.
 
     Tiers, first non-empty wins: exact text, exact content description,
     resource-id suffix, case-insensitive text, case-insensitive substring of
-    text or description.  Ties break topmost-then-leftmost.  Raises
-    :class:`NoMatchError` when no tier matches.
+    text or description.  Ties break topmost-then-leftmost.  None when no
+    tier matches; :func:`no_match` is that command's status.
     """
     if not feature:
         raise ValueError("feature must be nonempty")
@@ -249,7 +247,7 @@ def resolve_feature(state: UiState, feature: str) -> UiElement:
     for text, desc, element in scan:
         if folded in text or folded in desc:
             return element
-    raise NoMatchError(feature)
+    return None
 
 
 class Device:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .device import (
     Device,
-    NoMatchError,
     UiState,
     encode_state_text,
     feature_for_element,
@@ -194,13 +193,7 @@ def closest_state_for_element(graph: UtgGraph, element_feature: str) -> str:
 
     Ties break by smallest state id.
     """
-    hits = []
-    for state_id, state in graph.nodes.items():
-        try:
-            resolve_feature(state, element_feature)
-        except NoMatchError:
-            continue
-        hits.append(state_id)
+    hits = [state_id for state_id, state in graph.nodes.items() if resolve_feature(state, element_feature) is not None]
     if not hits:
         raise ExplorerError(f"element {element_feature!r} appears in no node")
     distances = graph.bfs()

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from urllib.parse import quote
 
 from . import __version__
 from .device import (
@@ -289,7 +290,8 @@ def run(
         loop.explored_states.add(signal.state)
         cache_path = knowledge = None
         if utg_cache_dir is not None:
-            cache_path = Path(utg_cache_dir) / f"{device.app_id}__{signal.state}__{settings_key}.json"
+            # The app id is percent-quoted, so that one holding "/" or ".." still names a file in the directory.
+            cache_path = Path(utg_cache_dir) / f"{quote(device.app_id, safe='')}__{signal.state}__{settings_key}.json"
             try:
                 knowledge = load_knowledge(cache_path)
             except (OSError, ExplorerError):

@@ -19,9 +19,9 @@ from .device import (
     CrashInfo,
     Device,
     ExecStatus,
-    NoMatchError,
     UiElement,
     UiState,
+    no_match,
     resolve_feature,
 )
 from .gateway import ActionCommand, decode_json
@@ -98,8 +98,9 @@ _KINDS = {
     "state": ("state {!r}", {"activity": str, "elements": list}, ()),
     "element": ("state {!r} element {}", {"id": str, "class": str, "text": _TEXT, "content_desc": _TEXT,
                 "resource_id": _TEXT, "bounds": list, **_FLAGS}, ("id", "class")),
-    "transition": ("transition {}", {"from": str, "to": str, **_TRIGGER}, ()),
-    "crash rule": ("crash rule {}", {"state": str, **_TRIGGER, "requires_field": _GUARD, "crash": dict}, ("crash",)),
+    "transition": ("transition {}", {"from": str, "to": str, **_TRIGGER}, ("verb",)),
+    "crash rule": ("crash rule {}", {"state": str, **_TRIGGER, "requires_field": _GUARD, "crash": dict},
+                   ("verb", "crash")),
     "requires_field": ("crash rule {} requires_field", {"element": str, "op": str, "value": str}, ()),
     "crash": ("crash rule {} crash", {"exception_type": str, "message": str, "activity": str}, ("exception_type",)),
 }
@@ -153,11 +154,13 @@ def _parse_trigger(
     raw: dict, kind: str, where: tuple, states: dict[str, StateSpec], tables: dict[str, dict], from_state: str,
     violations: list[str],
 ) -> Trigger:
-    """A checked rule's trigger; its feature binds to the one element of ``from_state`` with that id, text or
-    resource-id suffix.
+    """A checked rule's trigger; its verb is a UI verb, and its feature binds to the one element of ``from_state``
+    with that id, text or resource-id suffix.
 
     ``tables`` keeps each state's feature table, built the first time a rule names the state."""
-    element_id, feature, state = None, raw.get("feature"), states.get(from_state)
+    verb, element_id, feature, state = raw["verb"], None, raw.get("feature"), states.get(from_state)
+    if verb not in VERB_SPECS or verb == "restart":  # a restart goes to restart_app, never to step
+        violations.append(f"{_KINDS[kind][0].format(*where)}: verb {verb!r} is not a UI verb")
     if feature is not None and state is not None:
         table = tables.get(from_state)
         if table is None:
@@ -168,7 +171,7 @@ def _parse_trigger(
             violations.append(f"{_KINDS[kind][0].format(*where)}: feature {feature!r} {fault} {from_state!r}")
         else:
             element_id = hit.element_id
-    return Trigger(raw.get("verb", ""), element_id, raw.get("required_text"), raw.get("direction"))
+    return Trigger(verb, element_id, raw.get("required_text"), raw.get("direction"))
 
 
 def load_spec(path: str | Path) -> SimAppSpec:
@@ -332,12 +335,9 @@ class SimSession:
         state = self.build_state()
         element = element_id = None
         if cmd.feature is not None:
-            try:
-                element = resolve_feature(state, cmd.feature)
-            except NoMatchError as exc:
-                return ExecStatus(
-                    ok=False, detail=str(exc), new_state=state, no_match_feature=cmd.feature
-                )
+            element = resolve_feature(state, cmd.feature)
+            if element is None:
+                return no_match(state, cmd.feature)
             element_id = element.element_id
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=state)

@@ -14,17 +14,20 @@ from crashreplay import adb_bridge
 from crashreplay.adb_bridge import MAX_DUMP_DEPTH, AdbDevice, parse_crash_from_logcat, parse_hierarchy_xml
 from crashreplay.device import (
     Bounds,
-    NoMatchError,
+    CrashInfo,
     UiElement,
     UiState,
     encode_state_text,
     feature_for_element,
     interactable_elements,
+    no_match,
     resolve_feature,
 )
 from crashreplay.gateway import ActionCommand, MockGateway, parse_action_sequence
 from crashreplay.grammar import S2RScript
 from crashreplay.replay import Outcome, run
+from crashreplay.simulator import SimulatorDevice, load_spec
+from crashreplay.cli import fixtures_path
 from conftest import data_path
 
 
@@ -150,12 +153,15 @@ def test_resolve_tie_breaks_topmost_then_leftmost():
 
 
 def test_resolve_no_match_reports_all_tiers():
-    with pytest.raises(NoMatchError) as excinfo:
-        resolve_feature(cascade_screen(), "Nonexistent")
-    assert str(excinfo.value) == (
+    state, crash = cascade_screen(), CrashInfo("java.lang.Error", "", "Main")
+    assert resolve_feature(state, "Nonexistent") is None
+    status = no_match(state, "Nonexistent", crash)
+    assert status.detail == (
         "no element matched feature 'Nonexistent' (no exact text match; no exact description match; "
         "no resource id suffix match; no case-insensitive text match; no substring of text or description match)"
     )
+    assert (status.ok, status.new_state, status.crash, status.no_match_feature) == (False, state, crash, "Nonexistent")
+    assert no_match(state, "Nonexistent").crash is None
 
 
 def test_resolve_rejects_empty_feature():
@@ -163,8 +169,8 @@ def test_resolve_rejects_empty_feature():
         resolve_feature(cascade_screen(), "")
 
 
-def scan_cascade(state: UiState, feature: str) -> UiElement:
-    """The oracle: the five tier scans over every element, each tier's matches reduced by ``min``."""
+def scan_cascade(state: UiState, feature: str) -> UiElement | None:
+    """The oracle: the five tier scans over every element, each tier's matches reduced by ``min``; None on a miss."""
     elements = list(state.root.iter_tree())
     folded = feature.lower()
     tiers = (
@@ -179,7 +185,7 @@ def scan_cascade(state: UiState, feature: str) -> UiElement:
         candidates = [e for e in elements if matches(e)]
         if candidates:
             return min(candidates, key=lambda e: (e.bounds.top, e.bounds.left, e.element_id))
-    raise NoMatchError(feature)
+    return None
 
 
 # Few values per field, so texts, descriptions, ids and whole (top, left, id) keys repeat.
@@ -226,13 +232,7 @@ def screens_and_features(draw):
 @given(screens_and_features())
 def test_resolve_matches_the_scan_cascade(case):
     state, feature = case
-    try:
-        expected = scan_cascade(state, feature)
-    except NoMatchError as miss:
-        with pytest.raises(NoMatchError) as excinfo:
-            resolve_feature(state, feature)
-        assert str(excinfo.value) == str(miss)
-        return
+    expected = scan_cascade(state, feature)
     assert resolve_feature(state, feature) is expected
     assert resolve_feature(state, feature) is expected
 
@@ -375,6 +375,9 @@ def test_adb_no_match_leaves_state(fake_adb):
     assert not status.ok
     assert status.no_match_feature == "Nonexistent"
     assert not any("input" in c for c in runner.calls if "tap" in c)
+    # Both backends report a miss in the same words.
+    simulated = SimulatorDevice(load_spec(fixtures_path() / "apps" / "url_crash.json"))
+    assert simulated.execute(ActionCommand(action="click", feature="Nonexistent")).detail == status.detail
 
 
 def test_adb_swipe_uses_screen_fraction(fake_adb):
@@ -519,6 +522,23 @@ def test_adb_command_sleeps_the_settle_interval_then_captures_once(clock, motion
     # the fixed 0.5 s sleep plus one capture, whatever the screen does.
     assert clock.now - started == pytest.approx(SETTLE_INTERVAL_S + 8 * latency)
     assert clock.now - started < 0.5 + 8 * latency
+
+
+@pytest.mark.parametrize(
+    ("command", "invocations"),
+    [(ActionCommand(action="back"), 5), (ActionCommand(action="scroll", direction="down"), 6),
+     (ActionCommand(action="swipe", direction="left"), 6), (ActionCommand(action="rotate", direction="landscape"), 6)],
+    ids=["back", "scroll", "swipe", "rotate"],
+)
+def test_adb_command_without_a_target_dumps_the_hierarchy_once(clock, command, invocations):
+    # Only resolution reads the screen before a command acts, so an untargeted one captures only its result.
+    device, runner = fake_device(data_path("hierarchy_dump.xml").read_text(encoding="utf-8"))
+    runner.calls.clear()  # the session's start clears the log
+    status = device.execute(command)
+    assert status.ok and status.crash is None
+    assert [call[4:6] for call in runner.calls].count(["uiautomator", "dump"]) == 1
+    # The input's calls (scroll and swipe first read the screen size), then a three-call capture and one log poll.
+    assert len(runner.calls) == invocations
 
 
 def test_adb_restart_sleeps_the_settle_interval_then_captures_once(clock):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -493,6 +494,17 @@ def test_run_uses_utg_cache(tmp_path):
     summary_calls = [e for e in gateway.exchanges if "Summarize" in e.prompt]
     assert summary_calls == []
     assert second.trace_text() == first.trace_text()  # the same prompts, byte for byte
+
+
+def test_run_keeps_a_utg_cache_file_inside_the_cache_directory_whatever_the_app_id(tmp_path):
+    report, gold, device, gateway, _ = load_scenario("hidden_about")
+    device.session.spec = dataclasses.replace(device.session.spec, app_id="../escaped")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert run(report, gold, device, gateway, 10.0, utg_cache_dir=cache).outcome == Outcome.REPRODUCED
+    assert list(tmp_path.glob("*.json")) == []
+    (cached,) = cache.iterdir()
+    assert cached.name.startswith("..%2Fescaped__") and cached.suffix == ".json"
 
 
 #: Functionality-entry fields of cache records in earlier graph-and-tables formats.

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from crashreplay.cli import fixtures_path
 from crashreplay.device import (
     AlreadyCrashed,
-    NoMatchError,
     encode_state_text,
     feature_for_element,
     interactable_elements,
+    no_match,
     resolve_feature,
 )
 from crashreplay.gateway import ActionCommand
@@ -105,6 +105,26 @@ def test_transition_to_missing_state_reported(tmp_path):
     with pytest.raises(SpecInvalid) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert any("nowhere" in v for v in excinfo.value.violations)
+
+
+def test_rule_on_a_verb_no_command_can_fire_reported(tmp_path):
+    # "clik" is no device verb, and a model's restart goes to restart_app, never to a rule.
+    body = json.loads(json.dumps(MINIMAL))
+    crash = {"exception_type": "java.lang.IllegalStateException"}
+    body["transitions"] += [{"from": "a", "verb": "restart", "to": "b"}, {"from": "a", "verb": "clik", "to": "b"},
+                            {"from": "a", "to": "b"}]
+    body["crash_rules"] += [{"state": "a", "verb": "restart", "crash": crash}, {"state": "a", "verb": "clik", "crash": crash},
+                            {"state": "a", "crash": crash}]
+    with pytest.raises(SpecInvalid) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    assert excinfo.value.violations == [
+        "transition 2: verb 'restart' is not a UI verb",
+        "transition 3: verb 'clik' is not a UI verb",
+        "transition 4: missing key 'verb'",
+        "crash rule 1: verb 'restart' is not a UI verb",
+        "crash rule 2: verb 'clik' is not a UI verb",
+        "crash rule 3: missing key 'verb'",
+    ]
 
 
 def test_empty_states_map_is_invalid(tmp_path):
@@ -665,10 +685,9 @@ class ScanningSession:
         """(ok, detail, state id, crash, no_match_feature) of one command."""
         screen, element = self.screen(), None
         if cmd.feature is not None:
-            try:
-                element = resolve_feature(screen, cmd.feature)
-            except NoMatchError as exc:
-                return False, str(exc), screen.state_id, None, cmd.feature
+            element = resolve_feature(screen, cmd.feature)
+            if element is None:
+                return False, no_match(screen, cmd.feature).detail, screen.state_id, None, cmd.feature
         elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:
             return False, f"{cmd.action} needs a feature", screen.state_id, None, None
 
