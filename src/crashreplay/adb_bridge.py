@@ -3,8 +3,8 @@
 Command mapping (see README for the full table): hierarchy via
 ``uiautomator dump``, taps and swipes via ``input`` events at element bounds,
 text via ``input text``, crash detection by scanning the log stream for the
-first fatal-exception block since the log was last cleared (at session start
-and after each reported crash), settling by one short sleep before the
+app's first fatal-exception block since the log was last cleared (at session
+start and after each reported crash), settling by one short sleep before the
 hierarchy is dumped.  The command runner is injectable so every mapping is
 testable without hardware.
 """
@@ -30,6 +30,7 @@ from .device import (
     resolve_feature,
 )
 from .gateway import ActionCommand
+from .grammar import VERB_SPECS
 
 Runner = Callable[[Sequence[str], float], str]
 
@@ -104,25 +105,27 @@ def parse_hierarchy_xml(xml_text: str) -> UiElement:
     return UiElement(element_id="window", class_name="hierarchy", children=tuple(nodes))
 
 
-def parse_crash_from_logcat(log_text: str) -> CrashInfo | None:
-    """First fatal-exception block in a logcat excerpt, if any."""
+def parse_crash_from_logcat(log_text: str, package: str) -> CrashInfo | None:
+    """First fatal-exception block of ``package`` in a logcat excerpt, if any; a block naming no process counts."""
     lines = log_text.splitlines()
-    for i, line in enumerate(lines):
-        if not _FATAL_RE.search(line):
-            continue
+    starts = [i for i, line in enumerate(lines) if _FATAL_RE.search(line)]
+    for i, end in zip(starts, [*starts[1:], len(lines)]):
+        block = lines[i : min(end, i + 12)]  # a block's lines stop where the next block begins
         exception_type = "FatalException"
         message = ""
         activity = ""
-        for follow in lines[i + 1 : i + 12]:
+        for follow in block[1:]:
             match = _EXCEPTION_RE.match(follow.strip())
             if match:
                 exception_type = match.group(1)
                 message = match.group(2) or ""
                 break
-        for follow in lines[i : i + 12]:
+        for follow in block:
             if "Process:" in follow:
                 activity = follow.split("Process:", 1)[1].split(",")[0].strip()
                 break
+        if activity and activity != package:  # another app's or a system process's crash
+            continue
         return CrashInfo(exception_type=exception_type, message=message, raised_in_activity=activity)
     return None
 
@@ -183,9 +186,9 @@ class AdbDevice(Device):
         return "unknown"
 
     def _poll_crash(self) -> CrashInfo | None:
-        """First crash logged since the log was last cleared, if any."""
+        """The app's first crash logged since the log was last cleared, if any."""
         out = self._adb(["logcat", "-d", "-v", "brief", "*:E"])
-        crash = parse_crash_from_logcat(out)
+        crash = parse_crash_from_logcat(out, self.package)
         if crash is not None:
             # Clear the log so that later commands do not report this crash again.
             self._adb(["logcat", "-c"])
@@ -200,6 +203,8 @@ class AdbDevice(Device):
             element = resolve_feature(state, cmd.feature)
             if element is None:  # a crash logged after the previous command's log poll is reported here
                 return no_match(state, cmd.feature, self._poll_crash())
+        elif cmd.action in VERB_SPECS and VERB_SPECS[cmd.action].component:  # the simulator's status
+            return ExecStatus(ok=False, detail=f"{cmd.action} needs a feature", new_state=self.capture_state())
 
         if cmd.action == "click":
             x, y = element.bounds.center()

@@ -47,8 +47,7 @@ class Bounds(NamedTuple):
         return integers and 0 <= left <= right and 0 <= top <= bottom
 
 
-@dataclass(frozen=True, slots=True)
-class UiElement:
+class UiElement(NamedTuple):
     element_id: str
     class_name: str
     text: str | None = None

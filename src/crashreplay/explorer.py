@@ -16,6 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .device import (
     Device,
@@ -37,8 +38,7 @@ class ExplorerError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class UtgEdge:
+class UtgEdge(NamedTuple):
     from_state: str
     action: ActionCommand
     to_state: str

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .grammar import ACTION_NAMES, VERB_SPECS, VOCABULARY, normalize_verb
 
@@ -70,9 +71,8 @@ class LlmConfig:
         )
 
 
-@dataclass(frozen=True)
-class ActionCommand:
-    """One executable device action in the JSON protocol."""
+class ActionCommand(NamedTuple):
+    """One executable device action in the JSON protocol; an immutable named tuple."""
 
     action: str
     feature: str | None = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class GrammarError(Exception):
@@ -106,11 +107,12 @@ ACTION_PRIMITIVES_TEXT = (
 
 
 _TEXT = (str, type(None))  #: The types a label's component and value may have.
+#: Actions and directions by label value: a dict lookup costs less than an Enum call.
+_LABEL_ACTIONS, _LABEL_DIRECTIONS = {a.value: a for a in ActionType}, {d.value: d for d in Direction}
 
 
-@dataclass(frozen=True)
-class S2REntity:
-    """One structured reproduction step.
+class S2REntity(NamedTuple):
+    """One structured reproduction step; an immutable named tuple.
 
     ``generate_on_replay`` marks an input step whose value was not stated in
     the report; the replay loop asks the model to invent one.
@@ -123,19 +125,19 @@ class S2REntity:
     generate_on_replay: bool = False
 
     def validate(self) -> None:
-        a, spec = self.action.value, VOCABULARY[self.action]
+        spec = VOCABULARY[self.action]
         if spec.component and not self.component:
-            raise InvariantViolation(f"{a} requires a component")
+            raise InvariantViolation(f"{self.action.value} requires a component")
         if not spec.component and self.component is not None:
-            raise InvariantViolation(f"{a} takes no component")
+            raise InvariantViolation(f"{self.action.value} takes no component")
         if not spec.value and self.value is not None:
-            raise InvariantViolation(f"{a} takes no value")
+            raise InvariantViolation(f"{self.action.value} takes no value")
         if spec.value_required and self.value is None and not self.generate_on_replay:
-            raise InvariantViolation(f"{a} requires a value unless generate_on_replay is set")
+            raise InvariantViolation(f"{self.action.value} requires a value unless generate_on_replay is set")
         if self.direction is None and spec.direction_required:
-            raise InvariantViolation(f"{a} requires a direction")
+            raise InvariantViolation(f"{self.action.value} requires a direction")
         if self.direction is not None and self.direction not in spec.directions:
-            raise InvariantViolation(f"{a} does not take direction {self.direction.value!r}")
+            raise InvariantViolation(f"{self.action.value} does not take direction {self.direction.value!r}")
 
     def to_label(self) -> dict:
         """Serialize to the corpus label schema (absent fields omitted)."""
@@ -154,23 +156,17 @@ class S2REntity:
         if not (isinstance(raw, dict) and isinstance(raw.get("component"), _TEXT) and isinstance(raw.get("value"), _TEXT)):
             raise InvariantViolation(f"bad label: {raw!r}")
         try:
-            action = ActionType(str(raw["action"]).lower())
-        except (KeyError, ValueError) as exc:
+            action = _LABEL_ACTIONS[str(raw["action"]).lower()]
+        except KeyError as exc:  # no action, or none of that name
             raise InvariantViolation(f"bad label action: {raw!r}") from exc
         direction = None
         if raw.get("direction") is not None:
             try:
-                direction = Direction(str(raw["direction"]).lower())
-            except ValueError as exc:
+                direction = _LABEL_DIRECTIONS[str(raw["direction"]).lower()]
+            except KeyError as exc:
                 raise InvariantViolation(f"bad label direction: {raw!r}") from exc
         value = raw.get("value")
-        entity = cls(
-            action=action,
-            component=raw.get("component"),
-            value=value,
-            direction=direction,
-            generate_on_replay=VOCABULARY[action].value_required and value is None,
-        )
+        entity = cls(action, raw.get("component"), value, direction, VOCABULARY[action].value_required and value is None)
         entity.validate()
         return entity
 

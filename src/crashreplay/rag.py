@@ -8,15 +8,15 @@ immutable index.  At extraction time the most similar corpus sentences
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .gateway import decode_json
+from .gateway import decode_json, encode_json
 from .grammar import S2REntity
 
 NORM_TOLERANCE = 1e-6
@@ -147,8 +147,10 @@ class HashedTrigramProvider(EmbeddingProvider):
         starts = np.arange(grams.sum()) + np.repeat(np.cumsum(skipped) - skipped, grams)
         points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
         keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
-        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-        buckets = [self._buckets[joined[i : i + 3]] for i in starts[first].tolist()]
+        distinct, slot = np.unique(keys, return_inverse=True)  # return_index would force a slower, stable sort
+        first = np.empty(len(distinct), dtype=np.int64)
+        first[slot] = starts  # a start of each distinct trigram; any of its occurrences will do
+        buckets = [self._buckets[joined[i : i + 3]] for i in first.tolist()]
         cells = np.asarray(buckets, dtype=np.int64)[slot] * n + np.repeat(np.arange(n), grams)
         # A text under three characters is its one gram.
         short = [self._buckets[lowered[j]] * n + j for j in np.flatnonzero(grams == 0).tolist()]
@@ -258,8 +260,7 @@ def _normalize_columns(block: np.ndarray, provider_id: str) -> None:
 # Corpus
 
 
-@dataclass(frozen=True)
-class LabeledSentence:
+class LabeledSentence(NamedTuple):
     text: str
     labels: tuple[S2REntity, ...]
 
@@ -288,10 +289,7 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
         try:
             raw = decode_json(line)
             sentences = tuple(
-                LabeledSentence(
-                    text=entry["text"],
-                    labels=tuple(S2REntity.from_label(label) for label in entry.get("labels", [])),
-                )
+                LabeledSentence(entry["text"], tuple(map(S2REntity.from_label, entry.get("labels", []))))
                 for entry in raw["sentences"]
             )
             report = LabeledReport(
@@ -311,15 +309,13 @@ def load_corpus(path: str | Path) -> list[LabeledReport]:
 # Index
 
 
-@dataclass(frozen=True)
-class RagRecord:
+class RagRecord(NamedTuple):
     record_id: str
     sentence: str
     labels: tuple[S2REntity, ...]
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
+class RetrievalHit(NamedTuple):
     record: RagRecord
     score: float
 
@@ -338,7 +334,7 @@ class RagIndex:
         self.provider_id = provider_id
         self.dimension = columns.shape[0]
         self.columns = columns
-        self.records = tuple(RagRecord(*entry) for entry in entries)
+        self.records = tuple(map(RagRecord._make, entries))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -433,7 +429,7 @@ def save_index(index: RagIndex, path: str | Path) -> None:
         for r in index.records
     ]
     header = {"provider_id": index.provider_id, "dimension": index.dimension, "layout": _LAYOUT, "records": records}
-    line = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    line = encode_json(header).encode("utf-8")
     with open(path, "wb") as out:
         # Trailing spaces start the block at a multiple of 8 bytes, so a view of it is aligned for BLAS.
         out.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
@@ -459,7 +455,7 @@ def load_index(path: str | Path) -> RagIndex:
     entries = []
     for i, raw in enumerate(raw_records):
         try:
-            labels = tuple(S2REntity.from_label(label) for label in raw.get("labels", []))
+            labels = tuple(map(S2REntity.from_label, raw.get("labels", [])))
             entries.append((raw["record_id"], raw["sentence"], labels))
         except Exception as exc:
             raise RagError(f"{path}: record {i}: {exc}") from exc

@@ -9,7 +9,7 @@ experiments possible.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -301,7 +301,7 @@ class SimSession:
         if memo is not None and memo[0] == values:
             return memo[1]
         state_spec = self.spec.states[name]
-        children = tuple(replace(e, text=self.field_values.get(e.element_id, e.text)) if e.editable else e
+        children = tuple(e._replace(text=self.field_values.get(e.element_id, e.text)) if e.editable else e
                          for e in state_spec.elements)  # a field's typed text, else as declared
         root = UiElement(element_id="root", class_name="FrameLayout", bounds=_SCREEN_BOUNDS, children=children)
         screen = UiState(activity_name=state_spec.activity, root=root)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -202,7 +201,7 @@ leaf_elements = st.builds(
 elements = st.recursive(
     leaf_elements,
     lambda children: st.builds(
-        lambda element, kids: dataclasses.replace(element, children=tuple(kids)),
+        lambda element, kids: element._replace(children=tuple(kids)),
         leaf_elements,
         st.lists(children, max_size=3),
     ),
@@ -278,7 +277,7 @@ def test_logcat_crash_parse():
 E/AndroidRuntime(12345): Process: io.github.librenews, PID: 12345
 E/AndroidRuntime(12345): java.lang.IllegalArgumentException: Expected URL scheme 'http' or 'https'
 E/AndroidRuntime(12345):     at okhttp3.HttpUrl.get(HttpUrl.java:917)"""
-    crash = parse_crash_from_logcat(log)
+    crash = parse_crash_from_logcat(log, "io.github.librenews")
     assert crash is not None
     assert crash.exception_type == "java.lang.IllegalArgumentException"
     assert "Expected URL scheme" in crash.message
@@ -286,7 +285,7 @@ E/AndroidRuntime(12345):     at okhttp3.HttpUrl.get(HttpUrl.java:917)"""
 
 
 def test_logcat_without_crash():
-    assert parse_crash_from_logcat("W/foo(1): nothing to see\nE/bar(2): minor error") is None
+    assert parse_crash_from_logcat("W/foo(1): nothing to see\nE/bar(2): minor error", "io.github.librenews") is None
 
 
 FATAL_LOG = """E/AndroidRuntime(12345): FATAL EXCEPTION: main
@@ -380,6 +379,17 @@ def test_adb_no_match_leaves_state(fake_adb):
     assert simulated.execute(ActionCommand(action="click", feature="Nonexistent")).detail == status.detail
 
 
+@pytest.mark.parametrize("verb", ["click", "double_click", "long_click", "set_text"])
+def test_adb_component_verb_without_a_feature_reports_the_simulators_status(fake_adb, verb):
+    device, runner = fake_adb
+    status = device.execute(ActionCommand(action=verb))
+    assert (status.ok, status.detail, status.crash) == (False, f"{verb} needs a feature", None)
+    assert status.new_state.root == parse_hierarchy_xml(runner.dump_xml)
+    assert not any("input" in call for call in runner.calls)
+    simulated = SimulatorDevice(load_spec(fixtures_path() / "apps" / "url_crash.json"))
+    assert simulated.execute(ActionCommand(action=verb)).detail == status.detail
+
+
 def test_adb_swipe_uses_screen_fraction(fake_adb):
     device, runner = fake_adb
     device.execute(ActionCommand(action="scroll", direction="down"))
@@ -414,6 +424,25 @@ def test_adb_reports_each_crash_once():
     assert crashed.crash.exception_type == "java.lang.IllegalStateException"
     device.restart_app()
     assert device.execute(ActionCommand(action="click", feature="Settings")).crash is None
+
+
+SYSTEMUI_LOG = FATAL_LOG.replace("io.github.librenews", "com.android.systemui").replace("refresh", "status bar")
+UNNAMED_LOG = FATAL_LOG.replace("Process:", "Thread:")  # the app's block, naming no process
+
+
+def test_adb_reports_only_the_apps_own_crash(fake_adb):
+    device, runner = fake_adb
+    runner.log = SYSTEMUI_LOG  # another process crashed during the session
+    status = device.execute(ActionCommand(action="click", feature="REFRESH"))
+    assert status.ok and status.crash is None
+    # Behind a foreign block, the app's own block is still found; a block that names no process counts too,
+    # and does not take the process of the block after it.
+    runner.log = SYSTEMUI_LOG + FATAL_LOG
+    assert device.execute(ActionCommand(action="click", feature="REFRESH")).crash.message == "refresh failed"
+    for log in (SYSTEMUI_LOG + UNNAMED_LOG, UNNAMED_LOG + SYSTEMUI_LOG):
+        runner.log = log
+        crash = device.execute(ActionCommand(action="click", feature="REFRESH")).crash
+        assert (crash.message, crash.raised_in_activity) == ("refresh failed", "")
 
 
 # -- settling ---------------------------------------------------------------------

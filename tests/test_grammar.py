@@ -3,11 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crashreplay.grammar import (
     ACTION_PRIMITIVES_TEXT,
     AVAILABLE_ACTIONS_TEXT,
+    VOCABULARY,
     ActionType,
     Direction,
     InvariantViolation,
@@ -254,6 +256,80 @@ def test_entity_from_label_rejects_unknown_action():
 
     with pytest.raises(InvariantViolation):
         S2REntity.from_label({"action": "mash"})
+
+
+def enum_from_label(raw) -> S2REntity:
+    """The reference ``from_label``: one ``ActionType`` and ``Direction`` call per name, then each shape check in turn."""
+    if not (isinstance(raw, dict) and all(isinstance(raw.get(key), (str, type(None))) for key in ("component", "value"))):
+        raise InvariantViolation(f"bad label: {raw!r}")
+    try:
+        action = ActionType(str(raw["action"]).lower())
+    except (KeyError, ValueError) as exc:
+        raise InvariantViolation(f"bad label action: {raw!r}") from exc
+    direction = None
+    if raw.get("direction") is not None:
+        try:
+            direction = Direction(str(raw["direction"]).lower())
+        except ValueError as exc:
+            raise InvariantViolation(f"bad label direction: {raw!r}") from exc
+    a, spec, component, value = action.value, VOCABULARY[action], raw.get("component"), raw.get("value")
+    if spec.component and not component:
+        raise InvariantViolation(f"{a} requires a component")
+    if not spec.component and component is not None:
+        raise InvariantViolation(f"{a} takes no component")
+    if not spec.value and value is not None:
+        raise InvariantViolation(f"{a} takes no value")
+    if direction is None and spec.direction_required:
+        raise InvariantViolation(f"{a} requires a direction")
+    if direction is not None and direction not in spec.directions:
+        raise InvariantViolation(f"{a} does not take direction {direction.value!r}")
+    return S2REntity(action, component, value, direction, spec.value_required and value is None)
+
+
+LABEL_KEYS = ["action", "component", "value", "direction", "sentence_index"]
+ACTION_WORDS = [*(a.value for a in ActionType), "Tap", "INPUT", "Double_Tap", "double tap", "long-tap", " back", "mash"]
+DIRECTION_WORDS = [*(d.value for d in Direction), "Up", "LANDSCAPE", " down", "sideways"]
+TEXT_WORDS = ["", "OK", "server URL", "Zoë"]
+
+
+@st.composite
+def entity_labels(draw) -> dict:
+    """The label of a valid entity, its names in any case."""
+    action = draw(st.sampled_from(list(ActionType)))
+    spec, cased = VOCABULARY[action], st.sampled_from([str.lower, str.upper, str.title])
+    label = {"action": draw(cased)(action.value)}
+    if spec.component:
+        label["component"] = draw(st.sampled_from(TEXT_WORDS[1:]))
+    if spec.value and draw(st.booleans()):
+        label["value"] = draw(st.sampled_from(TEXT_WORDS))
+    if spec.directions and (spec.direction_required or draw(st.booleans())):
+        label["direction"] = draw(cased)(draw(st.sampled_from(sorted(spec.directions))).value)
+    return label
+
+
+labels = entity_labels() | st.fixed_dictionaries({"action": st.sampled_from(ACTION_WORDS)}, optional={
+    "component": st.sampled_from([*TEXT_WORDS, None, 5]),
+    "value": st.sampled_from([*TEXT_WORDS, None, True]),
+    "direction": st.sampled_from([*DIRECTION_WORDS, None, 5]),
+    "sentence_index": st.integers(),
+}) | json_values(LABEL_KEYS, ACTION_WORDS + DIRECTION_WORDS + TEXT_WORDS)
+
+
+@settings(max_examples=400)
+@given(labels)
+@example({"action": "Input", "component": "Name"})
+@example({"action": "rotate", "direction": "UP"})
+def test_from_label_accepts_and_rejects_every_label_as_the_enum_calls_do(raw):
+    try:
+        expected = enum_from_label(raw)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as caught:
+            S2REntity.from_label(raw)
+        assert str(caught.value) == str(exc)
+        return
+    entity = S2REntity.from_label(raw)
+    assert entity == expected and list(map(type, entity)) == list(map(type, expected))
+    assert S2REntity.from_label(entity.to_label()) == entity
 
 
 @pytest.mark.parametrize("action", [ActionType.TAP, ActionType.INPUT, ActionType.DELETE])

@@ -98,6 +98,15 @@ def split_index_file(path) -> tuple[bytes, np.ndarray]:
     return data[:end], np.frombuffer(data, dtype="<f8", offset=end).copy()
 
 
+def reference_index_bytes(index: RagIndex) -> bytes:
+    """The bytes ``save_index`` writes, from ``json.dumps``: the header padded to 8 bytes, then the column block."""
+    records = [{"record_id": r.record_id, "sentence": r.sentence, "labels": [e.to_label() for e in r.labels]}
+               for r in index.records]
+    header = {"provider_id": index.provider_id, "dimension": index.dimension, "layout": "columns", "records": records}
+    line = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n" + index.columns.astype("<f8").tobytes()
+
+
 
 # -- segmentation -------------------------------------------------------------
 
@@ -690,6 +699,7 @@ def indexes(draw):
 def test_save_load_round_trip_is_exact(tmp_path_factory, index):
     path = tmp_path_factory.getbasetemp() / "round_trip_index.bin"  # one file, rewritten per example
     save_index(index, path)
+    assert path.read_bytes() == reference_index_bytes(index)
     loaded = load_index(path)
     assert (loaded.provider_id, loaded.dimension) == (index.provider_id, index.dimension)
     assert loaded.columns.tobytes() == index.columns.tobytes()
